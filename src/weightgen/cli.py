@@ -124,7 +124,7 @@ def _snapshot(merged: dict, command: str, out_dir: str, artifacts) -> None:
     for key, value in sorted(merged.items()):
         doc[key] = list(value) if isinstance(value, tuple) else value
     path = os.path.join(out_dir, "config.json")
-    training._atomic_write(path, (json.dumps(doc, indent=2) + "\n").encode())
+    dataio.atomic_write(path, (json.dumps(doc, indent=2) + "\n").encode())
     artifacts.append(path)
 
 
@@ -204,14 +204,6 @@ def cmd_train(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _conv_layers(model: nn.Sequential):
-    return [
-        layer
-        for layer in model.layers
-        if isinstance(layer, (nn.Conv2d, nn.GeneratedConv2d))
-    ]
-
-
 def cmd_init(ns: argparse.Namespace) -> int:
     merged = _resolve(ns)
     cfg = _train_config(merged)
@@ -220,7 +212,7 @@ def cmd_init(ns: argparse.Namespace) -> int:
     if not teacher_path:
         raise ConfigError("missing teacher: pass --teacher with a checkpoint path")
     model, _, _ = training.load_checkpoint(teacher_path)
-    convs = _conv_layers(model)
+    convs = model.conv_layers()
     index = merged.get("layer", 0)
     if not 0 <= index < len(convs):
         raise ConfigError(
@@ -262,7 +254,7 @@ def cmd_init(ns: argparse.Namespace) -> int:
             "r_m": generator.memory_ratio(plan, merged.get("q_weight", 16)),
         }
         report_path = os.path.join(out, "init_report.json")
-        training._atomic_write(
+        dataio.atomic_write(
             report_path, (json.dumps(report, indent=2) + "\n").encode()
         )
         artifacts.append(report_path)
@@ -342,7 +334,7 @@ def cmd_cost(ns: argparse.Namespace) -> int:
         os.makedirs(out, exist_ok=True)
         with _artifact_set() as artifacts:
             path = os.path.join(out, "cost.json")
-            training._atomic_write(
+            dataio.atomic_write(
                 path, (json.dumps(report.as_dict(), indent=2) + "\n").encode()
             )
             artifacts.append(path)
@@ -389,7 +381,7 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
         os.makedirs(out, exist_ok=True)
         with _artifact_set() as artifacts:
             path = os.path.join(out, "correlations.json")
-            training._atomic_write(
+            dataio.atomic_write(
                 path, (json.dumps(rows, indent=2) + "\n").encode()
             )
             artifacts.append(path)

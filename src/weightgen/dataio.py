@@ -1,10 +1,13 @@
-"""IDX dataset loading, serialization, and deterministic batching.
+"""IDX dataset loading and serialization, and the package's atomic write.
 
 The IDX binary layout is parsed exactly: all integers are big-endian
 32-bit, images carry magic 2051 with (count, rows, cols) dimensions and
 uint8 pixels, labels carry magic 2049 with a count and uint8 values.
 Pixels are scaled to [0, 1] by 1/255 on load; serialization restores
 the exact original bytes, so load -> save -> load is bitwise stable.
+
+Every file the package writes goes through ``atomic_write``, so a file
+appears under its final name only when complete.
 """
 
 from __future__ import annotations
@@ -12,10 +15,10 @@ from __future__ import annotations
 import dataclasses
 import os
 import struct
+import tempfile
 
 import numpy as np
 
-from . import training
 from .errors import (
     ConfigError,
     IdxCountMismatchError,
@@ -125,27 +128,26 @@ def save_idx(ds: LabeledDataset, images_path: str, labels_path: str) -> None:
     n, _, rows, cols = ds.images.shape
     pixels = np.rint(ds.images * 255.0).astype(np.uint8)
     header = struct.pack(">iiii", IMAGE_MAGIC, n, rows, cols)
-    with open(images_path, "wb") as fh:
-        fh.write(header)
-        fh.write(pixels.tobytes())
-    with open(labels_path, "wb") as fh:
-        fh.write(struct.pack(">ii", LABEL_MAGIC, n))
-        fh.write(ds.labels.astype(np.uint8).tobytes())
+    atomic_write(images_path, header + pixels.tobytes())
+    atomic_write(
+        labels_path,
+        struct.pack(">ii", LABEL_MAGIC, n) + ds.labels.astype(np.uint8).tobytes(),
+    )
 
 
-def batches(ds: LabeledDataset, batch_size: int, seed: int, epoch: int):
-    """Yield (images, labels) minibatches in a seeded epoch permutation.
-
-    The order is a full permutation of the dataset drawn from the same
-    fixed (seed, epoch) PRNG stream the trainer uses, so a given epoch's
-    order is reproducible anywhere. The last batch keeps the remainder.
-    """
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    order = training.epoch_rng(seed, epoch).permutation(len(ds))
-    for start in range(0, len(ds), batch_size):
-        idx = order[start : start + batch_size]
-        yield ds.images[idx], ds.labels[idx]
+def atomic_write(path, data: bytes) -> None:
+    """Write data to path through a temporary file in the same directory,
+    so path holds either its old content or all of data, never a part."""
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def resolve_data_root(explicit: str | None, env_var: str = "WEIGHTGEN_DATA") -> str:

@@ -17,8 +17,8 @@ import time
 
 import numpy as np
 
-from . import generator, nn, tensor, training
-from .errors import ConfigError, DegenerateFactorError, ShapeError
+from . import dataio, generator, nn, tensor, training
+from .errors import ConfigError, DegenerateFactorError, ShapeError, WeightgenError
 
 # Fraction of the singular values counted as the "top" mass.
 TOP_FRACTION = 0.3
@@ -127,10 +127,8 @@ def kernel_correlation(weight: np.ndarray, mode: str = "cross") -> KernelCorrela
             raise ShapeError(f"kernels must be square, got {kh}x{kw}")
         if kh == 1:
             return None
-        fractions = [
-            _top_mass(tensor.singular_values(w[o].reshape(c_in, kh * kw)))
-            for o in range(c_out)
-        ]
+        sigmas = tensor.singular_values(w.reshape(c_out, c_in, kh * kw))
+        fractions = [_top_mass(sigma) for sigma in sigmas]
         return KernelCorrelation(
             mean=float(np.mean(fractions)), std=float(np.std(fractions))
         )
@@ -205,21 +203,8 @@ def grid_search(
                     q_mixer=q_mixer,
                 )
                 try:
-                    nn.build_network(
-                        cfg.arch,
-                        cfg.in_channels,
-                        cfg.in_size,
-                        np.random.default_rng(0),
-                        generated=cfg.generated,
-                        n_basis=cfg.n_basis,
-                        n_cross=cfg.n_cross,
-                        q_basis=cfg.q_basis,
-                        q_coeff=cfg.q_coeff,
-                        q_mixer=cfg.q_mixer,
-                        quantized=cfg.quantized,
-                        act_bits=cfg.act_bits,
-                    )
-                except Exception as exc:
+                    training.build_model(cfg)
+                except WeightgenError as exc:
                     skipped.append(
                         SkippedSetting(
                             n_basis=n_basis,
@@ -310,7 +295,7 @@ def write_grid_csv(points: list[ExplorationPoint], path: str) -> None:
     writer = csv.DictWriter(buf, fieldnames=GRID_COLUMNS, lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
-    training._atomic_write(path, buf.getvalue().encode())
+    dataio.atomic_write(path, buf.getvalue().encode())
 
 
 def write_grid_json(result: GridResult, path: str, front: list[ExplorationPoint] | None = None) -> None:
@@ -320,7 +305,7 @@ def write_grid_json(result: GridResult, path: str, front: list[ExplorationPoint]
     }
     if front is not None:
         payload["pareto_front"] = [p.as_dict() for p in front]
-    training._atomic_write(path, (json.dumps(payload, indent=2) + "\n").encode())
+    dataio.atomic_write(path, (json.dumps(payload, indent=2) + "\n").encode())
 
 
 def layer_correlations(model: nn.Sequential) -> tuple[LayerCorrelation, ...]:

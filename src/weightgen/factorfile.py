@@ -24,12 +24,11 @@ complete.
 
 from __future__ import annotations
 
-import os
 import struct
-import tempfile
 
 import numpy as np
 
+from .dataio import atomic_write
 from .errors import FactorFileError
 from .generator import GenPlan, TwoLevelFactors, plan_layer
 from .quantize import dequantize, quantize_codes
@@ -160,17 +159,7 @@ def factors_from_bytes(data: bytes) -> TwoLevelFactors:
 
 
 def save_factors(path, factors: TwoLevelFactors, quantized: bool = False) -> None:
-    data = factors_to_bytes(factors, quantized=quantized)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, factors_to_bytes(factors, quantized=quantized))
 
 
 def load_factors(path) -> TwoLevelFactors:

@@ -31,8 +31,8 @@ import numpy as np
 from .errors import CardinalityError, NonFiniteError, ShapeError
 from .quantize import (
     DistinctValueBound,
+    dequantize,
     distinct_value_bound,
-    fake_quantize,
     positive_levels,
     quantize_codes,
     ste_grad,
@@ -184,7 +184,7 @@ def forward(factors: TwoLevelFactors, quantized: bool = True) -> GenForward:
         if not quantized:
             return t, None
         codes, scale = quantize_codes(t, bits)
-        return fake_quantize(t, bits), scale
+        return dequantize(codes, scale, bits), scale
 
     qb, sb = _q(factors.basis, p.q_basis)
     qc, sc = _q(factors.coeff, p.q_coeff)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import generator, tensor
 from .errors import ConfigError, ShapeError
-from .quantize import fake_quantize, quantize_codes, ste_grad
+from .quantize import dequantize, quantize_codes, ste_grad
 
 
 class Param:
@@ -47,8 +47,37 @@ class Layer:
         return []
 
 
-class Conv2d(Layer):
-    """Dense convolution, no bias (batch norm follows it everywhere here)."""
+class _Conv(Layer):
+    """Convolution without bias (batch norm follows it everywhere here).
+
+    Subclasses differ only in where the kernel tensor comes from
+    (``_kernel``) and where its gradient goes (``_take_grad``).
+    """
+
+    def _kernel(self) -> np.ndarray:
+        raise NotImplementedError
+
+    def _take_grad(self, d_weight: np.ndarray) -> None:
+        raise NotImplementedError
+
+    def forward(self, x, train=False):
+        x = tensor.as_tensor4d(x, "conv input")
+        weight = self._kernel()
+        out, cols = tensor.conv2d(x, weight, self.stride, self.pad)
+        self._cache = (x.shape, cols, weight)
+        return out
+
+    def backward(self, grad):
+        x_shape, cols, weight = self._cache
+        d_weight, d_x = tensor.conv2d_backward(
+            grad, cols, weight, x_shape, self.stride, self.pad
+        )
+        self._take_grad(d_weight)
+        return d_x
+
+
+class Conv2d(_Conv):
+    """Dense convolution with a He-initialized weight tensor."""
 
     def __init__(self, c_in: int, c_out: int, k: int, stride: int = 1,
                  pad: int = 0, rng: np.random.Generator | None = None):
@@ -59,33 +88,17 @@ class Conv2d(Layer):
         self.weight = Param("weight", w)
         self._cache = None
 
-    def forward(self, x, train=False):
-        x = tensor.as_tensor4d(x, "conv input")
-        cols = tensor.im2col(x, self.k, self.stride, self.pad)
-        w_mat = self.weight.value.reshape(self.c_out, -1)
-        out_mat = tensor.matmul(w_mat, cols)
-        n = x.shape[0]
-        h_out = tensor.conv_output_size(x.shape[2], self.k, self.stride, self.pad)
-        w_out = tensor.conv_output_size(x.shape[3], self.k, self.stride, self.pad)
-        self._cache = (x.shape, cols)
-        return np.ascontiguousarray(
-            out_mat.reshape(self.c_out, n, h_out, w_out).transpose(1, 0, 2, 3)
-        )
+    def _kernel(self):
+        return self.weight.value
 
-    def backward(self, grad):
-        x_shape, cols = self._cache
-        g_mat = grad.transpose(1, 0, 2, 3).reshape(self.c_out, -1)
-        self.weight.grad += (
-            tensor.matmul(g_mat, cols.T).reshape(self.weight.value.shape)
-        )
-        d_cols = tensor.matmul(self.weight.value.reshape(self.c_out, -1).T, g_mat)
-        return tensor.col2im(d_cols, x_shape, self.k, self.stride, self.pad)
+    def _take_grad(self, d_weight):
+        self.weight.grad += d_weight
 
     def params(self):
         return [self.weight]
 
 
-class GeneratedConv2d(Layer):
+class GeneratedConv2d(_Conv):
     """Convolution whose kernel tensor is generated from two-level factors."""
 
     def __init__(self, factors: generator.TwoLevelFactors, stride: int = 1,
@@ -102,31 +115,16 @@ class GeneratedConv2d(Layer):
             if value is not None:
                 self._params.append(Param(name, value))
         self._cache = None
+        self._gen = None
 
-    def forward(self, x, train=False):
-        x = tensor.as_tensor4d(x, "conv input")
-        fwd = generator.forward(self.factors, quantized=self.quantized)
-        cols = tensor.im2col(x, self.k, self.stride, self.pad)
-        w_mat = fwd.weight.reshape(self.c_out, -1)
-        out_mat = tensor.matmul(w_mat, cols)
-        n = x.shape[0]
-        h_out = tensor.conv_output_size(x.shape[2], self.k, self.stride, self.pad)
-        w_out = tensor.conv_output_size(x.shape[3], self.k, self.stride, self.pad)
-        self._cache = (x.shape, cols, fwd)
-        return np.ascontiguousarray(
-            out_mat.reshape(self.c_out, n, h_out, w_out).transpose(1, 0, 2, 3)
-        )
+    def _kernel(self):
+        self._gen = generator.forward(self.factors, quantized=self.quantized)
+        return self._gen.weight
 
-    def backward(self, grad):
-        x_shape, cols, fwd = self._cache
-        g_mat = grad.transpose(1, 0, 2, 3).reshape(self.c_out, -1)
-        d_weight = tensor.matmul(g_mat, cols.T).reshape(fwd.weight.shape)
-        fgrads = generator.backward(self.factors, fwd, d_weight)
+    def _take_grad(self, d_weight):
+        fgrads = generator.backward(self.factors, self._gen, d_weight)
         for p in self._params:
-            g = getattr(fgrads, p.name)
-            p.grad += g
-        d_cols = tensor.matmul(fwd.weight.reshape(self.c_out, -1).T, g_mat)
-        return tensor.col2im(d_cols, x_shape, self.k, self.stride, self.pad)
+            p.grad += getattr(fgrads, p.name)
 
     def params(self):
         return self._params
@@ -272,9 +270,9 @@ class ActQuant(Layer):
         self.bits = bits
 
     def forward(self, x, train=False):
-        _, scale = quantize_codes(x, self.bits)
+        codes, scale = quantize_codes(x, self.bits)
         self._x, self._scale = x, scale
-        return fake_quantize(x, self.bits)
+        return dequantize(codes, scale, self.bits)
 
     def backward(self, grad):
         return ste_grad(self._x, self._scale, grad)
@@ -310,6 +308,10 @@ class Sequential(Layer):
 
     def generated_layers(self) -> list[GeneratedConv2d]:
         return [l for l in self.layers if isinstance(l, GeneratedConv2d)]
+
+    def conv_layers(self) -> list[_Conv]:
+        """Dense and generated conv layers, in order."""
+        return [l for l in self.layers if isinstance(l, _Conv)]
 
     def zero_grad(self) -> None:
         for p in self.params():

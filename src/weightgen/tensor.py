@@ -1,4 +1,4 @@
-"""Dense numerical kernels: GEMM, im2col lowering, convolution, small-matrix SVD.
+"""Dense numerical kernels: im2col lowering, convolution, SVD.
 
 Conventions used throughout the package:
 
@@ -8,18 +8,9 @@ Conventions used throughout the package:
   view" is the row-major reshape to (C_out, C_in*k*k);
 * im2col rows are ordered (channel, kernel-row, kernel-col), columns are
   ordered sample-major, then output-row major, output-column minor.
-
-Two multiply routines exist on purpose.  ``gemm`` accumulates over the inner
-dimension in a fixed sequential order, so its output is bitwise reproducible
-and matches a naive triple loop exactly; any parallel implementation must
-keep that property by partitioning over output rows only.  ``matmul`` is the
-BLAS-backed throughput path used inside the training loop; it agrees with
-``gemm`` to float64 roundoff but makes no bitwise promise.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -40,41 +31,6 @@ def as_tensor4d(a, name: str = "tensor") -> np.ndarray:
     if t.ndim != 4:
         raise ShapeError(f"{name} must be 4-D (n, c, h, w), got shape {t.shape}")
     return t
-
-
-def kernel_matrix_view(w) -> np.ndarray:
-    """(C_out, C_in, k, k) kernel -> its (C_out, C_in*k*k) GEMM view (no copy)."""
-    w = as_tensor4d(w, "kernel")
-    c_out = w.shape[0]
-    return w.reshape(c_out, -1)
-
-
-def kernel_from_matrix(m, c_in: int, k: int) -> np.ndarray:
-    """Inverse of kernel_matrix_view."""
-    m = as_matrix(m, "kernel matrix")
-    if m.shape[1] != c_in * k * k:
-        raise ShapeError(
-            f"kernel matrix has {m.shape[1]} columns, expected c_in*k*k = {c_in * k * k}"
-        )
-    return m.reshape(m.shape[0], c_in, k, k)
-
-
-def gemm(a, b) -> np.ndarray:
-    """Matrix product with a fixed sequential reduction over the inner dim.
-
-    Each output element accumulates a[i, 0]*b[0, j], then a[i, 1]*b[1, j], ...
-    with one rounding per multiply and per add, exactly like a scalar triple
-    loop.  This makes the result bitwise independent of how output rows might
-    be partitioned across workers.
-    """
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"gemm inner dims differ: a is {a.shape}, b is {b.shape}")
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.float64)
-    for k in range(a.shape[1]):
-        out += a[:, k : k + 1] * b[k : k + 1, :]
-    return out
 
 
 def matmul(a, b) -> np.ndarray:
@@ -151,38 +107,45 @@ def col2im(cols, x_shape, k: int, stride: int = 1, pad: int = 0) -> np.ndarray:
     return xp
 
 
-def conv2d_forward(x, weight, stride: int = 1, pad: int = 0) -> np.ndarray:
-    """conv2d as GEMM-of-im2col; weight is 4-D (C_out, C_in, k, k) or its
-    2-D matrix view (then k is inferred from the input channel count)."""
+def conv2d(x, weight, stride: int = 1, pad: int = 0):
+    """conv2d as GEMM of im2col with a (C_out, C_in, k, k) weight.
+
+    Returns (output, cols): the (n, C_out, H_out, W_out) output and the
+    im2col patch matrix of x, which conv2d_backward needs.
+    """
     x = as_tensor4d(x, "input")
-    w = np.asarray(weight, dtype=np.float64)
+    w = as_tensor4d(weight, "weight")
     n, c_in, h, _ = x.shape
-    if w.ndim == 2:
-        kk = w.shape[1] / c_in
-        k = int(round(math.sqrt(kk)))
-        if c_in * k * k != w.shape[1]:
-            raise ShapeError(
-                f"weight matrix {w.shape} incompatible with {c_in} input channels"
-            )
-        w_mat = w
-    elif w.ndim == 4:
-        if w.shape[1] != c_in:
-            raise ShapeError(
-                f"weight expects {w.shape[1]} input channels, input has {c_in} "
-                f"(weight {w.shape}, input {x.shape})"
-            )
-        k = w.shape[2]
-        w_mat = w.reshape(w.shape[0], -1)
-    else:
-        raise ShapeError(f"weight must be 2-D or 4-D, got shape {w.shape}")
-    c_out = w_mat.shape[0]
+    if w.shape[1] != c_in:
+        raise ShapeError(
+            f"weight expects {w.shape[1]} input channels, input has {c_in} "
+            f"(weight {w.shape}, input {x.shape})"
+        )
+    c_out, k = w.shape[0], w.shape[2]
     cols = im2col(x, k, stride, pad)
     h_out = conv_output_size(h, k, stride, pad)
     w_out = cols.shape[1] // (n * h_out)
-    out = matmul(w_mat, cols)
+    out = matmul(w.reshape(c_out, -1), cols)
     return np.ascontiguousarray(
         out.reshape(c_out, n, h_out, w_out).transpose(1, 0, 2, 3)
-    )
+    ), cols
+
+
+def conv2d_forward(x, weight, stride: int = 1, pad: int = 0) -> np.ndarray:
+    """The output of conv2d alone."""
+    return conv2d(x, weight, stride, pad)[0]
+
+
+def conv2d_backward(grad, cols, weight, x_shape, stride: int = 1, pad: int = 0):
+    """Gradients of conv2d given the output gradient and the forward's cols.
+
+    Returns (d_weight, d_x), shaped like weight and like the input.
+    """
+    c_out, k = weight.shape[0], weight.shape[2]
+    g_mat = grad.transpose(1, 0, 2, 3).reshape(c_out, -1)
+    d_weight = matmul(g_mat, cols.T).reshape(weight.shape)
+    d_cols = matmul(weight.reshape(c_out, -1).T, g_mat)
+    return d_weight, col2im(d_cols, x_shape, k, stride, pad)
 
 
 def _check_finite(m: np.ndarray, what: str) -> None:
@@ -190,62 +153,21 @@ def _check_finite(m: np.ndarray, what: str) -> None:
         raise NonFiniteError(f"{what} contains non-finite entries")
 
 
-def svd(m, max_sweeps: int = 60, tol: float = 1e-14):
-    """One-sided Jacobi SVD.  Returns (u, s, vt) with m == u @ diag(s) @ vt.
+def svd(m):
+    """Thin SVD by LAPACK.  Returns (u, s, vt) with m == u @ diag(s) @ vt.
 
-    Columns of the working matrix are pairwise rotated until their Gram
-    matrix is diagonal to within ``tol`` relatively.  Adequate (<= 1e-10
-    relative on the sizes used here: factors and kernel views up to a few
-    thousand entries per side); not a LAPACK replacement.
+    m is a matrix or a stack (..., rows, cols) of matrices; s holds the
+    min(rows, cols) singular values of each, descending.
     """
-    a = as_matrix(m, "matrix").copy()
+    a = np.asarray(m, dtype=np.float64)
+    if a.ndim < 3 or min(a.shape) < 1:
+        a = as_matrix(a, "matrix")
     _check_finite(a, "svd input")
-    transposed = a.shape[0] < a.shape[1]
-    if transposed:
-        a = np.ascontiguousarray(a.T)
-    rows, cols = a.shape
-    v = np.eye(cols)
-    norms2 = np.einsum("ij,ij->j", a, a)
-    for _ in range(max_sweeps):
-        rotated = False
-        for p in range(cols - 1):
-            for q in range(p + 1, cols):
-                apq = float(a[:, p] @ a[:, q])
-                app = norms2[p]
-                aqq = norms2[q]
-                if app == 0.0 or aqq == 0.0:
-                    continue
-                if abs(apq) <= tol * math.sqrt(app * aqq):
-                    continue
-                rotated = True
-                tau = (aqq - app) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = c * t
-                col_p = a[:, p].copy()
-                a[:, p] = c * col_p - s * a[:, q]
-                a[:, q] = s * col_p + c * a[:, q]
-                row_p = v[:, p].copy()
-                v[:, p] = c * row_p - s * v[:, q]
-                v[:, q] = s * row_p + c * v[:, q]
-                norms2[p] = max(0.0, c * c * app - 2.0 * c * s * apq + s * s * aqq)
-                norms2[q] = max(0.0, s * s * app + 2.0 * c * s * apq + c * c * aqq)
-        norms2 = np.einsum("ij,ij->j", a, a)  # refresh drifted running norms
-        if not rotated:
-            break
-    sigma = np.sqrt(norms2)
-    order = np.argsort(-sigma, kind="stable")
-    sigma = sigma[order]
-    u = a[:, order]
-    v = v[:, order]
-    nonzero = sigma > 0
-    u = u / np.where(nonzero, sigma, 1.0)[None, :]
-    if transposed:
-        return v, sigma, u.T
-    return u, sigma, v.T
+    return np.linalg.svd(a, full_matrices=False)
 
 
 def singular_values(m) -> np.ndarray:
-    """All min(rows, cols) singular values, descending, each >= 0."""
+    """All min(rows, cols) singular values of m (or of each matrix in a
+    stack), descending, each >= 0."""
     _, s, _ = svd(m)
     return s

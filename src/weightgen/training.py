@@ -21,13 +21,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
-import tempfile
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import factorfile, generator, nn, tensor
+from . import dataio, factorfile, generator, nn, tensor
 from .errors import ConfigError, DivergenceError, ShapeError
 from .optim import RAdam
 
@@ -160,13 +158,10 @@ def svd_init(target: np.ndarray, plan: generator.GenPlan):
         w_cross = flat
     w_cross = w_cross.reshape(plan.n_cross, plan.c_in, plan.kk)
     if plan.intra_active:
-        basis = np.zeros((plan.n_cross, plan.n_basis, plan.kk))
-        coeff = np.zeros((plan.n_cross, plan.c_in, plan.n_basis))
-        for i in range(plan.n_cross):
-            u, s, vt = tensor.svd(w_cross[i])
-            root = np.sqrt(s[: plan.n_basis])
-            coeff[i] = u[:, : plan.n_basis] * root[None, :]
-            basis[i] = root[:, None] * vt[: plan.n_basis]
+        u, s, vt = tensor.svd(w_cross)
+        root = np.sqrt(s[:, : plan.n_basis])
+        coeff = u[:, :, : plan.n_basis] * root[:, None, :]
+        basis = root[:, :, None] * vt[:, : plan.n_basis]
     else:
         basis, coeff = None, w_cross
     factors = generator.TwoLevelFactors(plan=plan, basis=basis, coeff=coeff,
@@ -181,33 +176,22 @@ def svd_init(target: np.ndarray, plan: generator.GenPlan):
 def l2_project_init(
     target: np.ndarray,
     plan: generator.GenPlan,
-    rng: np.random.Generator | None = None,
     iters: int = 3000,
     lr: float = 0.02,
     quantized: bool = False,
-    warm_start: bool = True,
     end_lr: float = 1e-6,
 ):
     """Project a dense kernel tensor onto the factor space by minimizing
     ||target - generated||_F^2 with RAdam.
 
-    By default the iteration warm-starts from the truncated-SVD factors
-    (which makes the whole procedure deterministic) and decays the step
-    size exponentially over the second half of the run; a constant step
-    size leaves a wander floor well above the attainable residual.  With
-    warm_start=False the start is random and rng must be given.  Returns
+    The iteration warm-starts from the truncated-SVD factors (which makes
+    the whole procedure deterministic) and decays the step size
+    exponentially over the second half of the run; a constant step size
+    leaves a wander floor well above the attainable residual.  Returns
     (factors, relative Frobenius residual).
     """
+    factors, _ = svd_init(target, plan)
     target = np.asarray(target, dtype=np.float64)
-    want = (plan.c_out, plan.c_in, plan.k, plan.k)
-    if target.shape != want:
-        raise ShapeError(f"target shape {target.shape}, expected {want}")
-    if warm_start:
-        factors, _ = svd_init(target, plan)
-    else:
-        if rng is None:
-            raise ConfigError("random-start projection needs an rng")
-        factors = generator.init_random(plan, rng)
     params = [nn.Param(name, getattr(factors, name))
               for name in ("basis", "coeff", "mixer")
               if getattr(factors, name) is not None]
@@ -282,7 +266,16 @@ def epoch_rng(seed: int, epoch: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, epoch]))
 
 
-def _batches(n: int, batch_size: int, order: np.ndarray):
+def batches(n: int, batch_size: int, seed: int | None = None, epoch: int = 0):
+    """Yield the sample indices of consecutive mini-batches over n samples.
+
+    With a seed the order is the run's (seed, epoch) shuffle, so a given
+    epoch's order is reproducible anywhere; without one it is sample
+    order.  The last batch keeps the remainder.
+    """
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+    order = np.arange(n) if seed is None else epoch_rng(seed, epoch).permutation(n)
     for start in range(0, n, batch_size):
         yield order[start : start + batch_size]
 
@@ -290,22 +283,30 @@ def _batches(n: int, batch_size: int, order: np.ndarray):
 def evaluate(model: nn.Sequential, x: np.ndarray, y: np.ndarray,
              batch_size: int = 256) -> float:
     hits = 0
-    for idx in _batches(x.shape[0], batch_size, np.arange(x.shape[0])):
+    for idx in batches(x.shape[0], batch_size):
         logits = model.forward(x[idx], train=False)
         hits += int((logits.argmax(axis=1) == y[idx]).sum())
     return hits / x.shape[0]
 
 
-def _conv_layers(model: nn.Sequential):
-    return [l for l in model.layers if isinstance(l, (nn.Conv2d, nn.GeneratedConv2d))]
+def build_model(cfg: TrainConfig) -> nn.Sequential:
+    """The network cfg describes, initialized from a generator seeded with
+    the run seed."""
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed]))
+    return nn.build_network(
+        cfg.arch, cfg.in_channels, cfg.in_size, rng,
+        generated=cfg.generated, n_basis=cfg.n_basis, n_cross=cfg.n_cross,
+        q_basis=cfg.q_basis, q_coeff=cfg.q_coeff, q_mixer=cfg.q_mixer,
+        act_bits=cfg.act_bits, quantized=cfg.quantized,
+    )
 
 
 def initialize_from_teacher(model: nn.Sequential, teacher: nn.Sequential,
-                            cfg: TrainConfig, rng: np.random.Generator):
+                            cfg: TrainConfig):
     """Stage 1: fit every generated layer's factors to the matching teacher
     kernel.  Returns the per-layer relative residuals."""
-    student_convs = _conv_layers(model)
-    teacher_convs = _conv_layers(teacher)
+    student_convs = model.conv_layers()
+    teacher_convs = teacher.conv_layers()
     if len(student_convs) != len(teacher_convs):
         raise ConfigError(
             f"teacher has {len(teacher_convs)} conv layers, student has "
@@ -323,7 +324,7 @@ def initialize_from_teacher(model: nn.Sequential, teacher: nn.Sequential,
             factors, residual = svd_init(target, plan)
         else:
             factors, residual = l2_project_init(
-                target, plan, rng, iters=cfg.init_iters, lr=cfg.init_lr
+                target, plan, iters=cfg.init_iters, lr=cfg.init_lr
             )
         for name in ("basis", "coeff", "mixer"):
             new = getattr(factors, name)
@@ -343,25 +344,18 @@ def train(
     verbose: bool = False,
 ) -> TrainResult:
     """Run the full two-stage schedule and return the model plus metrics."""
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed]))
-    model = nn.build_network(
-        cfg.arch, cfg.in_channels, cfg.in_size, rng,
-        generated=cfg.generated, n_basis=cfg.n_basis, n_cross=cfg.n_cross,
-        q_basis=cfg.q_basis, q_coeff=cfg.q_coeff, q_mixer=cfg.q_mixer,
-        act_bits=cfg.act_bits, quantized=cfg.quantized,
-    )
+    model = build_model(cfg)
     init_residuals = []
     if cfg.generated and teacher is not None and cfg.init != "random":
-        init_residuals = initialize_from_teacher(model, teacher, cfg, rng)
+        init_residuals = initialize_from_teacher(model, teacher, cfg)
     opt = RAdam(model.params(), lr=cfg.lr, weight_decay=cfg.weight_decay)
     gen_layers = model.generated_layers()
     n = train_x.shape[0]
     eval_n = min(cfg.eval_train_samples, n)
     metrics = []
     for epoch in range(cfg.epochs):
-        order = epoch_rng(cfg.seed, epoch).permutation(n)
-        kd_sum, ort_sum, batches = 0.0, 0.0, 0
-        for idx in _batches(n, cfg.batch_size, order):
+        kd_sum, ort_sum, n_batches = 0.0, 0.0, 0
+        for idx in batches(n, cfg.batch_size, cfg.seed, epoch):
             xb, yb = train_x[idx], train_y[idx]
             t_logits = None
             if teacher is not None:
@@ -383,14 +377,14 @@ def train(
             opt.step()
             kd_sum += loss
             ort_sum += ort_value
-            batches += 1
+            n_batches += 1
         lr_used = opt.lr
         opt.lr *= cfg.lr_decay
         row = {
             "epoch": epoch,
             "lr": lr_used,
-            "loss_kd": kd_sum / batches,
-            "loss_ort": ort_sum / batches,
+            "loss_kd": kd_sum / n_batches,
+            "loss_ort": ort_sum / n_batches,
             "train_acc": evaluate(model, train_x[:eval_n], train_y[:eval_n]),
             "test_acc": evaluate(model, test_x, test_y),
         }
@@ -413,26 +407,13 @@ def write_metrics(path, rows: list[dict]) -> None:
     writer.writeheader()
     for row in rows:
         writer.writerow({k: row[k] for k in METRIC_COLUMNS})
-    _atomic_write(path, buf.getvalue().encode())
-
-
-def _atomic_write(path, data: bytes) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    dataio.atomic_write(path, buf.getvalue().encode())
 
 
 def save_checkpoint(path, model: nn.Sequential, cfg: TrainConfig,
-                    epoch: int, opt: RAdam | None = None) -> None:
-    """Versioned npz checkpoint: params, BN buffers, factor containers as
-    raw bytes, and (optionally) optimizer moments."""
+                    epoch: int) -> None:
+    """Versioned npz checkpoint: params, BN buffers and factor containers
+    as raw bytes."""
     arrays = {}
     for name, p in model.named_params():
         arrays[f"p/{name}"] = p.value
@@ -443,11 +424,6 @@ def save_checkpoint(path, model: nn.Sequential, cfg: TrainConfig,
         if isinstance(layer, nn.GeneratedConv2d):
             blob = factorfile.factors_to_bytes(layer.factors)
             arrays[f"f/{i}"] = np.frombuffer(blob, dtype=np.uint8)
-    if opt is not None:
-        for p, m, v in zip(opt.params, opt._m, opt._v):
-            arrays[f"om/{p.name}"] = m
-            arrays[f"ov/{p.name}"] = v
-        arrays["ostep"] = np.array([opt._step])
     meta = {
         "version": CHECKPOINT_VERSION,
         "epoch": epoch,
@@ -456,14 +432,20 @@ def save_checkpoint(path, model: nn.Sequential, cfg: TrainConfig,
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
     buf = io.BytesIO()
     np.savez(buf, **arrays)
-    _atomic_write(path, buf.getvalue())
+    dataio.atomic_write(path, buf.getvalue())
+
+
+def _entry(arrays: dict, key: str) -> np.ndarray:
+    if key not in arrays:
+        raise ConfigError(f"checkpoint is missing entry {key!r}")
+    return arrays[key]
 
 
 def load_checkpoint(path):
     """Rebuild (model, config, epoch) from a checkpoint file."""
     with np.load(path) as z:
         arrays = {k: z[k] for k in z.files}
-    meta = json.loads(bytes(arrays.pop("meta").tobytes()).decode())
+    meta = json.loads(bytes(_entry(arrays, "meta").tobytes()).decode())
     if meta.get("version") != CHECKPOINT_VERSION:
         raise ConfigError(
             f"unsupported checkpoint version {meta.get('version')!r}"
@@ -471,29 +453,21 @@ def load_checkpoint(path):
     cfg_dict = dict(meta["config"])
     cfg_dict["generated"] = tuple(cfg_dict.get("generated", ()))
     cfg = TrainConfig(**cfg_dict)
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed]))
-    model = nn.build_network(
-        cfg.arch, cfg.in_channels, cfg.in_size, rng,
-        generated=cfg.generated, n_basis=cfg.n_basis, n_cross=cfg.n_cross,
-        q_basis=cfg.q_basis, q_coeff=cfg.q_coeff, q_mixer=cfg.q_mixer,
-        act_bits=cfg.act_bits, quantized=cfg.quantized,
-    )
+    model = build_model(cfg)
     for name, p in model.named_params():
-        key = f"p/{name}"
-        if key not in arrays:
-            raise ConfigError(f"checkpoint is missing parameter {name}")
-        if arrays[key].shape != p.value.shape:
+        value = _entry(arrays, f"p/{name}")
+        if value.shape != p.value.shape:
             raise ShapeError(
-                f"checkpoint parameter {name} has shape {arrays[key].shape}, "
+                f"checkpoint parameter {name} has shape {value.shape}, "
                 f"model expects {p.value.shape}"
             )
-        p.value[...] = arrays[key]
+        p.value[...] = value
     for i, layer in enumerate(model.layers):
         if isinstance(layer, nn.BatchNorm2d):
-            layer.running_mean[...] = arrays[f"b/{i}.running_mean"]
-            layer.running_var[...] = arrays[f"b/{i}.running_var"]
+            layer.running_mean[...] = _entry(arrays, f"b/{i}.running_mean")
+            layer.running_var[...] = _entry(arrays, f"b/{i}.running_var")
         if isinstance(layer, nn.GeneratedConv2d):
-            loaded = factorfile.factors_from_bytes(arrays[f"f/{i}"].tobytes())
+            loaded = factorfile.factors_from_bytes(_entry(arrays, f"f/{i}").tobytes())
             for name in ("basis", "coeff", "mixer"):
                 new = getattr(loaded, name)
                 if new is not None:

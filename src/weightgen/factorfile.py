@@ -30,7 +30,7 @@ import numpy as np
 
 from .dataio import atomic_write
 from .errors import FactorFileError
-from .generator import GenPlan, TwoLevelFactors, plan_layer
+from .generator import FACTOR_NAMES, TwoLevelFactors, plan_layer
 from .quantize import dequantize, quantize_codes
 
 MAGIC = b"ISGW"
@@ -39,16 +39,6 @@ _HEADER = struct.Struct("<4sBBBBBB5I")
 
 KIND_RAW = 0
 KIND_QUANTIZED = 1
-
-
-def _payload_tensors(factors: TwoLevelFactors):
-    out = []
-    if factors.basis is not None:
-        out.append(("basis", factors.basis, factors.plan.q_basis))
-    out.append(("coeff", factors.coeff, factors.plan.q_coeff))
-    if factors.mixer is not None:
-        out.append(("mixer", factors.mixer, factors.plan.q_mixer))
-    return out
 
 
 def factors_to_bytes(factors: TwoLevelFactors, quantized: bool = False) -> bytes:
@@ -62,9 +52,9 @@ def factors_to_bytes(factors: TwoLevelFactors, quantized: bool = False) -> bytes
             p.c_out, p.c_in, p.k, p.n_basis, p.n_cross,
         )
     ]
-    for _, tensor, bits in _payload_tensors(factors):
+    for name, tensor in factors.stored():
         if quantized:
-            codes, scale = quantize_codes(tensor, bits)
+            codes, scale = quantize_codes(tensor, p.bits(name))
             parts.append(struct.pack("<d", scale))
             parts.append(codes.astype("<i2").tobytes())
         else:
@@ -96,18 +86,9 @@ def factors_from_bytes(data: bytes) -> TwoLevelFactors:
             f"(expected {want_flags:#x})"
         )
 
-    shapes = []
-    if plan.intra_active:
-        shapes.append(("basis", (plan.n_cross, plan.n_basis, plan.kk)))
-        shapes.append(("coeff", (plan.n_cross, plan.c_in, plan.n_basis)))
-    else:
-        shapes.append(("coeff", (plan.n_cross, plan.c_in, plan.kk)))
-    if plan.cross_active:
-        shapes.append(("mixer", (plan.c_out, plan.n_cross)))
-
     offset = _HEADER.size
-    loaded = {}
-    for name, shape in shapes:
+    loaded = dict.fromkeys(FACTOR_NAMES)
+    for name, shape in plan.stored_shapes().items():
         count = int(np.prod(shape))
         if kind == KIND_QUANTIZED:
             need = 8 + 2 * count
@@ -120,10 +101,8 @@ def factors_from_bytes(data: bytes) -> TwoLevelFactors:
             codes = np.frombuffer(
                 data, dtype="<i2", count=count, offset=offset + 8
             ).astype(np.int64)
-            bits = {"basis": plan.q_basis, "coeff": plan.q_coeff,
-                    "mixer": plan.q_mixer}[name]
             try:
-                tensor = dequantize(codes, scale, bits).reshape(shape)
+                tensor = dequantize(codes, scale, plan.bits(name)).reshape(shape)
             except Exception as exc:
                 raise FactorFileError(f"invalid codes in {name}: {exc}") from exc
             offset += need
@@ -145,12 +124,7 @@ def factors_from_bytes(data: bytes) -> TwoLevelFactors:
         raise FactorFileError(
             f"{len(data) - offset} trailing bytes after the last payload"
         )
-    factors = TwoLevelFactors(
-        plan=plan,
-        basis=loaded.get("basis"),
-        coeff=loaded["coeff"],
-        mixer=loaded.get("mixer"),
-    )
+    factors = TwoLevelFactors(plan=plan, **loaded)
     try:
         factors.validate()
     except Exception as exc:

@@ -19,11 +19,13 @@ there: C_in for the intra level, C_out for the cross level.
 
 Every stored factor is fake-quantized to its own bit-width during
 generation, with a per-tensor scale; gradients flow through the quantizer
-by the clipped straight-through rule.
+by the plain straight-through rule.  Nothing is clipped: each scale is the
+tensor's own maximum magnitude, so every entry lies inside the grid.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +37,9 @@ from .quantize import (
     distinct_value_bound,
     positive_levels,
     quantize_codes,
-    ste_grad,
 )
+
+FACTOR_NAMES = ("basis", "coeff", "mixer")
 
 
 @dataclass(frozen=True)
@@ -61,6 +64,25 @@ class GenPlan:
     @property
     def kk(self) -> int:
         return self.k * self.k
+
+    def stored_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Shape of each stored factor tensor, in the order basis, coeff,
+        mixer.  The basis exists only with the intra level, the mixer only
+        with the cross level; without the intra level the coeff tensor is
+        the dense basis-kernel stack."""
+        shapes = {}
+        if self.intra_active:
+            shapes["basis"] = (self.n_cross, self.n_basis, self.kk)
+            shapes["coeff"] = (self.n_cross, self.c_in, self.n_basis)
+        else:
+            shapes["coeff"] = (self.n_cross, self.c_in, self.kk)
+        if self.cross_active:
+            shapes["mixer"] = (self.c_out, self.n_cross)
+        return shapes
+
+    def bits(self, name: str) -> int:
+        """Bit-width of the named factor tensor."""
+        return {"basis": self.q_basis, "coeff": self.q_coeff, "mixer": self.q_mixer}[name]
 
 
 def plan_layer(
@@ -113,30 +135,23 @@ class TwoLevelFactors:
     mixer: np.ndarray | None
 
     def validate(self) -> None:
-        p = self.plan
-        if p.intra_active:
-            want_b = (p.n_cross, p.n_basis, p.kk)
-            want_c = (p.n_cross, p.c_in, p.n_basis)
-            if self.basis is None or self.basis.shape != want_b:
-                got = None if self.basis is None else self.basis.shape
-                raise ShapeError(f"basis shape {got}, expected {want_b}")
-        else:
-            want_c = (p.n_cross, p.c_in, p.kk)
-            if self.basis is not None:
-                raise ShapeError("basis must be None when the intra level is skipped")
-        if self.coeff.shape != want_c:
-            raise ShapeError(f"coeff shape {self.coeff.shape}, expected {want_c}")
-        if p.cross_active:
-            want_m = (p.c_out, p.n_cross)
-            if self.mixer is None or self.mixer.shape != want_m:
-                got = None if self.mixer is None else self.mixer.shape
-                raise ShapeError(f"mixer shape {got}, expected {want_m}")
-        elif self.mixer is not None:
-            raise ShapeError("mixer must be None when the cross level is skipped")
-        for name, t in (("basis", self.basis), ("coeff", self.coeff),
-                        ("mixer", self.mixer)):
-            if t is not None and not np.isfinite(t).all():
+        shapes = self.plan.stored_shapes()
+        for name in FACTOR_NAMES:
+            value, want = getattr(self, name), shapes.get(name)
+            if want is None:
+                if value is not None:
+                    raise ShapeError(f"{name} must be None when its level is skipped")
+            elif value is None or value.shape != want:
+                got = None if value is None else value.shape
+                raise ShapeError(f"{name} shape {got}, expected {want}")
+        for name, t in self.stored():
+            if not np.isfinite(t).all():
                 raise NonFiniteError(f"{name} contains non-finite entries")
+
+    def stored(self):
+        """Yield (name, tensor) for every factor tensor the plan stores."""
+        for name in self.plan.stored_shapes():
+            yield name, getattr(self, name)
 
 
 def init_random(plan: GenPlan, rng: np.random.Generator) -> TwoLevelFactors:
@@ -144,16 +159,16 @@ def init_random(plan: GenPlan, rng: np.random.Generator) -> TwoLevelFactors:
     close to 2 / (c_in * k * k) regardless of the cardinalities."""
     p = plan
     sigma_w = np.sqrt(2.0 / (p.c_in * p.kk))
-    basis = None
-    if p.intra_active:
-        basis = rng.standard_normal((p.n_cross, p.n_basis, p.kk)) * sigma_w
-        coeff = rng.standard_normal((p.n_cross, p.c_in, p.n_basis)) / np.sqrt(p.n_basis)
-    else:
-        coeff = rng.standard_normal((p.n_cross, p.c_in, p.kk)) * sigma_w
-    mixer = None
-    if p.cross_active:
-        mixer = rng.standard_normal((p.c_out, p.n_cross)) / np.sqrt(p.n_cross)
-    f = TwoLevelFactors(plan=p, basis=basis, coeff=coeff, mixer=mixer)
+    tensors = dict.fromkeys(FACTOR_NAMES)
+    for name, shape in p.stored_shapes().items():
+        draw = rng.standard_normal(shape)
+        if name == "mixer":
+            tensors[name] = draw / np.sqrt(p.n_cross)
+        elif name == "coeff" and p.intra_active:
+            tensors[name] = draw / np.sqrt(p.n_basis)
+        else:
+            tensors[name] = draw * sigma_w
+    f = TwoLevelFactors(plan=p, **tensors)
     f.validate()
     return f
 
@@ -167,28 +182,19 @@ class GenForward:
     q_basis: np.ndarray | None
     q_coeff: np.ndarray
     q_mixer: np.ndarray | None
-    scale_basis: float | None
-    scale_coeff: float | None
-    scale_mixer: float | None
-    quantized: bool
 
 
 def forward(factors: TwoLevelFactors, quantized: bool = True) -> GenForward:
     """Generate the dense kernel tensor from the factors."""
     factors.validate()
     p = factors.plan
-
-    def _q(t, bits):
-        if t is None:
-            return None, None
-        if not quantized:
-            return t, None
-        codes, scale = quantize_codes(t, bits)
-        return dequantize(codes, scale, bits), scale
-
-    qb, sb = _q(factors.basis, p.q_basis)
-    qc, sc = _q(factors.coeff, p.q_coeff)
-    qm, sm = _q(factors.mixer, p.q_mixer)
+    q = dict.fromkeys(FACTOR_NAMES)
+    for name, t in factors.stored():
+        if quantized:
+            codes, scale = quantize_codes(t, p.bits(name))
+            t = dequantize(codes, scale, p.bits(name))
+        q[name] = t
+    qb, qc, qm = q["basis"], q["coeff"], q["mixer"]
 
     if p.intra_active:
         w_cross = np.matmul(qc, qb)  # (n_cross, c_in, k*k)
@@ -199,17 +205,7 @@ def forward(factors: TwoLevelFactors, quantized: bool = True) -> GenForward:
     else:
         flat = w_cross.reshape(p.n_cross, -1)
     weight = flat.reshape(p.c_out, p.c_in, p.k, p.k)
-    return GenForward(
-        weight=weight,
-        w_cross=w_cross,
-        q_basis=qb,
-        q_coeff=qc,
-        q_mixer=qm,
-        scale_basis=sb,
-        scale_coeff=sc,
-        scale_mixer=sm,
-        quantized=quantized,
-    )
+    return GenForward(weight=weight, w_cross=w_cross, q_basis=qb, q_coeff=qc, q_mixer=qm)
 
 
 def generate(factors: TwoLevelFactors, quantized: bool = True) -> np.ndarray:
@@ -231,7 +227,9 @@ def backward(
     """Backpropagate a loss gradient on the generated kernels to the factors.
 
     Plain chain rule through the two matrix products; the fake quantizers
-    pass gradients straight through, clipped at their per-tensor scale.
+    pass gradients straight through unchanged.  There is no clip mask: each
+    quantizer's scale is its tensor's maximum magnitude, so no entry lies
+    outside the grid.
     """
     p = factors.plan
     d_weight = np.asarray(d_weight, dtype=np.float64)
@@ -253,12 +251,6 @@ def backward(
         d_basis = np.matmul(np.swapaxes(fwd.q_coeff, 1, 2), d_wc)
     else:
         d_coeff = d_wc
-    if fwd.quantized:
-        if d_basis is not None:
-            d_basis = ste_grad(factors.basis, fwd.scale_basis, d_basis)
-        d_coeff = ste_grad(factors.coeff, fwd.scale_coeff, d_coeff)
-        if d_mixer is not None:
-            d_mixer = ste_grad(factors.mixer, fwd.scale_mixer, d_mixer)
     return FactorGrads(basis=d_basis, coeff=d_coeff, mixer=d_mixer)
 
 
@@ -268,14 +260,7 @@ def dense_param_count(plan: GenPlan) -> int:
 
 def param_count(plan: GenPlan) -> int:
     """Stored float parameters of the generated layer."""
-    p = plan
-    if p.intra_active:
-        stored = p.n_cross * (p.n_basis * p.kk + p.c_in * p.n_basis)
-    else:
-        stored = p.n_cross * p.c_in * p.kk
-    if p.cross_active:
-        stored += p.c_out * p.n_cross
-    return stored
+    return sum(math.prod(shape) for shape in plan.stored_shapes().values())
 
 
 def param_ratio(plan: GenPlan) -> float:
@@ -285,15 +270,8 @@ def param_ratio(plan: GenPlan) -> float:
 
 def memory_bits(plan: GenPlan) -> int:
     """Total stored bits at the layer's mixed precisions."""
-    p = plan
-    if p.intra_active:
-        bits = p.n_cross * p.n_basis * p.kk * p.q_basis
-        bits += p.n_cross * p.c_in * p.n_basis * p.q_coeff
-    else:
-        bits = p.n_cross * p.c_in * p.kk * p.q_coeff
-    if p.cross_active:
-        bits += p.c_out * p.n_cross * p.q_mixer
-    return bits
+    return sum(math.prod(shape) * plan.bits(name)
+               for name, shape in plan.stored_shapes().items())
 
 
 def memory_ratio(plan: GenPlan, dense_bits: int = 16) -> float:

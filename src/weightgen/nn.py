@@ -23,7 +23,7 @@ import numpy as np
 
 from . import generator, tensor
 from .errors import ConfigError, ShapeError
-from .quantize import dequantize, quantize_codes, ste_grad
+from .quantize import dequantize, quantize_codes
 
 
 class Param:
@@ -121,11 +121,7 @@ class GeneratedConv2d(_Conv):
         self.quantized = quantized
         p = factors.plan
         self.c_in, self.c_out, self.k = p.c_in, p.c_out, p.k
-        self._params = []
-        for name in ("basis", "coeff", "mixer"):
-            value = getattr(factors, name)
-            if value is not None:
-                self._params.append(Param(name, value))
+        self._params = [Param(name, value) for name, value in factors.stored()]
         self._cache = None
         self._gen = None
 
@@ -276,18 +272,21 @@ class Linear(Layer):
 
 
 class ActQuant(Layer):
-    """Fake-quantize activations with a per-batch dynamic scale."""
+    """Fake-quantize activations with a per-batch dynamic scale.
+
+    The scale is the batch's maximum magnitude, so no input lies outside the
+    grid and the straight-through gradient passes unchanged.
+    """
 
     def __init__(self, bits: int = 8):
         self.bits = bits
 
     def forward(self, x, train=False):
         codes, scale = quantize_codes(x, self.bits)
-        self._x, self._scale = x, scale
         return dequantize(codes, scale, self.bits)
 
     def backward(self, grad):
-        return ste_grad(self._x, self._scale, grad)
+        return grad
 
 
 class Sequential(Layer):
@@ -305,11 +304,7 @@ class Sequential(Layer):
         return grad
 
     def params(self):
-        out = []
-        for i, layer in enumerate(self.layers):
-            for p in layer.params():
-                out.append(p)
-        return out
+        return [p for _, p in self.named_params()]
 
     def named_params(self) -> list[tuple[str, Param]]:
         out = []

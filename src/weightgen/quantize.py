@@ -82,22 +82,6 @@ def fake_quantize(m, bits: int) -> np.ndarray:
     return dequantize(codes, scale, bits)
 
 
-def ste_grad(m, scale: float, upstream) -> np.ndarray:
-    """Straight-through gradient of fake quantization, clipped at the scale.
-
-    Inside [-scale, scale] the quantizer is treated as identity; outside it
-    is flat, so the gradient is zeroed.  With the per-tensor max scale the
-    mask is all-ones, but callers may pass a frozen scale.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if m.shape != upstream.shape:
-        raise QuantRangeError(
-            f"ste_grad shape mismatch: value {m.shape} vs upstream {upstream.shape}"
-        )
-    return np.where(np.abs(m) <= scale, upstream, 0.0)
-
-
 @dataclass(frozen=True)
 class DistinctValueBound:
     """Counting bound on distinct generated values (see distinct_value_bound)."""

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from . import dataio, factorfile, generator, nn, tensor
+from . import dataio, generator, nn, tensor
 from .errors import ConfigError, DivergenceError, ShapeError
 from .optim import RAdam
 
@@ -83,10 +83,6 @@ def kd_loss(
     p_t = np.exp(log_p_t)
     d = (beta * temperature * (p_t - q_t) + (1.0 - beta) * (p - onehot)) / n
     return loss, d
-
-
-def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
-    return float((logits.argmax(axis=1) == labels).mean())
 
 
 def _normalized_gram_penalty(u: np.ndarray):
@@ -192,9 +188,7 @@ def l2_project_init(
     """
     factors, _ = svd_init(target, plan)
     target = np.asarray(target, dtype=np.float64)
-    params = [nn.Param(name, getattr(factors, name))
-              for name in ("basis", "coeff", "mixer")
-              if getattr(factors, name) is not None]
+    params = [nn.Param(name, value) for name, value in factors.stored()]
     opt = RAdam(params, lr=lr)
     denom = max(float(np.linalg.norm(target)), 1e-30)
     tail_start = iters // 2
@@ -350,10 +344,8 @@ def initialize_from_teacher(model: nn.Sequential, teacher: nn.Sequential,
             factors, residual = l2_project_init(
                 target, plan, iters=cfg.init_iters, lr=cfg.init_lr
             )
-        for name in ("basis", "coeff", "mixer"):
-            new = getattr(factors, name)
-            if new is not None:
-                getattr(s_layer.factors, name)[...] = new
+        for name, new in factors.stored():
+            getattr(s_layer.factors, name)[...] = new
         residuals.append(residual)
     return residuals
 
@@ -436,8 +428,8 @@ def write_metrics(path, rows: list[dict]) -> None:
 
 def save_checkpoint(path, model: nn.Sequential, cfg: TrainConfig,
                     epoch: int) -> None:
-    """Versioned npz checkpoint: params, BN buffers and factor containers
-    as raw bytes."""
+    """Versioned npz checkpoint: params (a generated layer's factors among
+    them) and BN buffers."""
     arrays = {}
     for name, p in model.named_params():
         arrays[f"p/{name}"] = p.value
@@ -445,9 +437,6 @@ def save_checkpoint(path, model: nn.Sequential, cfg: TrainConfig,
         if isinstance(layer, nn.BatchNorm2d):
             arrays[f"b/{i}.running_mean"] = layer.running_mean
             arrays[f"b/{i}.running_var"] = layer.running_var
-        if isinstance(layer, nn.GeneratedConv2d):
-            blob = factorfile.factors_to_bytes(layer.factors)
-            arrays[f"f/{i}"] = np.frombuffer(blob, dtype=np.uint8)
     meta = {
         "version": CHECKPOINT_VERSION,
         "epoch": epoch,
@@ -490,10 +479,4 @@ def load_checkpoint(path):
         if isinstance(layer, nn.BatchNorm2d):
             layer.running_mean[...] = _entry(arrays, f"b/{i}.running_mean")
             layer.running_var[...] = _entry(arrays, f"b/{i}.running_var")
-        if isinstance(layer, nn.GeneratedConv2d):
-            loaded = factorfile.factors_from_bytes(_entry(arrays, f"f/{i}").tobytes())
-            for name in ("basis", "coeff", "mixer"):
-                new = getattr(loaded, name)
-                if new is not None:
-                    getattr(layer.factors, name)[...] = new
     return model, cfg, meta["epoch"]

@@ -89,15 +89,6 @@ def test_fake_quantize_equals_codes_roundtrip():
         )
 
 
-def test_ste_grad_masks_outside_scale():
-    m = np.array([0.5, -2.0, 1.0, -1.0])
-    up = np.ones_like(m)
-    g = quantize.ste_grad(m, 1.0, up)
-    assert g.tolist() == [1.0, 0.0, 1.0, 1.0]
-    with pytest.raises(QuantRangeError):
-        quantize.ste_grad(m, 1.0, np.ones(3))
-
-
 def test_distinct_value_bound_closed_forms():
     b = quantize.distinct_value_bound(2, 2, 2)
     assert b.coeff_count == 3 * 3 * 2 + 1

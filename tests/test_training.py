@@ -325,7 +325,7 @@ def test_train_config_field_types():
             training.TrainConfig(**bad)
 
 
-@pytest.mark.parametrize("key", ["meta", "b/1.running_var", "f/0"])
+@pytest.mark.parametrize("key", ["meta", "b/1.running_var", "p/0.coeff"])
 def test_checkpoint_missing_entry_is_named(tmp_path, key):
     cfg = training.TrainConfig(
         arch="C4K3S1-AvgPool2-FC2", in_channels=2, in_size=8, epochs=1,

@@ -25,14 +25,16 @@ from .errors import ConfigError, WeightgenError
 DATA_ENV_VAR = "WEIGHTGEN_DATA"
 
 _TRAIN_FIELDS = {f.name for f in dataclasses.fields(training.TrainConfig)}
-_RUN_FIELDS = {
-    "command", "data", "out", "teacher", "checkpoint", "layer",
-    "limit_train", "limit_test", "bi_list", "bc_list", "bit_settings",
-    "c_out", "c_in", "k", "q_weight", "verbose",
-    "dac_latency", "mod_latency", "oe_latency",
-    "ring_diameter", "group_index", "sram_bandwidth",
-}
 _DEVICE_FIELDS = {f.name for f in dataclasses.fields(costmodel.DeviceParams)}
+# Run-level config fields -> annotation, checked like TrainConfig's fields.
+# None marks the grid lists, which their own parsers check.
+_RUN_FIELDS = {
+    "command": "str", "data": "str", "out": "str", "teacher": "str",
+    "checkpoint": "str", "layer": "int", "limit_train": "int",
+    "limit_test": "int", "c_out": "int", "c_in": "int", "k": "int",
+    "q_weight": "int", "verbose": "bool",
+    "bi_list": None, "bc_list": None, "bit_settings": None,
+}
 
 
 def _load_config_file(path: str) -> dict:
@@ -45,20 +47,31 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"config file {path!r} is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {path!r} must hold a JSON object")
-    for key in doc:
-        if key not in _TRAIN_FIELDS and key not in _RUN_FIELDS:
+    for key in list(doc):
+        if key in _TRAIN_FIELDS or key in _DEVICE_FIELDS:
+            continue  # TrainConfig and DeviceParams check their own values
+        if key not in _RUN_FIELDS:
             raise ConfigError(f"unknown config field {key!r} in {path}")
+        value = doc[key]
+        if value is None:
+            del doc[key]  # null leaves the field unset
+        elif _RUN_FIELDS[key] is not None:
+            ok, want = training._FIELD_CHECKS[_RUN_FIELDS[key]]
+            if not ok(value):
+                raise ConfigError(f"config field {key!r} must be {want}, got {value!r}")
     return doc
 
 
-def _parse_generated(value) -> tuple[int, ...]:
+def _parse_generated(value):
+    """Split the --generated flag's comma string into layer indices; a
+    config value is passed through for TrainConfig to check."""
     if value is None:
         return ()
-    if isinstance(value, str):
-        value = [v for v in value.split(",") if v != ""]
+    if not isinstance(value, str):
+        return value
     try:
-        return tuple(int(v) for v in value)
-    except (TypeError, ValueError):
+        return tuple(int(v) for v in value.split(",") if v != "")
+    except ValueError:
         raise ConfigError(f"generated must be a comma list of layer indices, got {value!r}")
 
 

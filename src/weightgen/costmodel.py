@@ -16,7 +16,7 @@ bare vacuum-speed formula would undercount it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 from . import generator
 from .errors import CardinalityError, ConfigError
@@ -36,10 +36,13 @@ class DeviceParams:
     sram_bandwidth: float = 34 * 2**30  # bytes/second
 
     def __post_init__(self):
-        for name in ("dac_latency", "mod_latency", "oe_latency",
-                     "ring_diameter", "group_index", "sram_bandwidth"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"device parameter {name} must be positive")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                    or not value > 0:
+                raise ConfigError(
+                    f"device parameter {f.name} must be a positive number, got {value!r}"
+                )
 
 
 def generation_latency(n_basis: int, n_cross: int,

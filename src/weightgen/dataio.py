@@ -61,12 +61,12 @@ class LabeledDataset:
 
 
 def _read_exact(fh, n: int, path: str, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise IdxTruncatedError(
-            f"{path}: expected {n} bytes for {what}, got {len(data)}"
-        )
-    return data
+    # Compare the size a header claims with what the file holds before
+    # reading, so a corrupt count never asks for a buffer the file cannot fill.
+    have = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > have:
+        raise IdxTruncatedError(f"{path}: expected {n} bytes for {what}, got {have}")
+    return fh.read(n)
 
 
 def _load_images(path: str) -> np.ndarray:

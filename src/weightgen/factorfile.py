@@ -24,6 +24,7 @@ complete.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -89,7 +90,7 @@ def factors_from_bytes(data: bytes) -> TwoLevelFactors:
     offset = _HEADER.size
     loaded = dict.fromkeys(FACTOR_NAMES)
     for name, shape in plan.stored_shapes().items():
-        count = int(np.prod(shape))
+        count = math.prod(shape)  # Python ints: a corrupt header cannot overflow
         if kind == KIND_QUANTIZED:
             need = 8 + 2 * count
             if offset + need > len(data):

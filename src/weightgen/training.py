@@ -454,11 +454,31 @@ def _entry(arrays: dict, key: str) -> np.ndarray:
     return arrays[key]
 
 
+def _restore(arrays: dict, key: str, target: np.ndarray) -> None:
+    value = _entry(arrays, key)
+    if value.shape != target.shape:
+        raise ShapeError(
+            f"checkpoint entry {key} has shape {value.shape}, "
+            f"model expects {target.shape}"
+        )
+    target[...] = value
+
+
 def load_checkpoint(path):
-    """Rebuild (model, config, epoch) from a checkpoint file."""
-    with np.load(path) as z:
-        arrays = {k: z[k] for k in z.files}
-    meta = json.loads(bytes(_entry(arrays, "meta").tobytes()).decode())
+    """Rebuild (model, config, epoch) from a checkpoint file.
+
+    A missing file raises the OSError of opening it; a file that is not a
+    readable archive raises a ConfigError naming the path.  Entries the
+    model does not need, such as the f/ factor containers of older files,
+    are ignored.
+    """
+    with open(path, "rb") as fh:
+        try:
+            with np.load(fh) as z:
+                arrays = {k: z[k] for k in z.files}
+        except Exception as exc:  # zipfile, zlib and .npy header errors alike
+            raise ConfigError(f"checkpoint {path} is not a readable archive: {exc}") from exc
+    meta = json.loads(_entry(arrays, "meta").tobytes())
     if meta.get("version") != CHECKPOINT_VERSION:
         raise ConfigError(
             f"unsupported checkpoint version {meta.get('version')!r}"
@@ -468,15 +488,9 @@ def load_checkpoint(path):
     cfg = TrainConfig(**cfg_dict)
     model = build_model(cfg)
     for name, p in model.named_params():
-        value = _entry(arrays, f"p/{name}")
-        if value.shape != p.value.shape:
-            raise ShapeError(
-                f"checkpoint parameter {name} has shape {value.shape}, "
-                f"model expects {p.value.shape}"
-            )
-        p.value[...] = value
+        _restore(arrays, f"p/{name}", p.value)
     for i, layer in enumerate(model.layers):
         if isinstance(layer, nn.BatchNorm2d):
-            layer.running_mean[...] = _entry(arrays, f"b/{i}.running_mean")
-            layer.running_var[...] = _entry(arrays, f"b/{i}.running_var")
+            _restore(arrays, f"b/{i}.running_mean", layer.running_mean)
+            _restore(arrays, f"b/{i}.running_var", layer.running_var)
     return model, cfg, meta["epoch"]

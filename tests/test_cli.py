@@ -140,6 +140,33 @@ def test_mistyped_config_value_is_named(tmp_path, capsys, field, value):
     assert f"config field {field!r}" in err
 
 
+@pytest.mark.parametrize("command,field,value", [
+    ("train", "generated", [1.5, 2.9]),
+    ("train", "out", 5),
+    ("train", "layer", "0"),
+    ("init", "layer", "0"),
+    ("cost", "dac_latency", "x"),
+    ("cost", "dac_latency", True),
+])
+def test_mistyped_run_or_device_value_is_named(tmp_path, capsys, command, field, value):
+    cfg_path = os.path.join(tmp_path, "bad.json")
+    with open(cfg_path, "w") as fh:
+        json.dump({field: value}, fh)
+    code = cli.main([command, "--config", cfg_path])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert field in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_null_run_value_leaves_field_unset(tmp_path, capsys):
+    cfg_path = os.path.join(tmp_path, "nulls.json")
+    with open(cfg_path, "w") as fh:
+        json.dump({"c_out": None, "out": None, "verbose": None}, fh)
+    assert cli.main(["cost", "--config", cfg_path]) == 0
+    assert "layer 128x128x3x3" in capsys.readouterr().out
+
+
 def test_missing_out_and_missing_data_fail_typed(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv(cli.DATA_ENV_VAR, raising=False)
     assert cli.main(["train"]) == 2

@@ -48,6 +48,12 @@ def test_device_params_must_be_positive():
         costmodel.DeviceParams(sram_bandwidth=-1.0)
 
 
+@pytest.mark.parametrize("value", ["x", True, None, float("nan"), float("-inf")])
+def test_device_params_reject_non_numbers_by_name(value):
+    with pytest.raises(ConfigError, match="dac_latency"):
+        costmodel.DeviceParams(dac_latency=value)
+
+
 def test_weight_load_latency_reference_layer():
     plan = generator.plan_layer(128, 128, 3, 2, 40, 4, 4, 4)
     baseline, residual, saved = costmodel.weight_load_latency(plan, q_weight=16)

@@ -73,6 +73,14 @@ def test_truncated_payload(tmp_path):
         dataio.load_idx(img, lbl)
 
 
+def test_oversized_count_fails_before_reading(tmp_path):
+    img, lbl = _write_pair(tmp_path, np.zeros((1, 4, 4)), [0])
+    with open(img, "r+b") as fh:
+        fh.write(struct.pack(">ii", 2051, 2**30))  # claims 16 GiB of pixels
+    with pytest.raises(IdxTruncatedError, match=str(16 * 2**30)):
+        dataio.load_idx(img, lbl)
+
+
 def test_truncated_header(tmp_path):
     img, lbl = _write_pair(tmp_path, np.zeros((1, 4, 4)), [0])
     open(img, "wb").write(b"\x00\x00\x08\x03")

@@ -64,9 +64,11 @@ def _idx(which):
         for name, data in files.items():
             with open(paths[name], "wb") as fh:
                 fh.write(data)
-        return files[which], lambda path: dataio.load_idx(
-            *(path if name == which else paths[name] for name in ("images", "labels"))
-        )
+
+        def load(path):
+            pair = dict(paths, **{which: path})
+            return dataio.load_idx(pair["images"], pair["labels"])
+        return files[which], load
     return make
 
 
@@ -76,14 +78,11 @@ def _idx(which):
 def test_damaged_artifacts_raise_only_typed_errors(tmp_path, make):
     data, load = make(tmp_path)
     load_path = os.path.join(tmp_path, "damaged")
-    raised = 0
-    for seed_case, (truncated, damaged) in enumerate(_damaged(data, seed=7)):
+    for case, (truncated, damaged) in enumerate(_damaged(data, seed=7)):
         with open(load_path, "wb") as fh:
             fh.write(damaged)
         try:
             load(load_path)
         except WeightgenError:
-            raised += 1
-        else:
-            assert not truncated, f"case {seed_case}: a truncated file loaded"
-    assert raised >= CASES // 2
+            continue
+        assert not truncated, f"case {case}: a truncated file loaded"

@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,8 +78,14 @@ def test_oversized_count_fails_before_reading(tmp_path):
     img, lbl = _write_pair(tmp_path, np.zeros((1, 4, 4)), [0])
     with open(img, "r+b") as fh:
         fh.write(struct.pack(">ii", 2051, 2**30))  # claims 16 GiB of pixels
-    with pytest.raises(IdxTruncatedError, match=str(16 * 2**30)):
-        dataio.load_idx(img, lbl)
+    tracemalloc.start()
+    try:
+        with pytest.raises(IdxTruncatedError, match=str(16 * 2**30)):
+            dataio.load_idx(img, lbl)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_truncated_header(tmp_path):

@@ -179,7 +179,9 @@ def grid_search(
     Every grid point reuses base_cfg with only the cardinalities and
     bitwidths replaced, and keeps base_cfg.seed, so each point is
     deterministic and a 1x1 grid reproduces a direct train() call
-    bit for bit. The teacher checkpoint is shared across points.
+    bit for bit. The teacher is shared across points: every point's
+    stage 1 fits its kernels, and its logits on train_x are computed once
+    per call and passed to every point's stage 2.
     Settings whose layer plans cannot be built are skipped and the
     reason is recorded instead of aborting the sweep.
     """
@@ -189,6 +191,9 @@ def grid_search(
         raise ConfigError("base config must mark at least one layer as generated")
     if bit_settings is None:
         bit_settings = [(base_cfg.q_basis, base_cfg.q_coeff, base_cfg.q_mixer)]
+    teacher_logits = None
+    if teacher is not None:
+        teacher_logits = training.predict(teacher, train_x, base_cfg.batch_size)
     points: list[ExplorationPoint] = []
     skipped: list[SkippedSetting] = []
     for n_basis in n_basis_list:
@@ -220,7 +225,8 @@ def grid_search(
                     continue
                 start = time.perf_counter()
                 result = training.train(
-                    cfg, train_x, train_y, test_x, test_y, teacher=teacher
+                    cfg, train_x, train_y, test_x, test_y, teacher=teacher,
+                    teacher_logits=teacher_logits,
                 )
                 runtime = time.perf_counter() - start
                 plans = _model_plans(result.model)

@@ -13,10 +13,11 @@ Layout (little-endian):
                   (only the active ones are present)
 
 Raw payloads are C-order float64.  Quantized payloads store one float64
-scale followed by int16 codes per tensor; loading reconstructs the grid
-values, so a quantized round trip equals fake-quantizing the original
-factors, and the generated weights are bit-identical to generating from
-the original factors (re-quantization is a no-op).
+scale (finite and > 0) followed by int16 codes per tensor; loading
+reconstructs the grid values, so a quantized round trip equals
+fake-quantizing the original factors, and the generated weights are
+bit-identical to generating from the original factors (re-quantization
+is a no-op).
 
 Writes are atomic: the file appears under its final name only when
 complete.
@@ -99,6 +100,8 @@ def factors_from_bytes(data: bytes) -> TwoLevelFactors:
                     f"offset {offset}, have {len(data) - offset}"
                 )
             (scale,) = struct.unpack_from("<d", data, offset)
+            if not (math.isfinite(scale) and scale > 0.0):
+                raise FactorFileError(f"invalid quantization scale {scale!r} in {name}")
             codes = np.frombuffer(
                 data, dtype="<i2", count=count, offset=offset + 8
             ).astype(np.int64)

@@ -11,6 +11,15 @@ where L_KD blends a temperature-softened KL term against the teacher with
 plain cross entropy against the labels, and L_ort is the multi-level
 orthogonality penalty on the stored factors.
 
+The teacher is frozen, so its logits are computed once per run, after
+stage 1, in sample-order batches of the run's batch size, and each step
+takes its batch's rows.  This is exact: in eval mode batch norm uses its
+running statistics, so a sample's logits do not depend on the rest of its
+batch.  Only the batch's row count reaches them, through BLAS's choice of
+GEMM kernel, so a short final batch may differ from a full one in the
+last bit.  A teacher built with act_bits is the exception: ActQuant's
+scale is the batch's maximum magnitude.
+
 Everything is deterministic given the seed: initialization draws from one
 generator seeded with the run seed, and the shuffle order of epoch e comes
 from a fresh PCG64 generator seeded with (seed, e).
@@ -298,13 +307,22 @@ def batches(n: int, batch_size: int, seed: int | None = None, epoch: int = 0):
         yield order[start : start + batch_size]
 
 
+def predict(model: nn.Sequential, x: np.ndarray, batch_size: int) -> np.ndarray:
+    """Eval-mode logits of every sample of x, in sample order, computed in
+    consecutive batches of batch_size."""
+    if x.shape[0] == 0:
+        raise ShapeError("predict needs at least one sample")
+    return np.concatenate([model.forward(x[idx], train=False)
+                           for idx in batches(x.shape[0], batch_size)])
+
+
 def evaluate(model: nn.Sequential, x: np.ndarray, y: np.ndarray,
              batch_size: int = 256) -> float:
-    hits = 0
-    for idx in batches(x.shape[0], batch_size):
-        logits = model.forward(x[idx], train=False)
-        hits += int((logits.argmax(axis=1) == y[idx]).sum())
-    return hits / x.shape[0]
+    """Fraction of samples whose top logit is their label."""
+    if y.shape != x.shape[:1]:
+        raise ShapeError(f"labels shape {y.shape} does not match inputs {x.shape}")
+    hits = predict(model, x, batch_size).argmax(axis=1) == y
+    return int(hits.sum()) / x.shape[0]
 
 
 def build_model(cfg: TrainConfig) -> nn.Sequential:
@@ -358,27 +376,42 @@ def train(
     test_y: np.ndarray,
     teacher: nn.Sequential | None = None,
     verbose: bool = False,
+    teacher_logits: np.ndarray | None = None,
 ) -> TrainResult:
-    """Run the full two-stage schedule and return the model plus metrics."""
+    """Run the full two-stage schedule and return the model plus metrics.
+
+    Stage 1 fits generated layers to the teacher network's kernels.  Stage 2
+    distills from teacher_logits, one row per training sample; when they
+    are not given and a teacher is, they are computed once, after stage 1,
+    with predict(teacher, train_x, cfg.batch_size), so the teacher runs one
+    forward per sample per run rather than one per sample per epoch.  This
+    is exact in eval mode (see the module docstring).  Passing the logits
+    lets callers that train several students on one set, such as
+    grid_search, compute them once.
+    """
+    n = train_x.shape[0]
+    if teacher_logits is not None and teacher_logits.shape[:1] != (n,):
+        raise ShapeError(
+            f"teacher_logits shape {teacher_logits.shape} does not match "
+            f"train_x shape {train_x.shape}: need one row per sample"
+        )
     model = build_model(cfg)
     init_residuals = []
     if cfg.generated and teacher is not None and cfg.init != "random":
         init_residuals = initialize_from_teacher(model, teacher, cfg)
+    if teacher_logits is None and teacher is not None:
+        teacher_logits = predict(teacher, train_x, cfg.batch_size)
     opt = RAdam(model.params(), lr=cfg.lr, weight_decay=cfg.weight_decay)
     gen_layers = model.generated_layers()
-    n = train_x.shape[0]
     eval_n = min(cfg.eval_train_samples, n)
     metrics = []
     for epoch in range(cfg.epochs):
         kd_sum, ort_sum, n_batches = 0.0, 0.0, 0
         for idx in batches(n, cfg.batch_size, cfg.seed, epoch):
-            xb, yb = train_x[idx], train_y[idx]
-            t_logits = None
-            if teacher is not None:
-                t_logits = teacher.forward(xb, train=False)
-            logits = model.forward(xb, train=True)
+            logits = model.forward(train_x[idx], train=True)
+            t_logits = None if teacher_logits is None else teacher_logits[idx]
             loss, d_logits = kd_loss(
-                logits, yb, teacher_logits=t_logits,
+                logits, train_y[idx], teacher_logits=t_logits,
                 temperature=cfg.temperature, beta=cfg.beta,
             )
             model.zero_grad()
@@ -464,6 +497,30 @@ def _restore(arrays: dict, key: str, target: np.ndarray) -> None:
     target[...] = value
 
 
+def _read_meta(entry: np.ndarray) -> tuple[TrainConfig, int]:
+    """The config and epoch a checkpoint's meta JSON records; a malformed
+    meta raises a ConfigError naming the field."""
+    try:
+        meta = json.loads(entry.tobytes())
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError alike
+        raise ConfigError(f"checkpoint entry 'meta' is not JSON: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise ConfigError(f"checkpoint entry 'meta' must be an object, got {meta!r}")
+    if meta.get("version") != CHECKPOINT_VERSION:
+        raise ConfigError(
+            f"unsupported checkpoint version {meta.get('version')!r}"
+        )
+    cfg_dict, epoch = meta.get("config"), meta.get("epoch")
+    if not isinstance(cfg_dict, dict):
+        raise ConfigError(f"checkpoint meta field 'config' must be an object, got {cfg_dict!r}")
+    if not _is_int(epoch):
+        raise ConfigError(f"checkpoint meta field 'epoch' must be an integer, got {epoch!r}")
+    unknown = sorted(set(cfg_dict) - {f.name for f in fields(TrainConfig)})
+    if unknown:
+        raise ConfigError(f"checkpoint config has unknown field(s) {unknown}")
+    return TrainConfig(**cfg_dict), epoch
+
+
 def load_checkpoint(path):
     """Rebuild (model, config, epoch) from a checkpoint file.
 
@@ -478,14 +535,7 @@ def load_checkpoint(path):
                 arrays = {k: z[k] for k in z.files}
         except Exception as exc:  # zipfile, zlib and .npy header errors alike
             raise ConfigError(f"checkpoint {path} is not a readable archive: {exc}") from exc
-    meta = json.loads(_entry(arrays, "meta").tobytes())
-    if meta.get("version") != CHECKPOINT_VERSION:
-        raise ConfigError(
-            f"unsupported checkpoint version {meta.get('version')!r}"
-        )
-    cfg_dict = dict(meta["config"])
-    cfg_dict["generated"] = tuple(cfg_dict.get("generated", ()))
-    cfg = TrainConfig(**cfg_dict)
+    cfg, epoch = _read_meta(_entry(arrays, "meta"))
     model = build_model(cfg)
     for name, p in model.named_params():
         _restore(arrays, f"p/{name}", p.value)
@@ -493,4 +543,4 @@ def load_checkpoint(path):
         if isinstance(layer, nn.BatchNorm2d):
             _restore(arrays, f"b/{i}.running_mean", layer.running_mean)
             _restore(arrays, f"b/{i}.running_var", layer.running_var)
-    return model, cfg, meta["epoch"]
+    return model, cfg, epoch

@@ -8,7 +8,7 @@ import pytest
 from weightgen import explorer, generator, nn, training
 from weightgen.errors import ConfigError, DegenerateFactorError, ShapeError
 
-from test_training import synthetic_blobs
+from test_training import _counting_forward, synthetic_blobs
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +221,37 @@ def test_one_by_one_grid_equals_direct_train():
     )
     assert point.r == generator.param_ratio(plan)
     assert point.r_m == generator.memory_ratio(plan, 16)
+
+
+def test_grid_forwards_each_sample_through_the_teacher_once_per_call(monkeypatch):
+    cfg, train_x, train_y, test_x, test_y = _tiny_setup()
+    cfg = dataclasses.replace(cfg, init="svd")
+    dense = dataclasses.replace(cfg, generated=())
+    teacher = training.train(dense, train_x, train_y, test_x, test_y).model
+    seen = _counting_forward(teacher)
+    results = []
+    train = training.train
+
+    def recording_train(*args, **kwargs):
+        results.append(train(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(training, "train", recording_train)
+    grid = explorer.grid_search(
+        cfg, train_x, train_y, test_x, test_y, [1], [2, 3], teacher=teacher
+    )
+    assert len(grid.points) == 2
+    assert np.array_equal(np.concatenate(seen), train_x)
+    # Each point equals a direct run that computes the logits itself.
+    monkeypatch.undo()
+    for point, result in zip(grid.points, results):
+        point_cfg = dataclasses.replace(cfg, n_cross=point.n_cross)
+        direct = training.train(point_cfg, train_x, train_y, test_x, test_y,
+                                teacher=teacher)
+        assert direct.metrics == result.metrics
+        for (_, a), (_, b) in zip(direct.model.named_params(),
+                                  result.model.named_params()):
+            assert a.value.tobytes() == b.value.tobytes()
 
 
 def test_grid_ratios_match_generator_formulas():

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -87,3 +89,18 @@ def test_atomic_save_leaves_no_temp_files(tmp_path):
     factorfile.save_factors(path, f)
     factorfile.save_factors(path, f)  # overwrite in place
     assert sorted(p.name for p in tmp_path.iterdir()) == ["layer.isgw"]
+
+
+@pytest.mark.parametrize("scale", [float("inf"), float("nan"), 0.0, -0.5])
+@pytest.mark.parametrize("name", ["basis", "mixer"])
+def test_rejects_invalid_quantization_scale(scale, name):
+    f = _sample_factors()
+    data = bytearray(factorfile.factors_to_bytes(f, quantized=True))
+    offset = 30
+    for stored, shape in f.plan.stored_shapes().items():
+        if stored == name:
+            break
+        offset += 8 + 2 * int(np.prod(shape))
+    struct.pack_into("<d", data, offset, scale)
+    with pytest.raises(FactorFileError, match=f"scale .* in {name}"):
+        factorfile.factors_from_bytes(bytes(data))

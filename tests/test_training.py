@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -346,3 +348,108 @@ def test_epoch_rng_is_stable_and_epoch_dependent():
     c = training.epoch_rng(0, 2).permutation(16)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def _counting_forward(model):
+    """Replace model.forward with a wrapper that records every input batch."""
+    seen = []
+    forward = model.forward
+
+    def counting(x, train=False):
+        seen.append(x.copy())
+        return forward(x, train=train)
+
+    model.forward = counting
+    return seen
+
+
+def test_predict_matches_per_batch_teacher_forwards():
+    """train caches predict(teacher, train_x, batch_size) in place of one
+    teacher forward per shuffled batch: at the same batch size the rows are
+    equal bit for bit, because eval-mode batch norm uses running statistics.
+    Another batch size changes only the GEMM row count, which BLAS may round
+    differently in the last bit."""
+    teacher = training.build_model(training.TrainConfig(seed=2))
+    rng = np.random.default_rng(3)
+    for layer in teacher.layers:
+        if isinstance(layer, nn.BatchNorm2d):
+            layer.running_mean[...] = rng.standard_normal(layer.running_mean.shape)
+            layer.running_var[...] = rng.uniform(0.5, 2.0, layer.running_var.shape)
+    x = rng.standard_normal((256, 1, 28, 28))
+    logits = training.predict(teacher, x, 64)
+    assert logits.shape == (256, 10)
+    for epoch in range(2):
+        per_batch = np.empty_like(logits)
+        for idx in training.batches(256, 64, seed=5, epoch=epoch):
+            per_batch[idx] = teacher.forward(x[idx], train=False)
+        assert per_batch.tobytes() == logits.tobytes()
+    wide = training.predict(teacher, x, 256)
+    assert np.abs(wide - logits).max() <= 1e-12 * np.abs(logits).max()
+
+
+def test_train_forwards_each_sample_through_the_teacher_once():
+    x, y = synthetic_blobs(96, seed=22)
+    tx, ty = synthetic_blobs(32, seed=23)
+    cfg = training.TrainConfig(
+        arch="C4K3S1-AvgPool2-FC2", in_channels=2, in_size=8,
+        epochs=2, batch_size=32, lr=0.01, seed=6, eval_train_samples=96,
+        generated=(0,), n_basis=1, n_cross=2, init="svd",
+    )
+    teacher = training.train(
+        training.TrainConfig(arch=cfg.arch, in_channels=2, in_size=8, epochs=1,
+                             batch_size=32, lr=0.01, seed=1), x, y, tx, ty).model
+    expected = training.predict(teacher, x, cfg.batch_size)
+    seen = _counting_forward(teacher)
+    result = training.train(cfg, x, y, tx, ty, teacher=teacher)
+    assert np.array_equal(np.concatenate(seen), x)
+    # Given logits, stage 1 still reads the teacher's kernels but stage 2
+    # forwards nothing through it, and the run is unchanged.
+    given = training.train(cfg, x, y, tx, ty, teacher=teacher, teacher_logits=expected)
+    assert np.array_equal(np.concatenate(seen), x)
+    assert given.init_residuals == result.init_residuals
+    assert result.metrics == given.metrics
+    for (_, a), (_, b) in zip(result.model.named_params(), given.model.named_params()):
+        assert a.value.tobytes() == b.value.tobytes()
+
+
+def test_teacher_logits_need_one_row_per_sample():
+    x, y = synthetic_blobs(64, seed=24)
+    cfg = training.TrainConfig(arch="C4K3S1-AvgPool2-FC2", in_channels=2, in_size=8,
+                               epochs=1, batch_size=32)
+    with pytest.raises(ShapeError, match=r"\(63, 2\).*\(64, 2, 8, 8\)"):
+        training.train(cfg, x, y, x, y, teacher_logits=np.zeros((63, 2)))
+
+
+def test_evaluate_and_predict_check_their_inputs():
+    x, y = synthetic_blobs(16, seed=25)
+    model = training.build_model(training.TrainConfig(
+        arch="C4K3S1-AvgPool2-FC2", in_channels=2, in_size=8))
+    with pytest.raises(ShapeError, match="labels"):
+        training.evaluate(model, x, y[:15])
+    with pytest.raises(ShapeError, match="at least one sample"):
+        training.predict(model, x[:0], 8)
+    assert training.evaluate(model, x, y, 5) == training.evaluate(model, x, y, 16)
+
+
+@pytest.mark.parametrize("meta, field", [
+    ({"version": 1, "epoch": 1}, "config"),
+    ({"version": 1, "config": [1, 2], "epoch": 1}, "config"),
+    ({"version": 1, "config": {"bogus": 3}, "epoch": 1}, "bogus"),
+    ({"version": 1, "config": {"generated": 5}, "epoch": 1}, "generated"),
+    ({"version": 1, "config": {}}, "epoch"),
+    ({"version": 1, "config": {}, "epoch": "1"}, "epoch"),
+    ([1], "meta"),
+    ("{not json", "meta"),
+], ids=["no-config", "config-list", "unknown-key", "generated-int", "no-epoch",
+        "epoch-str", "meta-list", "meta-not-json"])
+def test_malformed_checkpoint_meta_is_named(tmp_path, meta, field):
+    cfg = training.TrainConfig(arch="C4K3S1-AvgPool2-FC2", in_channels=2, in_size=8)
+    path = tmp_path / "ckpt.npz"
+    training.save_checkpoint(path, training.build_model(cfg), cfg, epoch=1)
+    with np.load(path) as z:
+        arrays = {k: z[k] for k in z.files}
+    text = meta if isinstance(meta, str) else json.dumps(meta)
+    arrays["meta"] = np.frombuffer(text.encode(), dtype=np.uint8)
+    np.savez(path, **arrays)
+    with pytest.raises(ConfigError, match=repr(field)):
+        training.load_checkpoint(path)

@@ -5,7 +5,13 @@ Every run resolves its configuration from three layers (built-in
 defaults, then a JSON config file, then explicit flags), writes the
 resolved configuration next to its artifacts as config.json, and either
 completes its whole artifact set or removes the files it already wrote.
-Re-running any command from its own snapshot reproduces the outputs.
+The snapshot holds every setting the command used, defaults included, so
+re-running any command from its own snapshot reproduces the outputs.
+
+Each setting is declared once, in SETTINGS.  Its type is the annotation
+of the TrainConfig or DeviceParams field of that name, or the run-level
+annotation its entry gives; both its flag and its config check follow
+that annotation.
 """
 
 from __future__ import annotations
@@ -16,25 +22,84 @@ import dataclasses
 import json
 import os
 import sys
-
-import numpy as np
+from typing import NamedTuple
 
 from . import costmodel, dataio, explorer, factorfile, generator, nn, training
 from .errors import ConfigError, WeightgenError
 
 DATA_ENV_VAR = "WEIGHTGEN_DATA"
 
-_TRAIN_FIELDS = {f.name for f in dataclasses.fields(training.TrainConfig)}
-_DEVICE_FIELDS = {f.name for f in dataclasses.fields(costmodel.DeviceParams)}
-# Run-level config fields -> annotation, checked like TrainConfig's fields.
-# None marks the grid lists, which their own parsers check.
-_RUN_FIELDS = {
-    "command": "str", "data": "str", "out": "str", "teacher": "str",
-    "checkpoint": "str", "layer": "int", "limit_train": "int",
-    "limit_test": "int", "c_out": "int", "c_in": "int", "k": "int",
-    "q_weight": "int", "verbose": "bool",
-    "bi_list": None, "bc_list": None, "bit_settings": None,
+
+class Setting(NamedTuple):
+    key: str                       # config key and flag dest
+    flag: str | None               # None: a config key with no flag
+    commands: tuple[str, ...]      # subcommands that take the flag
+    help: str
+    annotation: str | None = None  # run-level keys only; "list" marks a grid list
+
+
+_ALL = ("train", "init", "explore", "cost", "analyze")
+_FIT = ("train", "explore")
+_TEACHER = ("train", "init", "explore")
+
+SETTINGS = (
+    Setting("command", None, (), "the subcommand that wrote a snapshot", "str"),
+    Setting("seed", "--seed", _ALL, "base PRNG seed"),
+    Setting("out", "--out", _ALL, "output directory for artifacts", "str"),
+    Setting("n_basis", "--bi", _ALL, "intra-kernel cardinality B_i"),
+    Setting("n_cross", "--bc", _ALL, "cross-kernel cardinality B_c"),
+    Setting("q_basis", "--qb", _ALL, "basis bitwidth q_b"),
+    Setting("q_coeff", "--qu", _ALL, "coefficient bitwidth q_u"),
+    Setting("q_mixer", "--qv", _ALL, "mixer bitwidth q_v"),
+    Setting("data", "--data", _FIT, f"dataset root (default ${DATA_ENV_VAR})", "str"),
+    Setting("epochs", "--epochs", _FIT, "training epochs"),
+    Setting("arch", "--arch", _FIT, "architecture string, e.g. C32K5S2-C32K5S1-AvgPool3-FC10"),
+    Setting("batch_size", "--batch-size", _FIT, "mini-batch size"),
+    Setting("lr", "--lr", _FIT, "initial learning rate"),
+    Setting("lr_decay", "--lr-decay", _FIT, "learning-rate factor per epoch"),
+    Setting("weight_decay", "--wd", _FIT, "weight decay"),
+    Setting("ortho_weight", "--lambda", _FIT, "orthogonality regularization weight"),
+    Setting("beta", "--beta", _FIT, "distillation mixing weight"),
+    Setting("temperature", "--temperature", _FIT, "distillation temperature"),
+    Setting("generated", "--generated", _FIT, "comma list of conv layer indices to factorize"),
+    Setting("init", "--init", _FIT, "stage-1 fit of the generated layers"),
+    Setting("init_iters", "--init-iters", _TEACHER, "l2 projection steps"),
+    Setting("act_bits", "--act-bits", _FIT, "activation bitwidth (default unquantized)"),
+    Setting("teacher", "--teacher", _TEACHER, "dense checkpoint to distill from or fit", "str"),
+    Setting("limit_train", "--limit-train", _FIT, "use only the first N training samples", "int"),
+    Setting("limit_test", "--limit-test", _FIT, "use only the first N test samples", "int"),
+    Setting("verbose", "--verbose", _FIT, "print one line per epoch", "bool"),
+    Setting("layer", "--layer", ("init",), "conv layer index (default 0)", "int"),
+    Setting("q_weight", "--q-weight", ("init", "cost"), "dense weight bitwidth (default 16)", "int"),
+    Setting("bi_list", "--bi-list", ("explore",), "comma list of B_i values", "list"),
+    Setting("bc_list", "--bc-list", ("explore",), "comma list of B_c values", "list"),
+    Setting("bit_settings", "--bits-list", ("explore",),
+            "semicolon list of q_b,q_u,q_v triples", "list"),
+    Setting("c_out", "--co", ("cost",), "output channels", "int"),
+    Setting("c_in", "--ci", ("cost",), "input channels", "int"),
+    Setting("k", "--k", ("cost",), "kernel size", "int"),
+    Setting("dac_latency", "--dac-latency", ("cost",), "DAC latency in seconds"),
+    Setting("mod_latency", "--mod-latency", ("cost",), "modulator latency in seconds"),
+    Setting("oe_latency", "--oe-latency", ("cost",), "O/E conversion latency in seconds"),
+    Setting("ring_diameter", "--ring-diameter", ("cost",), "ring diameter in meters"),
+    Setting("group_index", "--group-index", ("cost",), "waveguide group index"),
+    Setting("sram_bandwidth", "--sram-bandwidth", ("cost",), "SRAM bandwidth in bytes/s"),
+    Setting("checkpoint", "--checkpoint", ("analyze",), "checkpoint file to analyze", "str"),
+)
+
+_RUN_TYPES = {s.key: s.annotation for s in SETTINGS if s.annotation}
+# Every key a config file may hold -> its annotation.
+CONFIG_TYPES = {
+    **{f.name: f.type for f in dataclasses.fields(training.TrainConfig)},
+    **{f.name: f.type for f in dataclasses.fields(costmodel.DeviceParams)},
+    **_RUN_TYPES,
 }
+# Annotation -> argparse type.  Other flags keep their string: a comma
+# list that its parser splits, or a string setting.
+_FLAG_TYPES = {"int": int, "int | None": int, "float": float}
+# The layer that cost reports on by default.
+_COST_LAYER = {"c_out": 128, "c_in": 128, "k": 3, "n_basis": 2, "n_cross": 40,
+               "q_basis": 4, "q_coeff": 4, "q_mixer": 4}
 
 
 def _load_config_file(path: str) -> dict:
@@ -47,18 +112,15 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"config file {path!r} is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {path!r} must hold a JSON object")
-    for key in list(doc):
-        if key in _TRAIN_FIELDS or key in _DEVICE_FIELDS:
-            continue  # TrainConfig and DeviceParams check their own values
-        if key not in _RUN_FIELDS:
+    for key, value in list(doc.items()):
+        if key not in CONFIG_TYPES:
             raise ConfigError(f"unknown config field {key!r} in {path}")
-        value = doc[key]
+        if key not in _RUN_TYPES:
+            continue  # TrainConfig and DeviceParams check their own values
         if value is None:
             del doc[key]  # null leaves the field unset
-        elif _RUN_FIELDS[key] is not None:
-            ok, want = training._FIELD_CHECKS[_RUN_FIELDS[key]]
-            if not ok(value):
-                raise ConfigError(f"config field {key!r} must be {want}, got {value!r}")
+        elif _RUN_TYPES[key] != "list":  # the grid-list parsers check those
+            training.check_field(key, _RUN_TYPES[key], value)
     return doc
 
 
@@ -76,15 +138,17 @@ def _parse_generated(value):
 
 
 def _parse_int_list(value, field: str) -> list[int]:
+    """A comma string's items go through int(); a JSON list must hold
+    integers already."""
     if isinstance(value, str):
-        value = [v for v in value.split(",") if v != ""]
-    try:
-        out = [int(v) for v in value]
-    except (TypeError, ValueError):
-        raise ConfigError(f"{field} must be a comma list of integers, got {value!r}")
-    if not out:
+        try:
+            value = [int(v) for v in value.split(",") if v != ""]
+        except ValueError:
+            raise ConfigError(f"{field} must be a comma list of integers, got {value!r}")
+    training.check_field(field, "tuple[int, ...]", value)
+    if not value:
         raise ConfigError(f"{field} must be nonempty")
-    return out
+    return list(value)
 
 
 def _parse_bit_settings(value) -> list[tuple[int, int, int]] | None:
@@ -93,6 +157,8 @@ def _parse_bit_settings(value) -> list[tuple[int, int, int]] | None:
         return None
     if isinstance(value, str):
         value = [v for v in value.split(";") if v != ""]
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"bit_settings must be a nonempty list of triples, got {value!r}")
     out = []
     for item in value:
         triple = _parse_int_list(item, "bit_settings")
@@ -101,41 +167,34 @@ def _parse_bit_settings(value) -> list[tuple[int, int, int]] | None:
                 f"bit_settings entries must be q_b,q_u,q_v triples, got {item!r}"
             )
         out.append(tuple(triple))
-    if not out:
-        raise ConfigError("bit_settings must be nonempty")
     return out
 
 
 def _resolve(ns: argparse.Namespace) -> dict:
-    """Merge defaults, config file, and flags into one settings dict."""
-    merged: dict = {}
-    if getattr(ns, "config", None):
-        merged.update(_load_config_file(ns.config))
+    """Merge the config file and flags into one settings dict; each command
+    adds its own defaults."""
+    merged = _load_config_file(ns.config) if ns.config else {}
     for key, value in vars(ns).items():
-        if key in ("config", "func", "command") or value is None:
-            continue
-        merged[key] = value
+        if key not in ("config", "func", "command") and value is not None:
+            merged[key] = value
     merged.pop("command", None)
     if "generated" in merged:
         merged["generated"] = _parse_generated(merged["generated"])
+    for key in ("limit_train", "limit_test"):
+        if merged.get(key, 1) < 1:
+            raise ConfigError(f"{key} must be at least 1, got {merged[key]}")
     return merged
 
 
-def _train_config(merged: dict) -> training.TrainConfig:
-    kwargs = {k: v for k, v in merged.items() if k in _TRAIN_FIELDS}
-    return training.TrainConfig(**kwargs)
-
-
-def _device_params(merged: dict) -> costmodel.DeviceParams:
-    kwargs = {k: v for k, v in merged.items() if k in _DEVICE_FIELDS}
-    return costmodel.DeviceParams(**kwargs)
+def _build(cls, merged: dict):
+    """A TrainConfig or DeviceParams from the settings named by its fields."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return cls(**{k: v for k, v in merged.items() if k in names})
 
 
 def _snapshot(merged: dict, command: str, out_dir: str, artifacts) -> None:
     """Write the resolved settings next to the artifacts, reloadably."""
-    doc = {"command": command}
-    for key, value in sorted(merged.items()):
-        doc[key] = list(value) if isinstance(value, tuple) else value
+    doc = {"command": command, **dict(sorted(merged.items()))}
     path = os.path.join(out_dir, "config.json")
     dataio.atomic_write(path, (json.dumps(doc, indent=2) + "\n").encode())
     artifacts.append(path)
@@ -166,15 +225,9 @@ def _load_datasets(merged: dict):
     root = dataio.resolve_data_root(merged.get("data"), env_var=DATA_ENV_VAR)
     train_ds = dataio.load_fashion_split(root, "train")
     test_ds = dataio.load_fashion_split(root, "test")
-    limit_train = merged.get("limit_train")
-    limit_test = merged.get("limit_test")
-    tx, ty = train_ds.images, train_ds.labels
-    ex, ey = test_ds.images, test_ds.labels
-    if limit_train:
-        tx, ty = tx[:limit_train], ty[:limit_train]
-    if limit_test:
-        ex, ey = ex[:limit_test], ey[:limit_test]
-    return tx, ty, ex, ey
+    n_train, n_test = merged.get("limit_train"), merged.get("limit_test")
+    return (train_ds.images[:n_train], train_ds.labels[:n_train],
+            test_ds.images[:n_test], test_ds.labels[:n_test])
 
 
 def _load_teacher(merged: dict):
@@ -187,7 +240,8 @@ def _load_teacher(merged: dict):
 
 def cmd_train(ns: argparse.Namespace) -> int:
     merged = _resolve(ns)
-    cfg = _train_config(merged)
+    cfg = _build(training.TrainConfig, merged)
+    merged.update(dataclasses.asdict(cfg))
     out = _ensure_out(merged)
     train_x, train_y, test_x, test_y = _load_datasets(merged)
     teacher = _load_teacher(merged)
@@ -218,15 +272,16 @@ def cmd_train(ns: argparse.Namespace) -> int:
 
 
 def cmd_init(ns: argparse.Namespace) -> int:
-    merged = _resolve(ns)
-    cfg = _train_config(merged)
+    merged = {"layer": 0, "q_weight": 16, **_resolve(ns)}
+    cfg = _build(training.TrainConfig, merged)
+    merged.update(dataclasses.asdict(cfg))
     out = _ensure_out(merged)
     teacher_path = merged.get("teacher")
     if not teacher_path:
         raise ConfigError("missing teacher: pass --teacher with a checkpoint path")
     model, _, _ = training.load_checkpoint(teacher_path)
     convs = model.conv_layers()
-    index = merged.get("layer", 0)
+    index = merged["layer"]
     if not 0 <= index < len(convs):
         raise ConfigError(
             f"layer index {index} out of range: checkpoint has {len(convs)} conv layers"
@@ -264,7 +319,7 @@ def cmd_init(ns: argparse.Namespace) -> int:
             "svd_residual": svd_residual,
             "chosen": "l2" if chosen is l2_factors else "svd",
             "r": generator.param_ratio(plan),
-            "r_m": generator.memory_ratio(plan, merged.get("q_weight", 16)),
+            "r_m": generator.memory_ratio(plan, merged["q_weight"]),
         }
         report_path = os.path.join(out, "init_report.json")
         dataio.atomic_write(
@@ -282,18 +337,19 @@ def cmd_init(ns: argparse.Namespace) -> int:
 
 def cmd_explore(ns: argparse.Namespace) -> int:
     merged = _resolve(ns)
-    cfg = _train_config(merged)
+    cfg = _build(training.TrainConfig, merged)
+    merged.update(dataclasses.asdict(cfg))
+    bit_settings = merged["bit_settings"] = _parse_bit_settings(merged.get("bit_settings"))
+    for key in ("bi_list", "bc_list"):
+        if key not in merged:
+            raise ConfigError("missing grid: pass --bi-list and --bc-list")
+        merged[key] = _parse_int_list(merged[key], key)
     out = _ensure_out(merged)
-    if "bi_list" not in merged or "bc_list" not in merged:
-        raise ConfigError("missing grid: pass --bi-list and --bc-list")
-    bi_list = _parse_int_list(merged["bi_list"], "bi_list")
-    bc_list = _parse_int_list(merged["bc_list"], "bc_list")
-    bit_settings = _parse_bit_settings(merged.get("bit_settings"))
     train_x, train_y, test_x, test_y = _load_datasets(merged)
     teacher = _load_teacher(merged)
     result = explorer.grid_search(
         cfg, train_x, train_y, test_x, test_y,
-        bi_list, bc_list, bit_settings=bit_settings,
+        merged["bi_list"], merged["bc_list"], bit_settings=bit_settings,
         teacher=teacher, verbose=merged.get("verbose", False),
     )
     front = explorer.pareto_front(list(result.points)) if result.points else []
@@ -317,23 +373,13 @@ def cmd_explore(ns: argparse.Namespace) -> int:
 
 
 def cmd_cost(ns: argparse.Namespace) -> int:
-    merged = _resolve(ns)
-    dev = _device_params(merged)
-    c_out = merged.get("c_out", 128)
-    c_in = merged.get("c_in", 128)
-    k = merged.get("k", 3)
-    n_basis = merged.get("n_basis", 2)
-    n_cross = merged.get("n_cross", 40)
-    plan = generator.plan_layer(
-        c_out, c_in, k, n_basis, n_cross,
-        q_basis=merged.get("q_basis", 4),
-        q_coeff=merged.get("q_coeff", 4),
-        q_mixer=merged.get("q_mixer", 4),
-    )
-    q_weight = merged.get("q_weight", 16)
-    report = costmodel.speedup_report([plan], q_weight=q_weight, dev=dev)
+    merged = {**_COST_LAYER, "q_weight": 16, **_resolve(ns)}
+    dev = _build(costmodel.DeviceParams, merged)
+    merged.update(dataclasses.asdict(dev))
+    plan = generator.plan_layer(**{key: merged[key] for key in _COST_LAYER})
+    report = costmodel.speedup_report([plan], q_weight=merged["q_weight"], dev=dev)
     layer = report.layers[0]
-    print(f"layer {c_out}x{c_in}x{k}x{k}, B_i={n_basis}, B_c={n_cross}")
+    print("layer {c_out}x{c_in}x{k}x{k}, B_i={n_basis}, B_c={n_cross}".format(**merged))
     print(f"  parameter ratio r:        {layer.r:.4f}")
     print(f"  memory ratio r_m:         {layer.r_m:.4f}")
     print(f"  generation latency:       {layer.gen_latency * 1e12:.1f} ps")
@@ -403,92 +449,36 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file; flags override its values")
-    parser.add_argument("--seed", type=int, help="base PRNG seed")
-    parser.add_argument("--out", help="output directory for artifacts")
-    parser.add_argument("--bi", type=int, dest="n_basis", help="intra-kernel cardinality B_i")
-    parser.add_argument("--bc", type=int, dest="n_cross", help="cross-kernel cardinality B_c")
-    parser.add_argument("--qb", type=int, dest="q_basis", help="basis bitwidth q_b")
-    parser.add_argument("--qu", type=int, dest="q_coeff", help="coefficient bitwidth q_u")
-    parser.add_argument("--qv", type=int, dest="q_mixer", help="mixer bitwidth q_v")
-
-
-def _add_training(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--data", help=f"dataset root (default ${DATA_ENV_VAR})")
-    parser.add_argument("--epochs", type=int)
-    parser.add_argument("--arch", help="architecture string, e.g. C32K5S2-C32K5S1-AvgPool3-FC10")
-    parser.add_argument("--batch-size", type=int, dest="batch_size")
-    parser.add_argument("--lr", type=float)
-    parser.add_argument("--lr-decay", type=float, dest="lr_decay")
-    parser.add_argument("--wd", type=float, dest="weight_decay")
-    parser.add_argument("--lambda", type=float, dest="ortho_weight",
-                        help="orthogonality regularization weight")
-    parser.add_argument("--beta", type=float, help="distillation mixing weight")
-    parser.add_argument("--temperature", type=float, help="distillation temperature")
-    parser.add_argument("--generated", help="comma list of conv layer indices to factorize")
-    parser.add_argument("--init", choices=("l2", "svd", "random"))
-    parser.add_argument("--init-iters", type=int, dest="init_iters")
-    parser.add_argument("--act-bits", type=int, dest="act_bits")
-    parser.add_argument("--teacher", help="checkpoint to distill from")
-    parser.add_argument("--limit-train", type=int, dest="limit_train",
-                        help="use only the first N training samples")
-    parser.add_argument("--limit-test", type=int, dest="limit_test",
-                        help="use only the first N test samples")
-    parser.add_argument("--verbose", action="store_true", default=None)
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command; each takes --config and the SETTINGS
+    flags that name it, typed by the setting's annotation."""
     parser = argparse.ArgumentParser(
         prog="weightgen",
         description="Two-level factorized weight generation: train, "
         "initialize, explore, and cost such layers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_train = sub.add_parser("train", help="train a network, writing checkpoint + metrics")
-    _add_common(p_train)
-    _add_training(p_train)
-    p_train.set_defaults(func=cmd_train)
-
-    p_init = sub.add_parser("init", help="fit factors to one dense conv layer of a checkpoint")
-    _add_common(p_init)
-    p_init.add_argument("--teacher", help="checkpoint holding the dense layer")
-    p_init.add_argument("--layer", type=int, help="conv layer index (default 0)")
-    p_init.add_argument("--init-iters", type=int, dest="init_iters")
-    p_init.add_argument("--q-weight", type=int, dest="q_weight",
-                        help="dense bitwidth for the memory ratio")
-    p_init.set_defaults(func=cmd_init)
-
-    p_explore = sub.add_parser("explore", help="grid search over cardinalities and bitwidths")
-    _add_common(p_explore)
-    _add_training(p_explore)
-    p_explore.add_argument("--bi-list", dest="bi_list", help="comma list of B_i values")
-    p_explore.add_argument("--bc-list", dest="bc_list", help="comma list of B_c values")
-    p_explore.add_argument("--bits-list", dest="bit_settings",
-                           help="semicolon list of q_b,q_u,q_v triples")
-    p_explore.set_defaults(func=cmd_explore)
-
-    p_cost = sub.add_parser("cost", help="latency and memory report for a layer setting")
-    _add_common(p_cost)
-    p_cost.add_argument("--co", type=int, dest="c_out", help="output channels")
-    p_cost.add_argument("--ci", type=int, dest="c_in", help="input channels")
-    p_cost.add_argument("--k", type=int, help="kernel size")
-    p_cost.add_argument("--q-weight", type=int, dest="q_weight",
-                        help="dense weight bitwidth (default 16)")
-    p_cost.add_argument("--dac-latency", type=float, dest="dac_latency")
-    p_cost.add_argument("--mod-latency", type=float, dest="mod_latency")
-    p_cost.add_argument("--oe-latency", type=float, dest="oe_latency")
-    p_cost.add_argument("--ring-diameter", type=float, dest="ring_diameter")
-    p_cost.add_argument("--group-index", type=float, dest="group_index")
-    p_cost.add_argument("--sram-bandwidth", type=float, dest="sram_bandwidth")
-    p_cost.set_defaults(func=cmd_cost)
-
-    p_analyze = sub.add_parser("analyze", help="kernel-correlation metrics of a checkpoint")
-    _add_common(p_analyze)
-    p_analyze.add_argument("--checkpoint", help="checkpoint file to analyze")
-    p_analyze.set_defaults(func=cmd_analyze)
-
+    for command, func, text in (
+        ("train", cmd_train, "train a network, writing checkpoint + metrics"),
+        ("init", cmd_init, "fit factors to one dense conv layer of a checkpoint"),
+        ("explore", cmd_explore, "grid search over cardinalities and bitwidths"),
+        ("cost", cmd_cost, "latency and memory report for a layer setting"),
+        ("analyze", cmd_analyze, "kernel-correlation metrics of a checkpoint"),
+    ):
+        p = sub.add_parser(command, help=text)
+        p.set_defaults(func=func)
+        p.add_argument("--config", help="JSON config file; flags override its values")
+        for s in SETTINGS:
+            if command not in s.commands:
+                continue
+            annotation = CONFIG_TYPES[s.key]
+            if annotation == "bool":
+                p.add_argument(s.flag, dest=s.key, action="store_true", default=None,
+                               help=s.help)
+            else:
+                p.add_argument(s.flag, dest=s.key, type=_FLAG_TYPES.get(annotation),
+                               choices=training.INIT_METHODS if s.key == "init" else None,
+                               help=s.help)
     return parser
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CardinalityError, NonFiniteError, ShapeError
+from .errors import CardinalityError, NonFiniteError, QuantRangeError, ShapeError
 from .quantize import (
     DistinctValueBound,
     dequantize,
@@ -98,10 +98,13 @@ def plan_layer(
     """Apply the skip rules and fix the layer structure."""
     for name, v in (("c_out", c_out), ("c_in", c_in), ("k", k),
                     ("n_basis", n_basis), ("n_cross", n_cross)):
-        if not isinstance(v, (int, np.integer)) or v < 1:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
             raise CardinalityError(f"{name} must be a positive int, got {v!r}")
-    for bits in (q_basis, q_coeff, q_mixer):
-        positive_levels(bits)  # validates the range
+    for name, bits in (("q_basis", q_basis), ("q_coeff", q_coeff), ("q_mixer", q_mixer)):
+        try:
+            positive_levels(bits)  # validates the range
+        except QuantRangeError as exc:
+            raise QuantRangeError(f"{name}: {exc}") from None
     kk = k * k
     intra_active = k > 1 and n_basis < min(c_in, kk)
     cross_active = n_cross < min(c_out, c_in * kk)

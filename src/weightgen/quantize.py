@@ -30,7 +30,8 @@ MAX_BITS = 16
 
 def positive_levels(bits: int) -> int:
     """Number of strictly positive grid levels, n_pos = 2**(bits-1) - 1."""
-    if not isinstance(bits, (int, np.integer)) or bits < 1 or bits > MAX_BITS:
+    if isinstance(bits, bool) or not isinstance(bits, (int, np.integer)) \
+            or bits < 1 or bits > MAX_BITS:
         raise QuantRangeError(f"bits must be an int in [1, {MAX_BITS}], got {bits!r}")
     return 2 ** (bits - 1) - 1
 

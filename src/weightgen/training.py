@@ -96,18 +96,19 @@ def kd_loss(
 
 def _normalized_gram_penalty(u: np.ndarray):
     """Penalty ||U~^T U~ - I||_F^2 with columns scaled by 1/||u_j||^2,
-    plus its gradient wrt U.  Shared by the coeff and mixer terms."""
-    n = np.einsum("ij,ij->j", u, u)
+    summed over a stack of matrices (..., rows, cols), plus its gradient
+    wrt U.  Shared by the coeff and mixer terms."""
+    n = np.einsum("...ij,...ij->...j", u, u)
     if np.any(n == 0.0):
         raise DivergenceError("zero column encountered in orthogonality penalty")
     inv = 1.0 / n
-    ut = u * inv[None, :]
-    e = ut.T @ ut - np.eye(u.shape[1])
+    ut = u * inv[..., None, :]
+    e = np.swapaxes(ut, -1, -2) @ ut - np.eye(u.shape[-1])
     value = float(np.sum(e * e))
     d_ut = 4.0 * ut @ e
-    d_inv = np.einsum("ij,ij->j", d_ut, u)
+    d_inv = np.einsum("...ij,...ij->...j", d_ut, u)
     d_n = -(inv**2) * d_inv
-    d_u = d_ut * inv[None, :] + 2.0 * u * d_n[None, :]
+    d_u = d_ut * inv[..., None, :] + 2.0 * u * d_n[..., None, :]
     return value, d_u
 
 
@@ -117,7 +118,8 @@ def ortho_reg(factors: generator.TwoLevelFactors):
     Per cross slice i: ||basis_i basis_i^T - I||_F^2 pushes the basis rows
     orthonormal, and the normalized-column gram penalty pushes the coeff
     columns orthogonal; the same column penalty applies to the mixer.
-    Terms exist only for active levels.  Returns (value, FactorGrads).
+    Terms exist only for active levels; the slices are evaluated as one
+    stack.  Returns (value, FactorGrads).
     """
     p = factors.plan
     value = 0.0
@@ -125,16 +127,12 @@ def ortho_reg(factors: generator.TwoLevelFactors):
     d_coeff = np.zeros_like(factors.coeff)
     d_mixer = None
     if p.intra_active:
-        d_basis = np.zeros_like(factors.basis)
-        eye = np.eye(p.n_basis)
-        for i in range(p.n_cross):
-            w = factors.basis[i]
-            e = w @ w.T - eye
-            value += float(np.sum(e * e))
-            d_basis[i] = 4.0 * e @ w
-            v, d = _normalized_gram_penalty(factors.coeff[i])
-            value += v
-            d_coeff[i] = d
+        w = factors.basis
+        e = w @ np.swapaxes(w, 1, 2) - np.eye(p.n_basis)
+        value += float(np.sum(e * e))
+        d_basis = 4.0 * e @ w
+        v, d_coeff = _normalized_gram_penalty(factors.coeff)
+        value += v
     if p.cross_active:
         v, d_mixer = _normalized_gram_penalty(factors.mixer)
         value += v
@@ -223,8 +221,10 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-# TrainConfig annotation -> (value check, what the error asks for).  Float
-# fields take ints, which hand-written JSON configs use for whole numbers.
+INIT_METHODS = ("l2", "svd", "random")
+
+# Annotation -> (value check, what the error asks for).  Float fields take
+# ints, which hand-written JSON configs use for whole numbers.
 _FIELD_CHECKS = {
     "str": (lambda v: isinstance(v, str), "a string"),
     "int": (_is_int, "an integer"),
@@ -236,6 +236,14 @@ _FIELD_CHECKS = {
         "a list of integers",
     ),
 }
+
+
+def check_field(name: str, annotation: str, value) -> None:
+    """Raise a ConfigError naming the field unless value is of the JSON type
+    the annotation ("int", "float", "tuple[int, ...]", ...) stands for."""
+    ok, want = _FIELD_CHECKS[annotation]
+    if not ok(value):
+        raise ConfigError(f"config field {name!r} must be {want}, got {value!r}")
 
 
 @dataclass
@@ -262,19 +270,16 @@ class TrainConfig:
     temperature: float = 3.0
     beta: float = 0.9
     ortho_weight: float = 0.02
-    init: str = "l2"            # "l2" | "svd" | "random"
+    init: str = "l2"            # one of INIT_METHODS
     init_iters: int = 3000
     init_lr: float = 0.02
     eval_train_samples: int = 10240
 
     def __post_init__(self):
         for f in fields(self):
-            ok, want = _FIELD_CHECKS[f.type]
-            value = getattr(self, f.name)
-            if not ok(value):
-                raise ConfigError(f"config field {f.name!r} must be {want}, got {value!r}")
-        if self.init not in ("l2", "svd", "random"):
-            raise ConfigError(f"init must be l2, svd, or random, got {self.init!r}")
+            check_field(f.name, f.type, getattr(self, f.name))
+        if self.init not in INIT_METHODS:
+            raise ConfigError(f"init must be one of {INIT_METHODS}, got {self.init!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be positive")
         self.generated = tuple(int(i) for i in self.generated)

@@ -1,11 +1,14 @@
+import argparse
+import dataclasses
 import json
 import os
+import re
 import struct
 
 import numpy as np
 import pytest
 
-from weightgen import cli, factorfile
+from weightgen import cli, costmodel, factorfile, training
 
 
 def _fake_fashion_root(tmp_path, n_train=48, n_test=24, seed=0):
@@ -147,6 +150,12 @@ def test_mistyped_config_value_is_named(tmp_path, capsys, field, value):
     ("init", "layer", "0"),
     ("cost", "dac_latency", "x"),
     ("cost", "dac_latency", True),
+    ("cost", "n_cross", True),
+    ("cost", "q_basis", True),
+    ("explore", "bi_list", [1.5, 2.9]),
+    ("explore", "bi_list", [True, 2]),
+    ("explore", "bit_settings", [[4.7, 4, 8]]),
+    ("explore", "bit_settings", 5),
 ])
 def test_mistyped_run_or_device_value_is_named(tmp_path, capsys, command, field, value):
     cfg_path = os.path.join(tmp_path, "bad.json")
@@ -165,6 +174,60 @@ def test_null_run_value_leaves_field_unset(tmp_path, capsys):
         json.dump({"c_out": None, "out": None, "verbose": None}, fh)
     assert cli.main(["cost", "--config", cfg_path]) == 0
     assert "layer 128x128x3x3" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag,value", [("--limit-train", "-40"), ("--limit-test", "0")])
+def test_sample_limit_below_one_is_rejected(tmp_path, capsys, flag, value):
+    root = _fake_fashion_root(tmp_path)
+    out = os.path.join(tmp_path, "o")
+    code = cli.main(["train", "--data", root, *_TRAIN_FLAGS, flag, value, "--out", out])
+    assert code == 2
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_snapshot_holds_every_resolved_setting(tmp_path):
+    root = _fake_fashion_root(tmp_path)
+    out = os.path.join(tmp_path, "t")
+    assert cli.main(["train", "--data", root, *_TRAIN_FLAGS, "--out", out]) == 0
+    snapshot = json.load(open(os.path.join(out, "config.json")))
+    assert {f.name for f in dataclasses.fields(training.TrainConfig)} <= set(snapshot)
+
+    out_a, out_b = os.path.join(tmp_path, "ca"), os.path.join(tmp_path, "cb")
+    assert cli.main(["cost", "--bc", "12", "--out", out_a]) == 0
+    snapshot_path = os.path.join(out_a, "config.json")
+    snapshot = json.load(open(snapshot_path))
+    layer = {"c_out", "c_in", "k", "n_basis", "n_cross", "q_basis", "q_coeff",
+             "q_mixer", "q_weight"}
+    device = {f.name for f in dataclasses.fields(costmodel.DeviceParams)}
+    assert layer | device <= set(snapshot)
+    assert snapshot["n_cross"] == 12 and snapshot["c_out"] == 128
+    assert cli.main(["cost", "--config", snapshot_path, "--out", out_b]) == 0
+    assert (open(os.path.join(out_a, "cost.json"), "rb").read()
+            == open(os.path.join(out_b, "cost.json"), "rb").read())
+
+
+def test_docs_and_flags_cover_every_config_key():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "formats.md")
+    section = open(path).read().split("## Run configuration")[1].split("\n## ")[0]
+    missing = set(cli.CONFIG_TYPES) - set(re.findall(r"`(\w+)`", section))
+    assert not missing, f"docs/formats.md does not name {sorted(missing)}"
+    # A flag's argparse type -> the annotations it can carry; string flags
+    # hold strings or the comma lists their parsers split.
+    flag_types = {int: {"int", "int | None"}, float: {"float"},
+                  None: {"str", "tuple[int, ...]", "list"}}
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command, sub_parser in sub.choices.items():
+        for action in sub_parser._actions:
+            if action.dest in ("help", "config"):
+                continue
+            assert action.dest in cli.CONFIG_TYPES, (command, action.dest)
+            annotation = cli.CONFIG_TYPES[action.dest]
+            if isinstance(action, argparse._StoreTrueAction):
+                assert annotation == "bool", (command, action.dest)
+            else:
+                assert annotation in flag_types[action.type], (command, action.dest)
 
 
 def test_missing_out_and_missing_data_fail_typed(tmp_path, capsys, monkeypatch):

@@ -41,16 +41,17 @@ class Setting(NamedTuple):
 _ALL = ("train", "init", "explore", "cost", "analyze")
 _FIT = ("train", "explore")
 _TEACHER = ("train", "init", "explore")
+_LAYER = ("train", "init", "cost")  # commands that build one layer setting
 
 SETTINGS = (
     Setting("command", None, (), "the subcommand that wrote a snapshot", "str"),
-    Setting("seed", "--seed", _ALL, "base PRNG seed"),
+    Setting("seed", "--seed", _FIT, "base PRNG seed"),
     Setting("out", "--out", _ALL, "output directory for artifacts", "str"),
-    Setting("n_basis", "--bi", _ALL, "intra-kernel cardinality B_i"),
-    Setting("n_cross", "--bc", _ALL, "cross-kernel cardinality B_c"),
-    Setting("q_basis", "--qb", _ALL, "basis bitwidth q_b"),
-    Setting("q_coeff", "--qu", _ALL, "coefficient bitwidth q_u"),
-    Setting("q_mixer", "--qv", _ALL, "mixer bitwidth q_v"),
+    Setting("n_basis", "--bi", _LAYER, "intra-kernel cardinality B_i"),
+    Setting("n_cross", "--bc", _LAYER, "cross-kernel cardinality B_c"),
+    Setting("q_basis", "--qb", _LAYER + ("explore",), "basis bitwidth q_b"),
+    Setting("q_coeff", "--qu", _LAYER + ("explore",), "coefficient bitwidth q_u"),
+    Setting("q_mixer", "--qv", _LAYER + ("explore",), "mixer bitwidth q_v"),
     Setting("data", "--data", _FIT, f"dataset root (default ${DATA_ENV_VAR})", "str"),
     Setting("epochs", "--epochs", _FIT, "training epochs"),
     Setting("arch", "--arch", _FIT, "architecture string, e.g. C32K5S2-C32K5S1-AvgPool3-FC10"),
@@ -112,14 +113,15 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"config file {path!r} is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {path!r} must hold a JSON object")
+    # TrainConfig and DeviceParams check their own values, and the grid-list
+    # parsers theirs.  A retired key is dropped; a null run-level key leaves
+    # the setting unset.
     for key, value in list(doc.items()):
-        if key not in CONFIG_TYPES:
+        if key in training.RETIRED_CONFIG_KEYS or (key in _RUN_TYPES and value is None):
+            del doc[key]
+        elif key not in CONFIG_TYPES:
             raise ConfigError(f"unknown config field {key!r} in {path}")
-        if key not in _RUN_TYPES:
-            continue  # TrainConfig and DeviceParams check their own values
-        if value is None:
-            del doc[key]  # null leaves the field unset
-        elif _RUN_TYPES[key] != "list":  # the grid-list parsers check those
+        elif _RUN_TYPES.get(key, "list") != "list":
             training.check_field(key, _RUN_TYPES[key], value)
     return doc
 
@@ -192,12 +194,17 @@ def _build(cls, merged: dict):
     return cls(**{k: v for k, v in merged.items() if k in names})
 
 
+def _write_json(out_dir: str, name: str, doc, artifacts) -> None:
+    """Write doc as indented JSON to out_dir/name and record the file."""
+    path = os.path.join(out_dir, name)
+    dataio.atomic_write(path, (json.dumps(doc, indent=2) + "\n").encode())
+    artifacts.append(path)
+
+
 def _snapshot(merged: dict, command: str, out_dir: str, artifacts) -> None:
     """Write the resolved settings next to the artifacts, reloadably."""
     doc = {"command": command, **dict(sorted(merged.items()))}
-    path = os.path.join(out_dir, "config.json")
-    dataio.atomic_write(path, (json.dumps(doc, indent=2) + "\n").encode())
-    artifacts.append(path)
+    _write_json(out_dir, "config.json", doc, artifacts)
 
 
 @contextlib.contextmanager
@@ -297,14 +304,11 @@ def cmd_init(ns: argparse.Namespace) -> int:
         c_out, c_in, k, cfg.n_basis, cfg.n_cross,
         q_basis=cfg.q_basis, q_coeff=cfg.q_coeff, q_mixer=cfg.q_mixer,
     )
-    svd_factors, svd_residual = training.svd_init(target, plan)
-    l2_factors, l2_residual = training.l2_project_init(
-        target, plan, iters=cfg.init_iters, lr=cfg.init_lr,
-    )
-    chosen = l2_factors if l2_residual <= svd_residual else svd_factors
+    _, svd_residual = training.svd_init(target, plan)
+    factors, l2_residual = training.l2_project_init(target, plan, iters=cfg.init_iters)
     with _artifact_set() as artifacts:
         factors_path = os.path.join(out, "factors.isgw")
-        factorfile.save_factors(factors_path, chosen)
+        factorfile.save_factors(factors_path, factors)
         artifacts.append(factors_path)
         report = {
             "layer_index": index,
@@ -317,15 +321,11 @@ def cmd_init(ns: argparse.Namespace) -> int:
             "cross_active": plan.cross_active,
             "l2_residual": l2_residual,
             "svd_residual": svd_residual,
-            "chosen": "l2" if chosen is l2_factors else "svd",
+            "chosen": "l2" if l2_residual < svd_residual else "svd",
             "r": generator.param_ratio(plan),
             "r_m": generator.memory_ratio(plan, merged["q_weight"]),
         }
-        report_path = os.path.join(out, "init_report.json")
-        dataio.atomic_write(
-            report_path, (json.dumps(report, indent=2) + "\n").encode()
-        )
-        artifacts.append(report_path)
+        _write_json(out, "init_report.json", report, artifacts)
         _snapshot(merged, "init", out, artifacts)
     print(
         f"layer {index} ({c_out}x{c_in}x{k}x{k}) -> "
@@ -392,11 +392,7 @@ def cmd_cost(ns: argparse.Namespace) -> int:
     if out:
         os.makedirs(out, exist_ok=True)
         with _artifact_set() as artifacts:
-            path = os.path.join(out, "cost.json")
-            dataio.atomic_write(
-                path, (json.dumps(report.as_dict(), indent=2) + "\n").encode()
-            )
-            artifacts.append(path)
+            _write_json(out, "cost.json", report.as_dict(), artifacts)
             _snapshot(merged, "cost", out, artifacts)
         print(f"artifacts in {out}")
     return 0
@@ -439,11 +435,7 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
     if out:
         os.makedirs(out, exist_ok=True)
         with _artifact_set() as artifacts:
-            path = os.path.join(out, "correlations.json")
-            dataio.atomic_write(
-                path, (json.dumps(rows, indent=2) + "\n").encode()
-            )
-            artifacts.append(path)
+            _write_json(out, "correlations.json", rows, artifacts)
             _snapshot(merged, "analyze", out, artifacts)
         print(f"artifacts in {out}")
     return 0
@@ -465,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("cost", cmd_cost, "latency and memory report for a layer setting"),
         ("analyze", cmd_analyze, "kernel-correlation metrics of a checkpoint"),
     ):
-        p = sub.add_parser(command, help=text)
+        p = sub.add_parser(command, help=text, allow_abbrev=False)  # --bi is not --bi-list
         p.set_defaults(func=func)
         p.add_argument("--config", help="JSON config file; flags override its values")
         for s in SETTINGS:

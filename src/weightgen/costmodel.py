@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from . import generator
-from .errors import CardinalityError, ConfigError
+from .errors import ConfigError
+from .quantize import check_count
 
 LIGHT_SPEED = 2.998e8  # m/s
 
@@ -48,10 +49,8 @@ class DeviceParams:
 def generation_latency(n_basis: int, n_cross: int,
                        dev: DeviceParams = DeviceParams()) -> float:
     """Seconds to generate one kernel set on the accelerator."""
-    if n_basis < 1 or n_cross < 1:
-        raise CardinalityError(
-            f"cardinalities must be >= 1, got ({n_basis}, {n_cross})"
-        )
+    check_count("n_basis", n_basis)
+    check_count("n_cross", n_cross)
     propagation = (
         dev.group_index * 4.0 * dev.ring_diameter * (n_basis + n_cross)
         / LIGHT_SPEED

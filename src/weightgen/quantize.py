@@ -36,6 +36,20 @@ def positive_levels(bits: int) -> int:
     return 2 ** (bits - 1) - 1
 
 
+def check_bits(name: str, bits) -> None:
+    """Raise a QuantRangeError naming the field unless positive_levels takes bits."""
+    try:
+        positive_levels(bits)
+    except QuantRangeError as exc:
+        raise QuantRangeError(f"{name}: {exc}") from None
+
+
+def check_count(name: str, value) -> None:
+    """Raise a CardinalityError naming the field unless value is a positive int."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise CardinalityError(f"{name} must be a positive int, got {value!r}")
+
+
 def grid_levels(bits: int) -> int:
     """Total grid levels, 2**bits - 1 (positives, negatives, and zero)."""
     return 2 * positive_levels(bits) + 1
@@ -113,20 +127,16 @@ def distinct_value_bound(
     the generated weight bit-width is bounded the same way one level up:
     weight_bits = q_mixer + coeff_bits + log2(n_cross).
     """
-    for name, v in (("q_basis", q_basis), ("q_coeff", q_coeff)):
-        if not isinstance(v, (int, np.integer)) or v < 1 or v > MAX_BITS:
-            raise QuantRangeError(f"{name} must be an int in [1, {MAX_BITS}], got {v!r}")
-    if not isinstance(n_basis, (int, np.integer)) or n_basis < 1:
-        raise CardinalityError(f"n_basis must be a positive int, got {n_basis!r}")
+    check_bits("q_basis", q_basis)
+    check_bits("q_coeff", q_coeff)
+    check_count("n_basis", n_basis)
     count = (2**q_basis - 1) * (2**q_coeff - 1) * n_basis + 1
     coeff_bits = q_basis + q_coeff + math.log2(n_basis)
     weight_bits = None
     if (q_mixer is None) != (n_cross is None):
         raise CardinalityError("q_mixer and n_cross must be given together")
     if q_mixer is not None:
-        if not isinstance(q_mixer, (int, np.integer)) or q_mixer < 1 or q_mixer > MAX_BITS:
-            raise QuantRangeError(f"q_mixer must be an int in [1, {MAX_BITS}], got {q_mixer!r}")
-        if not isinstance(n_cross, (int, np.integer)) or n_cross < 1:
-            raise CardinalityError(f"n_cross must be a positive int, got {n_cross!r}")
+        check_bits("q_mixer", q_mixer)
+        check_count("n_cross", n_cross)
         weight_bits = q_mixer + coeff_bits + math.log2(n_cross)
     return DistinctValueBound(int(count), float(coeff_bits), weight_bits)

@@ -1,9 +1,9 @@
 """Two-stage training for networks with generated convolutions.
 
 Stage 1 projects a dense teacher onto the factor space of every generated
-layer, either by minimizing the l2 distance with RAdam or by truncated
-SVD.  Stage 2 runs quantization-aware knowledge distillation: mini-batch
-updates of all parameters on the gradient of
+layer by truncated SVD, optionally refined in the l2 norm without ever
+ending at a worse fit.  Stage 2 runs quantization-aware knowledge
+distillation: mini-batch updates of all parameters on the gradient of
 
     L = L_KD + lambda * L_ort
 
@@ -30,7 +30,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -39,6 +39,8 @@ from .errors import ConfigError, DivergenceError, ShapeError
 from .optim import RAdam
 
 CHECKPOINT_VERSION = 1
+# Former TrainConfig fields; checkpoint and config readers drop them.
+RETIRED_CONFIG_KEYS = ("init_lr",)
 METRIC_COLUMNS = ("epoch", "lr", "loss_kd", "loss_ort", "train_acc", "test_acc")
 
 
@@ -139,6 +141,12 @@ def ortho_reg(factors: generator.TwoLevelFactors):
     return value, generator.FactorGrads(basis=d_basis, coeff=d_coeff, mixer=d_mixer)
 
 
+def _residual(factors: generator.TwoLevelFactors, target: np.ndarray) -> float:
+    """Relative Frobenius distance of the unquantized kernels from target."""
+    built = generator.generate(factors, quantized=False)
+    return float(np.linalg.norm(built - target)) / max(float(np.linalg.norm(target)), 1e-30)
+
+
 def svd_init(target: np.ndarray, plan: generator.GenPlan):
     """Initialize factors by truncated SVD of the target kernel tensor.
 
@@ -169,42 +177,38 @@ def svd_init(target: np.ndarray, plan: generator.GenPlan):
         basis, coeff = None, w_cross
     factors = generator.TwoLevelFactors(plan=plan, basis=basis, coeff=coeff,
                                         mixer=mixer)
-    factors.validate()
-    built = generator.generate(factors, quantized=False)
-    denom = max(float(np.linalg.norm(target)), 1e-30)
-    residual = float(np.linalg.norm(built - target)) / denom
-    return factors, residual
+    return factors, _residual(factors, target)  # generate() validates the factors
 
 
-def l2_project_init(
-    target: np.ndarray,
-    plan: generator.GenPlan,
-    iters: int = 3000,
-    lr: float = 0.02,
-    quantized: bool = False,
-    end_lr: float = 1e-6,
-):
-    """Project a dense kernel tensor onto the factor space by minimizing
-    ||target - generated||_F^2 with RAdam.
+# RAdam step size of the l2 projection, and where its decay ends.
+_PROJECT_LR = 0.02
+_PROJECT_END_LR = 1e-6
 
-    The iteration warm-starts from the truncated-SVD factors (which makes
-    the whole procedure deterministic) and decays the step size
-    exponentially over the second half of the run; a constant step size
-    leaves a wander floor well above the attainable residual.  Returns
-    (factors, relative Frobenius residual).
+
+def l2_project_init(target: np.ndarray, plan: generator.GenPlan, iters: int = 3000):
+    """Fit the factors to a dense kernel tensor in the l2 norm.  Returns
+    (factors, relative residual), never a worse fit than svd_init's.
+
+    With one level skipped the truncated SVD is the optimum (Eckart-Young,
+    per basis kernel when only the intra level is active) and is returned
+    as it is.  Otherwise RAdam runs iters steps from a copy of it, the step
+    size decaying exponentially over the second half (a constant step
+    wanders well above the attainable residual), and the last iterate is
+    returned only if it fits strictly better than the start.
     """
-    factors, _ = svd_init(target, plan)
+    start, start_residual = svd_init(target, plan)
+    if not (plan.intra_active and plan.cross_active):
+        return start, start_residual
     target = np.asarray(target, dtype=np.float64)
+    factors = replace(start, **{n: t.copy() for n, t in start.stored()})
     params = [nn.Param(name, value) for name, value in factors.stored()]
-    opt = RAdam(params, lr=lr)
-    denom = max(float(np.linalg.norm(target)), 1e-30)
+    opt = RAdam(params, lr=_PROJECT_LR)
     tail_start = iters // 2
-    decay = (end_lr / lr) ** (1.0 / max(iters - tail_start, 1))
+    decay = (_PROJECT_END_LR / _PROJECT_LR) ** (1.0 / max(iters - tail_start, 1))
     for it in range(iters):
-        fwd = generator.forward(factors, quantized=quantized)
+        fwd = generator.forward(factors, quantized=False)
         diff = fwd.weight - target
-        loss = float(np.sum(diff * diff))
-        if not np.isfinite(loss):
+        if not np.isfinite(np.sum(diff * diff)):
             raise DivergenceError("projection loss became non-finite", iteration=it)
         grads = generator.backward(factors, fwd, 2.0 * diff)
         for p in params:
@@ -212,9 +216,10 @@ def l2_project_init(
         opt.step()
         if it >= tail_start:
             opt.lr *= decay
-    built = generator.generate(factors, quantized=quantized)
-    residual = float(np.linalg.norm(built - target)) / denom
-    return factors, residual
+    residual = _residual(factors, target)
+    if residual < start_residual:
+        return factors, residual
+    return start, start_residual
 
 
 def _is_int(value) -> bool:
@@ -272,7 +277,6 @@ class TrainConfig:
     ortho_weight: float = 0.02
     init: str = "l2"            # one of INIT_METHODS
     init_iters: int = 3000
-    init_lr: float = 0.02
     eval_train_samples: int = 10240
 
     def __post_init__(self):
@@ -364,9 +368,7 @@ def initialize_from_teacher(model: nn.Sequential, teacher: nn.Sequential,
         if cfg.init == "svd":
             factors, residual = svd_init(target, plan)
         else:
-            factors, residual = l2_project_init(
-                target, plan, iters=cfg.init_iters, lr=cfg.init_lr
-            )
+            factors, residual = l2_project_init(target, plan, iters=cfg.init_iters)
         for name, new in factors.stored():
             getattr(s_layer.factors, name)[...] = new
         residuals.append(residual)
@@ -520,6 +522,7 @@ def _read_meta(entry: np.ndarray) -> tuple[TrainConfig, int]:
         raise ConfigError(f"checkpoint meta field 'config' must be an object, got {cfg_dict!r}")
     if not _is_int(epoch):
         raise ConfigError(f"checkpoint meta field 'epoch' must be an integer, got {epoch!r}")
+    cfg_dict = {k: v for k, v in cfg_dict.items() if k not in RETIRED_CONFIG_KEYS}
     unknown = sorted(set(cfg_dict) - {f.name for f in fields(TrainConfig)})
     if unknown:
         raise ConfigError(f"checkpoint config has unknown field(s) {unknown}")
@@ -532,7 +535,7 @@ def load_checkpoint(path):
     A missing file raises the OSError of opening it; a file that is not a
     readable archive raises a ConfigError naming the path.  Entries the
     model does not need, such as the f/ factor containers of older files,
-    are ignored.
+    and retired config fields (RETIRED_CONFIG_KEYS) are ignored.
     """
     with open(path, "rb") as fh:
         try:

@@ -207,6 +207,33 @@ def test_snapshot_holds_every_resolved_setting(tmp_path):
             == open(os.path.join(out_b, "cost.json"), "rb").read())
 
 
+def test_snapshot_with_retired_field_loads_as_config(tmp_path):
+    root = _fake_fashion_root(tmp_path)
+    out_a, out_b = os.path.join(tmp_path, "a"), os.path.join(tmp_path, "b")
+    assert cli.main(["train", "--data", root, *_TRAIN_FLAGS, "--out", out_a]) == 0
+    snapshot_path = os.path.join(out_a, "config.json")
+    snapshot = json.load(open(snapshot_path))
+    snapshot["init_lr"] = 0.02  # written by versions that had the field
+    with open(snapshot_path, "w") as fh:
+        json.dump(snapshot, fh)
+    assert cli.main(["train", "--config", snapshot_path, "--out", out_b]) == 0
+    assert (open(os.path.join(out_a, "metrics.csv"), "rb").read()
+            == open(os.path.join(out_b, "metrics.csv"), "rb").read())
+    assert "init_lr" not in json.load(open(os.path.join(out_b, "config.json")))
+
+
+@pytest.mark.parametrize("argv", [
+    ["init", "--seed", "1"], ["cost", "--seed", "1"], ["analyze", "--seed", "1"],
+    *(["analyze", flag, "2"] for flag in ("--bi", "--bc", "--qb", "--qu", "--qv")),
+    ["explore", "--bi", "2"], ["explore", "--bc", "8"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_flags_a_command_ignores_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+
+
 def test_docs_and_flags_cover_every_config_key():
     path = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "formats.md")
     section = open(path).read().split("## Run configuration")[1].split("\n## ")[0]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from weightgen import quantize
+from weightgen import generator, quantize
 from weightgen.errors import CardinalityError, NonFiniteError, QuantRangeError
 
 from oracles import enumerate_composed_codes
@@ -111,3 +111,20 @@ def test_distinct_value_bound_vs_exact_enumeration(q_basis, q_coeff, n_basis):
     exact = enumerate_composed_codes(q_basis, q_coeff, n_basis)
     bound = quantize.distinct_value_bound(q_basis, q_coeff, n_basis).coeff_count
     assert exact <= bound
+
+
+@pytest.mark.parametrize("call, error, name", [
+    (lambda: quantize.distinct_value_bound(True, 4, 2), QuantRangeError, "q_basis"),
+    (lambda: quantize.distinct_value_bound(4, True, 2), QuantRangeError, "q_coeff"),
+    (lambda: quantize.distinct_value_bound(4, 4, True), CardinalityError, "n_basis"),
+    (lambda: quantize.distinct_value_bound(4, 4, 2, q_mixer=True, n_cross=4),
+     QuantRangeError, "q_mixer"),
+    (lambda: quantize.distinct_value_bound(4, 4, 2, q_mixer=4, n_cross=True),
+     CardinalityError, "n_cross"),
+    (lambda: quantize.distinct_value_bound(17, 4, 2), QuantRangeError, "q_basis"),
+    (lambda: generator.memory_ratio(generator.plan_layer(128, 128, 3, 2, 40), True),
+     CardinalityError, "dense_bits"),
+], ids=["q_basis", "q_coeff", "n_basis", "q_mixer", "n_cross", "q_basis-17", "dense_bits"])
+def test_bools_are_not_counts_or_bit_widths(call, error, name):
+    with pytest.raises(error, match=name):
+        call()

@@ -195,6 +195,38 @@ def test_l2_project_recovers_planted_factors():
     assert rel_err(generator.generate(factors, quantized=False), target) < 1e-6
 
 
+@pytest.mark.parametrize("shape", [(12, 4, 3, 4, 5), (8, 6, 1, 2, 4), (4, 6, 3, 2, 12)],
+                         ids=["bi-at-rank", "1x1", "cross-skipped"])
+def test_l2_project_with_a_level_skipped_returns_svd_factors(shape):
+    plan = generator.plan_layer(*shape)
+    assert not (plan.intra_active and plan.cross_active)
+    c_out, c_in, k = shape[:3]
+    target = np.random.default_rng(8).standard_normal((c_out, c_in, k, k))
+    svd_factors, svd_residual = training.svd_init(target, plan)
+    factors, residual = training.l2_project_init(target, plan)
+    assert residual == svd_residual
+    for name, value in svd_factors.stored():
+        assert np.array_equal(getattr(factors, name), value)
+
+
+@pytest.mark.parametrize("shape, seed, std", [
+    ((32, 32, 5, 2, 12), 1, 2.5),  # RAdam blows this fit up to a residual near 1e34
+    ((8, 6, 3, 2, 4), 0, 1.0),
+    ((8, 6, 3, 2, 4), 1, 1.0),
+    ((16, 8, 3, 1, 6), 2, 1.0),
+    ((12, 4, 3, 4, 5), 3, 1.0),
+], ids=["std2.5", "bi2-seed0", "bi2-seed1", "bi1", "intra-skipped"])
+def test_l2_project_never_fits_worse_than_svd(shape, seed, std):
+    plan = generator.plan_layer(*shape)
+    c_out, c_in, k = shape[:3]
+    target = std * np.random.default_rng(seed).standard_normal((c_out, c_in, k, k))
+    _, svd_residual = training.svd_init(target, plan)
+    factors, residual = training.l2_project_init(target, plan)
+    assert residual <= svd_residual
+    built = generator.generate(factors, quantized=False)
+    assert residual == float(np.linalg.norm(built - target)) / float(np.linalg.norm(target))
+
+
 def test_l2_project_random_start_needs_rng_and_shape_checked():
     plan = generator.plan_layer(8, 6, 3, 2, 4)
     with pytest.raises(ShapeError):
@@ -320,7 +352,7 @@ def test_train_config_field_types():
     cfg = training.TrainConfig(lr=1, act_bits=None, generated=[0, 1])
     assert cfg.lr == 1 and cfg.generated == (0, 1)
     assert training.TrainConfig(act_bits=8).act_bits == 8
-    for bad in [{"seed": 1.0}, {"seed": False}, {"init_lr": True}, {"act_bits": 8.0},
+    for bad in [{"seed": 1.0}, {"seed": False}, {"lr": True}, {"act_bits": 8.0},
                 {"generated": 1}, {"generated": [1.0]}, {"generated": (True,)}]:
         (name,) = bad
         with pytest.raises(ConfigError, match=f"config field {name!r}"):
@@ -429,6 +461,21 @@ def test_evaluate_and_predict_check_their_inputs():
     with pytest.raises(ShapeError, match="at least one sample"):
         training.predict(model, x[:0], 8)
     assert training.evaluate(model, x, y, 5) == training.evaluate(model, x, y, 16)
+
+
+def test_checkpoint_with_retired_config_field_loads(tmp_path):
+    cfg = training.TrainConfig(arch="C4K3S1-AvgPool2-FC2", in_channels=2, in_size=8)
+    path = tmp_path / "ckpt.npz"
+    training.save_checkpoint(path, training.build_model(cfg), cfg, epoch=1)
+    with np.load(path) as z:
+        arrays = {k: z[k] for k in z.files}
+    meta = json.loads(arrays["meta"].tobytes())
+    meta["config"]["init_lr"] = 0.02
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(path, **arrays)
+    _, loaded, epoch = training.load_checkpoint(path)
+    assert loaded == cfg and epoch == 1
+    assert not hasattr(loaded, "init_lr")
 
 
 @pytest.mark.parametrize("meta, field", [

@@ -1,0 +1,118 @@
+"""Record benchmark runs of one source tree into a BENCH_*.json file.
+
+    python3 scripts/bench_record.py --tree ../parent --label parent \
+        --workload distill --runs 5 --out BENCH_8.json
+
+Runs ``perfbench/run.py --trace 0`` of the tree ``--runs`` times, one after
+the other, and adds each run's end-to-end metrics, digest and operation
+counts to the set named by ``--label`` and ``--workload`` in ``--out``.
+Runs already in that set are kept, so calling the script with ``--runs 1``
+for two trees in turn records alternating pairs.  Each set also holds the
+median and quartiles of every metric over its runs and the environment
+record run.py prints (Python, NumPy, BLAS and its thread count, nproc, git
+commit and ``src/`` line count).  A set refuses runs of a different commit.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+
+class RecordError(Exception):
+    """A run could not be recorded."""
+
+
+def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced run.py call in tree; its result, digest and env record."""
+    proc = subprocess.run(
+        [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True, check=False)
+    lines = proc.stdout.splitlines()
+    try:
+        result = json.loads(lines[-1])
+        env = next(json.loads(line[4:]) for line in lines if line.startswith("env "))
+    except (IndexError, StopIteration, json.JSONDecodeError):
+        raise RecordError(f"run.py in {tree} exited {proc.returncode} without a result:\n"
+                          f"{proc.stderr[-2000:]}")
+    digests = [line.split()[1] for line in lines if line.strip().startswith("digest ")]
+    return {
+        "correct": result["correct"],
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        "digest": digests[0] if digests else None,
+        "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+        "units": {name: m["unit"] for name, m in result["metrics"].items()},
+        "env": env,
+    }
+
+
+def summarize(runs: list[dict], units: dict) -> dict:
+    """Median and quartiles (inclusive method) of each metric over runs."""
+    out = {}
+    for name, unit in sorted(units.items()):
+        values = [run["metrics"][name] for run in runs]
+        q1, _, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                     if len(values) > 1 else values * 3)
+        out[name] = {"unit": unit, "median": statistics.median(values), "q1": q1, "q3": q3,
+                     "min": min(values), "max": max(values)}
+    return out
+
+
+def record(doc: dict, label: str, workload: str, args: dict, run: dict) -> None:
+    """Add run to doc's (label, workload) set and refresh its summary."""
+    sets = doc.setdefault("sets", {}).setdefault(label, {})
+    entry = sets.setdefault(workload, {"args": args, "env": run["env"], "runs": []})
+    if entry["args"] != args:
+        raise RecordError(f"set {label}/{workload} was run with {entry['args']}, not {args}")
+    if entry["env"]["git_commit"] != run["env"]["git_commit"]:
+        raise RecordError(f"set {label}/{workload} holds commit "
+                          f"{entry['env']['git_commit']}, not {run['env']['git_commit']}")
+    entry["runs"].append({k: run[k] for k in ("correct", "attempted", "failed", "digest",
+                                              "metrics")})
+    entry["summary"] = summarize(entry["runs"], run["units"])
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--tree", required=True, help="checkout whose perfbench/run.py to run")
+    parser.add_argument("--label", required=True, help="set name, e.g. parent or change")
+    parser.add_argument("--workload", required=True, help="run.py workload")
+    parser.add_argument("--runs", type=int, default=5, help="runs to add (default 5)")
+    parser.add_argument("--seed", type=int, default=0, help="workload seed (default 0)")
+    parser.add_argument("--seconds", type=float, default=40.0,
+                        help="measured window per run (default 40)")
+    parser.add_argument("--out", required=True, help="BENCH_*.json file to create or extend")
+    ns = parser.parse_args(argv)
+    if ns.runs < 1:
+        parser.error("--runs must be at least 1")
+    doc = {}
+    if os.path.exists(ns.out):
+        with open(ns.out) as fh:
+            doc = json.load(fh)
+    args = {"seed": ns.seed, "seconds": ns.seconds, "trace": 0}
+    try:
+        for _ in range(ns.runs):
+            run = run_once(ns.tree, ns.workload, ns.seed, ns.seconds)
+            record(doc, ns.label, ns.workload, args, run)
+            print(f"{ns.label} {ns.workload}: correct={run['correct']} "
+                  f"failed={run['failed']}/{run['attempted']} " + " ".join(
+                      f"{k}={v:.4g}" for k, v in sorted(run["metrics"].items())))
+            tmp = ns.out + ".tmp"
+            with open(tmp, "w") as fh:
+                json.dump(doc, fh, indent=1, sort_keys=True)
+                fh.write("\n")
+            os.replace(tmp, ns.out)
+    except RecordError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -113,16 +113,12 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"config file {path!r} is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {path!r} must hold a JSON object")
-    # TrainConfig and DeviceParams check their own values, and the grid-list
-    # parsers theirs.  A retired key is dropped; a null run-level key leaves
-    # the setting unset.
+    # A retired key is dropped; a null run-level key leaves the setting unset.
     for key, value in list(doc.items()):
         if key in training.RETIRED_CONFIG_KEYS or (key in _RUN_TYPES and value is None):
             del doc[key]
         elif key not in CONFIG_TYPES:
             raise ConfigError(f"unknown config field {key!r} in {path}")
-        elif _RUN_TYPES.get(key, "list") != "list":
-            training.check_field(key, _RUN_TYPES[key], value)
     return doc
 
 
@@ -179,9 +175,14 @@ def _resolve(ns: argparse.Namespace) -> dict:
     for key, value in vars(ns).items():
         if key not in ("config", "func", "command") and value is not None:
             merged[key] = value
-    merged.pop("command", None)
     if "generated" in merged:
         merged["generated"] = _parse_generated(merged["generated"])
+    # Every value is checked, also those the command does not use; the
+    # grid-list parsers check their own.
+    for key, value in merged.items():
+        if CONFIG_TYPES[key] != "list":
+            training.check_field(key, CONFIG_TYPES[key], value)
+    merged.pop("command", None)
     for key in ("limit_train", "limit_test"):
         if merged.get(key, 1) < 1:
             raise ConfigError(f"{key} must be at least 1, got {merged[key]}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 import time
@@ -147,8 +148,12 @@ def heuristic_preferred_plan(plan: generator.GenPlan) -> bool:
     return plan.n_basis <= 3 and 0.25 * bound <= plan.n_cross <= 0.5 * bound
 
 
-def _model_plans(model: nn.Sequential) -> list[generator.GenPlan]:
-    return [layer.factors.plan for layer in model.generated_layers()]
+def _plans(cfg: training.TrainConfig) -> list[generator.GenPlan]:
+    """The generated layers' plans of cfg's network, found without building
+    it; raises the WeightgenError that building it would."""
+    tokens = nn.plan_network(cfg.arch, cfg.in_channels, cfg.in_size, cfg.generated,
+                             cfg.n_basis, cfg.n_cross, cfg.q_basis, cfg.q_coeff, cfg.q_mixer)
+    return [args[-1] for kind, args in tokens if kind == "conv" and args[-1] is not None]
 
 
 def _aggregate_ratios(plans: list[generator.GenPlan], dense_bits: int = 16) -> tuple[float, float]:
@@ -183,7 +188,9 @@ def grid_search(
     stage 1 fits its kernels, and its logits on train_x are computed once
     per call and passed to every point's stage 2.
     Settings whose layer plans cannot be built are skipped and the
-    reason is recorded instead of aborting the sweep.
+    reason is recorded instead of aborting the sweep; the plans are checked
+    without building a network, so each point's network is built once, by
+    train().
     """
     if not n_basis_list or not n_cross_list:
         raise ConfigError("cardinality lists must be nonempty")
@@ -196,61 +203,39 @@ def grid_search(
         teacher_logits = training.predict(teacher, train_x, base_cfg.batch_size)
     points: list[ExplorationPoint] = []
     skipped: list[SkippedSetting] = []
-    for n_basis in n_basis_list:
-        for n_cross in n_cross_list:
-            for q_basis, q_coeff, q_mixer in bit_settings:
-                cfg = dataclasses.replace(
-                    base_cfg,
-                    n_basis=n_basis,
-                    n_cross=n_cross,
-                    q_basis=q_basis,
-                    q_coeff=q_coeff,
-                    q_mixer=q_mixer,
-                )
-                try:
-                    training.build_model(cfg)
-                except WeightgenError as exc:
-                    skipped.append(
-                        SkippedSetting(
-                            n_basis=n_basis,
-                            n_cross=n_cross,
-                            q_basis=q_basis,
-                            q_coeff=q_coeff,
-                            q_mixer=q_mixer,
-                            reason=f"{type(exc).__name__}: {exc}",
-                        )
-                    )
-                    if verbose:
-                        print(f"skip B_i={n_basis} B_c={n_cross}: {exc}")
-                    continue
-                start = time.perf_counter()
-                result = training.train(
-                    cfg, train_x, train_y, test_x, test_y, teacher=teacher,
-                    teacher_logits=teacher_logits,
-                )
-                runtime = time.perf_counter() - start
-                plans = _model_plans(result.model)
-                r, r_m = _aggregate_ratios(plans, dense_bits=dense_bits)
-                point = ExplorationPoint(
-                    n_basis=n_basis,
-                    n_cross=n_cross,
-                    q_basis=q_basis,
-                    q_coeff=q_coeff,
-                    q_mixer=q_mixer,
-                    r=r,
-                    r_m=r_m,
-                    accuracy=float(result.metrics[-1]["test_acc"]),
-                    runtime=runtime,
-                    heuristic_preferred=all(
-                        heuristic_preferred_plan(p) for p in plans
-                    ),
-                )
-                points.append(point)
-                if verbose:
-                    print(
-                        f"B_i={n_basis} B_c={n_cross} q=({q_basis},{q_coeff},{q_mixer})"
-                        f" r={point.r:.4f} r_m={point.r_m:.4f} acc={point.accuracy:.4f}"
-                    )
+    for n_basis, n_cross, (q_basis, q_coeff, q_mixer) in itertools.product(
+            n_basis_list, n_cross_list, bit_settings):
+        setting = dict(n_basis=n_basis, n_cross=n_cross, q_basis=q_basis,
+                       q_coeff=q_coeff, q_mixer=q_mixer)
+        cfg = dataclasses.replace(base_cfg, **setting)
+        try:
+            plans = _plans(cfg)
+        except WeightgenError as exc:
+            skipped.append(SkippedSetting(**setting, reason=f"{type(exc).__name__}: {exc}"))
+            if verbose:
+                print(f"skip B_i={n_basis} B_c={n_cross}: {exc}")
+            continue
+        start = time.perf_counter()
+        result = training.train(
+            cfg, train_x, train_y, test_x, test_y, teacher=teacher,
+            teacher_logits=teacher_logits,
+        )
+        runtime = time.perf_counter() - start
+        r, r_m = _aggregate_ratios(plans, dense_bits=dense_bits)
+        point = ExplorationPoint(
+            **setting,
+            r=r,
+            r_m=r_m,
+            accuracy=float(result.metrics[-1]["test_acc"]),
+            runtime=runtime,
+            heuristic_preferred=all(heuristic_preferred_plan(p) for p in plans),
+        )
+        points.append(point)
+        if verbose:
+            print(
+                f"B_i={n_basis} B_c={n_cross} q=({q_basis},{q_coeff},{q_mixer})"
+                f" r={point.r:.4f} r_m={point.r_m:.4f} acc={point.accuracy:.4f}"
+            )
     return GridResult(points=tuple(points), skipped=tuple(skipped))
 
 

@@ -207,8 +207,6 @@ class AdaptiveAvgPool2d(Layer):
     [floor(i*H/out), ceil((i+1)*H/out))."""
 
     def __init__(self, out: int):
-        if out < 1:
-            raise ConfigError(f"pool output size must be positive, got {out}")
         self.out = out
 
     @staticmethod
@@ -353,26 +351,15 @@ def parse_arch(arch: str) -> list[tuple]:
     return tokens
 
 
-def build_network(
-    arch: str,
-    in_channels: int,
-    in_size: int,
-    rng: np.random.Generator,
-    generated: tuple[int, ...] = (),
-    n_basis: int = 1,
-    n_cross: int = 1,
-    q_basis: int = 4,
-    q_coeff: int = 4,
-    q_mixer: int = 4,
-    act_bits: int | None = None,
-    quantized: bool = True,
-) -> Sequential:
-    """Build a Sequential from an architecture string.
-
-    generated lists the conv indices (0-based, in order of appearance) to
-    replace with generated layers using the given cardinalities and widths.
+def plan_network(arch: str, in_channels: int, in_size: int, generated: tuple[int, ...],
+                 n_basis: int, n_cross: int, q_basis: int, q_coeff: int,
+                 q_mixer: int) -> list[tuple]:
+    """The layers build_network makes, as (kind, args) tokens, with no
+    parameter drawn: ("conv", (c_in, c_out, k, stride, pad, plan)), plan being
+    a generated conv's GenPlan or None, ("avgpool", (out,)), ("flatten", ())
+    and ("fc", (d_in, d_out)).  Raises build_network's errors, in its order.
     """
-    layers: list[Layer] = []
+    tokens: list[tuple] = []
     c, size = in_channels, in_size
     conv_idx = 0
     flat_dim = None
@@ -384,37 +371,59 @@ def build_network(
                 raise ConfigError(
                     f"conv C{c_out}K{k}S{stride} collapses a {size}x{size} input"
                 )
+            plan = None
             if conv_idx in generated:
                 plan = generator.plan_layer(
                     c_out, c, k, n_basis, n_cross, q_basis, q_coeff, q_mixer
                 )
-                factors = generator.init_random(plan, rng)
-                layers.append(
-                    GeneratedConv2d(factors, stride=stride, pad=pad,
-                                    quantized=quantized)
-                )
-            else:
-                layers.append(Conv2d(c, c_out, k, stride=stride, pad=pad, rng=rng))
-            layers.append(BatchNorm2d(c_out))
-            layers.append(ReLU())
-            if act_bits is not None:
-                layers.append(ActQuant(act_bits))
+            tokens.append(("conv", (c, c_out, k, stride, pad, plan)))
             c, size = c_out, out_size
             conv_idx += 1
         elif kind == "avgpool":
-            (out,) = args
-            layers.append(AdaptiveAvgPool2d(out))
-            size = out
+            (size,) = args
+            if size < 1:
+                raise ConfigError(f"pool output size must be positive, got {size}")
+            tokens.append((kind, args))
         elif kind == "fc":
-            (d_out,) = args
             if flat_dim is None:
-                layers.append(Flatten())
+                tokens.append(("flatten", ()))
                 flat_dim = c * size * size
-            layers.append(Linear(flat_dim, d_out, rng=rng))
-            flat_dim = d_out
+            tokens.append(("fc", (flat_dim, args[0])))
+            flat_dim = args[0]
     bad = [g for g in generated if g >= conv_idx]
     if bad:
         raise ConfigError(
             f"generated conv indices {bad} out of range: arch has {conv_idx} convs"
         )
+    return tokens
+
+
+def build_network(arch: str, in_channels: int, in_size: int, rng: np.random.Generator,
+                  generated: tuple[int, ...] = (), n_basis: int = 1, n_cross: int = 1,
+                  q_basis: int = 4, q_coeff: int = 4, q_mixer: int = 4,
+                  act_bits: int | None = None, quantized: bool = True) -> Sequential:
+    """Build a Sequential from an architecture string.
+
+    generated lists the conv indices (0-based, in order of appearance) to
+    replace with generated layers using the given cardinalities and widths.
+    """
+    layers: list[Layer] = []
+    for kind, args in plan_network(arch, in_channels, in_size, generated, n_basis,
+                                   n_cross, q_basis, q_coeff, q_mixer):
+        if kind == "conv":
+            c_in, c_out, k, stride, pad, plan = args
+            if plan is None:
+                layers.append(Conv2d(c_in, c_out, k, stride=stride, pad=pad, rng=rng))
+            else:
+                layers.append(GeneratedConv2d(generator.init_random(plan, rng), stride=stride,
+                                              pad=pad, quantized=quantized))
+            layers += [BatchNorm2d(c_out), ReLU()]
+            if act_bits is not None:
+                layers.append(ActQuant(act_bits))
+        elif kind == "avgpool":
+            layers.append(AdaptiveAvgPool2d(*args))
+        elif kind == "flatten":
+            layers.append(Flatten())
+        else:
+            layers.append(Linear(*args, rng=rng))
     return Sequential(layers)

@@ -7,7 +7,8 @@ Conventions used throughout the package:
 * convolution kernels are 4-D (C_out, C_in, k, k), and their GEMM "matrix
   view" is the row-major reshape to (C_out, C_in*k*k);
 * im2col rows are ordered (channel, kernel-row, kernel-col), columns are
-  ordered sample-major, then output-row major, output-column minor.
+  ordered output-row major, output-column, then sample minor, so each of
+  col2im's k*k shifted adds runs over W_out*n contiguous values.
 """
 
 from __future__ import annotations
@@ -61,29 +62,26 @@ def _output_dims(h: int, w: int, k: int, stride: int, pad: int) -> tuple[int, in
 
 
 def im2col(x, k: int, stride: int = 1, pad: int = 0) -> np.ndarray:
-    """Lower a batch of images to the (C_in*k*k) x (n*H_out*W_out) patch matrix.
+    """Lower a batch of images to the (C_in*k*k) x (H_out*W_out*n) patch matrix.
 
     Zero padding.  Row r indexes (channel, kernel-row, kernel-col) in C order;
-    column c indexes (sample, out-row, out-col) in C order.
+    column c indexes (out-row, out-col, sample) in C order, so the sample
+    index is innermost and each shifted window is a contiguous run of
+    W_out*n values.
     """
     x = as_tensor4d(x, "input")
     n, c, h, w = x.shape
     h_out, w_out = _output_dims(h, w, k, stride, pad)
-    if pad > 0:
-        xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=np.float64)
-        xp[:, :, pad : pad + h, pad : pad + w] = x
-    else:
-        xp = x
-    sn, sc, sh, sw = xp.strides
+    xp = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=np.float64)
+    xp[:, pad : pad + h, pad : pad + w] = x.transpose(1, 2, 3, 0)
+    sc, sh, sw, sn = xp.strides
     patches = np.lib.stride_tricks.as_strided(
         xp,
-        shape=(n, c, k, k, h_out, w_out),
-        strides=(sn, sc, sh, sw, stride * sh, stride * sw),
+        shape=(c, k, k, h_out, w_out, n),
+        strides=(sc, sh, sw, stride * sh, stride * sw, sn),
         writeable=False,
     )
-    # rows (c, kh, kw), cols (n, h_out, w_out)
-    cols = patches.transpose(1, 2, 3, 0, 4, 5).reshape(c * k * k, n * h_out * w_out)
-    return np.ascontiguousarray(cols)
+    return np.ascontiguousarray(patches.reshape(c * k * k, h_out * w_out * n))
 
 
 def col2im(cols, x_shape, k: int, stride: int = 1, pad: int = 0) -> np.ndarray:
@@ -94,23 +92,28 @@ def col2im(cols, x_shape, k: int, stride: int = 1, pad: int = 0) -> np.ndarray:
     """
     n, c, h, w = x_shape
     cols = as_matrix(cols, "cols")
-    h_out = conv_output_size(h, k, stride, pad)
-    w_out = conv_output_size(w, k, stride, pad)
+    h_out, w_out = _output_dims(h, w, k, stride, pad)
     if cols.shape != (c * k * k, n * h_out * w_out):
         raise ShapeError(
             f"cols shape {cols.shape} does not match target {x_shape} with "
             f"kernel {k}, stride {stride}, pad {pad}"
         )
-    patches = cols.reshape(c, k, k, n, h_out, w_out).transpose(3, 0, 1, 2, 4, 5)
-    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=np.float64)
+    patches = cols.reshape(c, k, k, h_out, w_out, n)
+    xp = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=np.float64)
     for i in range(k):
         for j in range(k):
-            xp[:, :, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += (
-                patches[:, :, i, j]
+            xp[:, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += (
+                patches[:, i, j]
             )
-    if pad > 0:
-        return np.ascontiguousarray(xp[:, :, pad : pad + h, pad : pad + w])
-    return xp
+    return _to_nchw(xp[:, pad : pad + h, pad : pad + w], np.empty((n, c, h, w)))
+
+
+def _to_nchw(a, out) -> np.ndarray:
+    """Copy the (C, H, W, n) array a into the (n, C, H, W) array out, one
+    channel at a time: a whole-array strided copy runs out of cache."""
+    for ch in range(a.shape[0]):
+        out[:, ch] = a[ch].transpose(2, 0, 1)
+    return out
 
 
 # glibc's top mmap threshold: larger buffers are mapped and faulted anew per call.
@@ -136,9 +139,8 @@ def _conv_into(out, x, w, stride: int, pad: int) -> np.ndarray:
     """Write the conv of x with w into out; return x's im2col matrix."""
     c_out = w.shape[0]
     cols = im2col(x, w.shape[2], stride, pad)
-    out[...] = matmul(w.reshape(c_out, -1), cols).reshape(
-        c_out, x.shape[0], out.shape[2], out.shape[3]
-    ).transpose(1, 0, 2, 3)
+    res = matmul(w.reshape(c_out, -1), cols)
+    _to_nchw(res.reshape(c_out, out.shape[2], out.shape[3], -1), out)
     return cols
 
 
@@ -178,7 +180,7 @@ def conv2d_backward(grad, cols, weight, x_shape, stride: int = 1, pad: int = 0):
     Returns (d_weight, d_x), shaped like weight and like the input.
     """
     c_out, k = weight.shape[0], weight.shape[2]
-    g_mat = grad.transpose(1, 0, 2, 3).reshape(c_out, -1)
+    g_mat = grad.transpose(1, 2, 3, 0).reshape(c_out, -1)
     d_weight = matmul(g_mat, cols.T).reshape(weight.shape)
     d_cols = matmul(weight.reshape(c_out, -1).T, g_mat)
     return d_weight, col2im(d_cols, x_shape, k, stride, pad)

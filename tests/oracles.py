@@ -52,6 +52,34 @@ def conv2d_naive(x, w, stride=1, pad=0):
     return out
 
 
+def conv2d_backward_naive(x, w, grad, stride=1, pad=0):
+    """Nested-loop gradients (d_w, d_x) of conv2d_naive given the output
+    gradient: every output element scatters its gradient onto the weight
+    and input elements that formed it."""
+    x = np.asarray(x, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    grad = np.asarray(grad, dtype=np.float64)
+    n, c_in, h, wid = x.shape
+    c_out, _, k, _ = w.shape
+    _, _, h_out, w_out = grad.shape
+    xp = np.zeros((n, c_in, h + 2 * pad, wid + 2 * pad), dtype=np.float64)
+    xp[:, :, pad : pad + h, pad : pad + wid] = x
+    d_w = np.zeros_like(w)
+    d_xp = np.zeros_like(xp)
+    for b in range(n):
+        for co in range(c_out):
+            for i in range(h_out):
+                for j in range(w_out):
+                    g = grad[b, co, i, j]
+                    for ci in range(c_in):
+                        for u in range(k):
+                            for v in range(k):
+                                r, s = i * stride + u, j * stride + v
+                                d_w[co, ci, u, v] += g * xp[b, ci, r, s]
+                                d_xp[b, ci, r, s] += g * w[co, ci, u, v]
+    return d_w, d_xp[:, :, pad : pad + h, pad : pad + wid]
+
+
 def finite_difference(f, x, eps=1e-6):
     """Central-difference gradient of scalar f at x, elementwise."""
     x = np.asarray(x, dtype=np.float64)

@@ -168,6 +168,20 @@ def test_mistyped_run_or_device_value_is_named(tmp_path, capsys, command, field,
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["cost", "analyze", "init"])
+@pytest.mark.parametrize("field,value", [("epochs", "x"), ("init", 5), ("dac_latency", "x")])
+def test_config_keys_a_command_does_not_use_are_type_checked(tmp_path, capsys, command,
+                                                            field, value):
+    cfg_path = os.path.join(tmp_path, "bad.json")
+    out = os.path.join(tmp_path, "o")
+    with open(cfg_path, "w") as fh:
+        json.dump({field: value, "out": out}, fh)
+    assert cli.main([command, "--config", cfg_path]) == 2
+    captured = capsys.readouterr()
+    assert f"config field {field!r}" in captured.err and "Traceback" not in captured.err
+    assert captured.out == "" and not os.path.exists(out)
+
+
 def test_null_run_value_leaves_field_unset(tmp_path, capsys):
     cfg_path = os.path.join(tmp_path, "nulls.json")
     with open(cfg_path, "w") as fh:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from weightgen import explorer, generator, nn, training
-from weightgen.errors import ConfigError, DegenerateFactorError, ShapeError
+from weightgen.errors import ConfigError, DegenerateFactorError, ShapeError, WeightgenError
 
 from test_training import _counting_forward, synthetic_blobs
 
@@ -282,6 +282,32 @@ def test_grid_skips_infeasible_settings_with_reason():
     skip = grid.skipped[0]
     assert skip.n_basis == 0
     assert skip.reason  # a human-readable explanation is recorded
+
+
+@pytest.mark.parametrize("arch,generated,bi_list", [
+    ("C6K3S2-AvgPool2-FC2", (0,), [0, 1]),   # infeasible plan at B_i=0
+    ("C6K3S2-AvgPool0-FC2", (0,), [1]),      # pool to 0x0
+    ("C6K9S2-AvgPool2-FC2", (0,), [1]),      # conv collapses the input
+    ("C6K3S2-AvgPool2-FC2", (3,), [1]),      # generated index out of range
+])
+def test_grid_builds_each_trained_network_once(monkeypatch, arch, generated, bi_list):
+    cfg, train_x, train_y, test_x, test_y = _tiny_setup()
+    cfg = dataclasses.replace(cfg, arch=arch, generated=generated)
+    built = []
+    build = nn.build_network
+
+    def counting_build(*args, **kwargs):
+        built.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(nn, "build_network", counting_build)
+    grid = explorer.grid_search(cfg, train_x, train_y, test_x, test_y, bi_list, [3])
+    assert len(built) == len(grid.points)
+    assert len(grid.points) + len(grid.skipped) == len(bi_list) and grid.skipped
+    for skip in grid.skipped:
+        with pytest.raises(WeightgenError) as exc:
+            training.build_model(dataclasses.replace(cfg, n_basis=skip.n_basis))
+        assert skip.reason == f"{type(exc.value).__name__}: {exc.value}"
 
 
 def test_grid_propagates_errors_that_are_not_config_errors(monkeypatch):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from weightgen import generator, nn, tensor
-from weightgen.errors import ConfigError, ShapeError
+from weightgen.errors import ConfigError, ShapeError, WeightgenError
 
 from oracles import finite_difference, rel_err
 
@@ -283,3 +283,21 @@ def test_parse_arch_and_build_errors():
         nn.build_network("C4K3S1-FC2", 1, 8, rng, generated=(5,))
     with pytest.raises(ConfigError):
         nn.build_network("C4K9S1-FC2", 1, 4, rng)
+
+
+def test_plan_network_gives_the_built_plans_and_errors():
+    args = ("C32K5S2-C32K5S1-C32K5S1-AvgPool3-FC10", 1, 28, (1, 2), 2, 12, 4, 4, 4)
+    tokens = nn.plan_network(*args)
+    net = nn.build_network(*args[:3], np.random.default_rng(12), *args[3:])
+    assert [a[-1] for kind, a in tokens if kind == "conv" and a[-1] is not None] == [
+        layer.factors.plan for layer in net.generated_layers()
+    ]
+    assert [kind for kind, _ in tokens] == ["conv"] * 3 + ["avgpool", "flatten", "fc"]
+    for arch, size, generated in [("C4K3S1-AvgPool0-FC2", 8, ()), ("C4K9S1-FC2", 4, ()),
+                                  ("C4K3S1-FC2", 8, (5,)), ("C4K3S1-FC2", 8, (0,))]:
+        n_basis = 0  # infeasible for the generated layer, if any
+        with pytest.raises(WeightgenError) as planned:
+            nn.plan_network(arch, 1, size, generated, n_basis, 2, 4, 4, 4)
+        with pytest.raises(WeightgenError) as built:
+            nn.build_network(arch, 1, size, np.random.default_rng(0), generated, n_basis)
+        assert repr(planned.value) == repr(built.value)

@@ -4,7 +4,7 @@ import pytest
 from weightgen import tensor
 from weightgen.errors import ShapeError
 
-from oracles import conv2d_naive, gemm_naive, rel_err
+from oracles import conv2d_backward_naive, conv2d_naive, gemm_naive, rel_err
 
 
 def test_matmul_agrees_with_gemm_to_roundoff():
@@ -77,6 +77,33 @@ def test_im2col_row_and_column_order():
     # columns scan out-row major, out-col minor: column 1 shifts right by 1.
     assert cols[:, 1].tolist() == [1, 2, 4, 5, 10, 11, 13, 14]
     assert cols[:, 2].tolist() == [3, 4, 6, 7, 12, 13, 15, 16]
+
+
+def test_im2col_columns_put_the_sample_innermost():
+    # 2 samples, 1 channel, 3x4 image, k=2: columns run (out-row, out-col,
+    # sample) in C order, so neighbouring columns are the two samples' same patch.
+    x = np.arange(24, dtype=np.float64).reshape(2, 1, 3, 4)
+    cols = tensor.im2col(x, k=2)
+    assert cols.shape == (4, 2 * 3 * 2)
+    for i in range(2):
+        for j in range(3):
+            for b in range(2):
+                patch = x[b, 0, i : i + 2, j : j + 2].reshape(-1)
+                assert cols[:, (i * 3 + j) * 2 + b].tolist() == patch.tolist()
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("pad", [0, 1])
+def test_conv2d_backward_matches_nested_loops(stride, pad):
+    rng = np.random.default_rng(40 + 2 * stride + pad)
+    x = rng.standard_normal((3, 2, 7, 6))
+    wt = rng.standard_normal((4, 2, 3, 3))
+    out, cols = tensor.conv2d(x, wt, stride, pad)
+    grad = rng.standard_normal(out.shape)
+    d_w, d_x = tensor.conv2d_backward(grad, cols, wt, x.shape, stride, pad)
+    want_w, want_x = conv2d_backward_naive(x, wt, grad, stride, pad)
+    assert rel_err(d_w, want_w) < 1e-12
+    assert rel_err(d_x, want_x) < 1e-12
 
 
 def test_im2col_col2im_adjoint_identity():

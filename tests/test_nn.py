@@ -299,5 +299,5 @@ def test_plan_network_gives_the_built_plans_and_errors():
         with pytest.raises(WeightgenError) as planned:
             nn.plan_network(arch, 1, size, generated, n_basis, 2, 4, 4, 4)
         with pytest.raises(WeightgenError) as built:
-            nn.build_network(arch, 1, size, np.random.default_rng(0), generated, n_basis)
+            nn.build_network(arch, 1, size, np.random.default_rng(0), generated, n_basis, 2)
         assert repr(planned.value) == repr(built.value)

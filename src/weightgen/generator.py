@@ -17,6 +17,12 @@ stored densely), the cross level when n_cross >= min(C_out, C_in*k*k)
 The effective cardinality of a skipped level is the number of rows stored
 there: C_in for the intra level, C_out for the cross level.
 
+``forward`` forms the quantized basis kernels w_cross = coeff @ basis; the
+dense kernels ``GenForward.weight`` are mixed only when read.  A generated
+conv layer never reads them: it convolves with w_cross, then applies the
+mixer as a 1x1 conv, at n_cross/C_out + n_cross/(C_in*k*k) of a dense
+conv's multiply-adds (``nn.GeneratedConv2d``).
+
 Every stored factor is fake-quantized to its own bit-width during
 generation, with a per-tensor scale; gradients flow through the quantizer
 by the plain straight-through rule.  Nothing is clipped: each scale is the
@@ -27,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -177,32 +184,33 @@ def init_random(plan: GenPlan, rng: np.random.Generator) -> TwoLevelFactors:
 class GenForward:
     """Intermediates of one generation pass, kept for the backward pass."""
 
-    weight: np.ndarray          # (c_out, c_in, k, k)
+    plan: GenPlan
     w_cross: np.ndarray         # (n_cross, c_in, k*k), post-quantization
     q_basis: np.ndarray | None
     q_coeff: np.ndarray
     q_mixer: np.ndarray | None
 
+    @cached_property
+    def weight(self) -> np.ndarray:
+        """The dense (c_out, c_in, k, k) kernels, mixed on first use."""
+        p = self.plan
+        flat = self.w_cross.reshape(p.n_cross, -1)
+        if p.cross_active:
+            flat = np.matmul(self.q_mixer, flat)
+        return flat.reshape(p.c_out, p.c_in, p.k, p.k)
+
 
 def forward(factors: TwoLevelFactors, quantized: bool = True) -> GenForward:
-    """Generate the dense kernel tensor from the factors."""
+    """Quantize the factors and form the basis kernels; the dense kernels
+    are mixed only when ``weight`` is read."""
     factors.validate()
     p = factors.plan
     q = dict.fromkeys(FACTOR_NAMES)
     for name, t in factors.stored():
         q[name] = fake_quantize(t, p.bits(name)) if quantized else t
     qb, qc, qm = q["basis"], q["coeff"], q["mixer"]
-
-    if p.intra_active:
-        w_cross = np.matmul(qc, qb)  # (n_cross, c_in, k*k)
-    else:
-        w_cross = qc
-    if p.cross_active:
-        flat = np.matmul(qm, w_cross.reshape(p.n_cross, -1))
-    else:
-        flat = w_cross.reshape(p.n_cross, -1)
-    weight = flat.reshape(p.c_out, p.c_in, p.k, p.k)
-    return GenForward(weight=weight, w_cross=w_cross, q_basis=qb, q_coeff=qc, q_mixer=qm)
+    w_cross = np.matmul(qc, qb) if p.intra_active else qc  # (n_cross, c_in, k*k)
+    return GenForward(plan=p, w_cross=w_cross, q_basis=qb, q_coeff=qc, q_mixer=qm)
 
 
 def generate(factors: TwoLevelFactors, quantized: bool = True) -> np.ndarray:
@@ -218,6 +226,15 @@ class FactorGrads:
     mixer: np.ndarray | None
 
 
+def intra_backward(fwd: GenForward, d_w_cross: np.ndarray):
+    """(d_basis, d_coeff) from a gradient on the (n_cross, c_in, k*k) basis
+    kernels; d_basis is None when the intra level is skipped."""
+    if not fwd.plan.intra_active:
+        return None, d_w_cross
+    return (np.matmul(np.swapaxes(fwd.q_coeff, 1, 2), d_w_cross),
+            np.matmul(d_w_cross, np.swapaxes(fwd.q_basis, 1, 2)))
+
+
 def backward(
     factors: TwoLevelFactors, fwd: GenForward, d_weight: np.ndarray
 ) -> FactorGrads:
@@ -230,24 +247,16 @@ def backward(
     """
     p = factors.plan
     d_weight = np.asarray(d_weight, dtype=np.float64)
-    if d_weight.shape != fwd.weight.shape:
+    if d_weight.shape != (p.c_out, p.c_in, p.k, p.k):
         raise ShapeError(
-            f"d_weight shape {d_weight.shape}, expected {fwd.weight.shape}"
+            f"d_weight shape {d_weight.shape}, expected {(p.c_out, p.c_in, p.k, p.k)}"
         )
     g_flat = d_weight.reshape(p.c_out, -1)
     d_mixer = None
     if p.cross_active:
-        wc_flat = fwd.w_cross.reshape(p.n_cross, -1)
-        d_mixer = np.matmul(g_flat, wc_flat.T)
-        d_wc = np.matmul(fwd.q_mixer.T, g_flat).reshape(p.n_cross, p.c_in, p.kk)
-    else:
-        d_wc = g_flat.reshape(p.n_cross, p.c_in, p.kk)
-    d_basis = None
-    if p.intra_active:
-        d_coeff = np.matmul(d_wc, np.swapaxes(fwd.q_basis, 1, 2))
-        d_basis = np.matmul(np.swapaxes(fwd.q_coeff, 1, 2), d_wc)
-    else:
-        d_coeff = d_wc
+        d_mixer = np.matmul(g_flat, fwd.w_cross.reshape(p.n_cross, -1).T)
+        g_flat = np.matmul(fwd.q_mixer.T, g_flat)
+    d_basis, d_coeff = intra_backward(fwd, g_flat.reshape(p.n_cross, p.c_in, p.kk))
     return FactorGrads(basis=d_basis, coeff=d_coeff, mixer=d_mixer)
 
 

@@ -55,8 +55,8 @@ class Layer:
 class _Conv(Layer):
     """Convolution without bias (batch norm follows it everywhere here).
 
-    Subclasses differ only in where the kernel tensor comes from
-    (``_kernel``) and where its gradient goes (``_take_grad``).
+    Subclasses say where the kernel tensor comes from (``_kernel``) and
+    where its gradient goes (``_take_grad``).
 
     A training forward caches the im2col matrix for backward.  An inference
     forward lowers in bounded blocks (``tensor.conv2d_forward``) and caches

@@ -226,7 +226,9 @@ class FactorGrads:
     mixer: np.ndarray | None
 
 
-def intra_backward(fwd: GenForward, d_w_cross: np.ndarray):
+def intra_backward(
+    fwd: GenForward, d_w_cross: np.ndarray
+) -> tuple[np.ndarray | None, np.ndarray]:
     """(d_basis, d_coeff) from a gradient on the (n_cross, c_in, k*k) basis
     kernels; d_basis is None when the intra level is skipped."""
     if not fwd.plan.intra_active:
@@ -247,10 +249,9 @@ def backward(
     """
     p = factors.plan
     d_weight = np.asarray(d_weight, dtype=np.float64)
-    if d_weight.shape != (p.c_out, p.c_in, p.k, p.k):
-        raise ShapeError(
-            f"d_weight shape {d_weight.shape}, expected {(p.c_out, p.c_in, p.k, p.k)}"
-        )
+    want = (p.c_out, p.c_in, p.k, p.k)
+    if d_weight.shape != want:
+        raise ShapeError(f"d_weight shape {d_weight.shape}, expected {want}")
     g_flat = d_weight.reshape(p.c_out, -1)
     d_mixer = None
     if p.cross_active:

@@ -133,8 +133,7 @@ class GeneratedConv2d(_Conv):
         p = factors.plan
         self.c_in, self.c_out, self.k = p.c_in, p.c_out, p.k
         self._params = {name: Param(name, value) for name, value in factors.stored()}
-        self._cache = None
-        self._gen = None
+        self._cache = self._gen = self._z = None
 
     def _kernel(self):
         self._gen = generator.forward(self.factors, quantized=self.quantized)

@@ -10,12 +10,17 @@ conv convolves with its n_cross basis kernels, then mixes the result into
 C_out channels as a 1x1 conv; with its cross level active that costs
 n_cross/C_out + n_cross/(C_in*k*k) of a dense conv's multiply-adds.
 
+Activations between layers are (C, H, W, n), as a conv's GEMM makes them.
+Only ``Sequential``, on entry and exit, and ``Flatten``, which gives the
+linear layers (n, C*H*W) rows of (c, h, w)-ordered features, change layout.
+
 Architectures are described by compact strings such as
 
     C32K5S2-C32K5S1-C32K5S1-AvgPool3-FC10
 
 where C{o}K{k}S{s}[P{p}] expands to conv -> batch norm -> ReLU,
-AvgPool{n} adaptively pools to n x n, and FC{o} is a final linear layer.
+AvgPool{n} adaptively pools to n x n, and FC{o} is a linear layer; FC
+tokens end the string, so a network's output is (n, classes).
 """
 
 from __future__ import annotations
@@ -117,9 +122,9 @@ class GeneratedConv2d(_Conv):
     """Convolution whose kernels are generated from two-level factors.
 
     The C_out dense kernels are never formed: the input is convolved with
-    the n_cross basis kernels, and the (n, n_cross, H, W) result is mixed
-    into C_out channels as a 1x1 conv.  Without a mixer the basis kernels
-    are the kernels.  With one, the cost over a dense conv's is
+    the n_cross basis kernels, and the (n_cross, H, W, n) result is mixed
+    into C_out channels as a 1x1 conv, one GEMM.  Without a mixer the basis
+    kernels are the kernels.  With one, the cost over a dense conv's is
     n_cross/C_out + n_cross/(C_in*k*k) < 1 + min(1, C_out/(C_in*k*k)):
     under 1.04 for layers 1 and 2 of the default arch, 0.39 at n_cross = 12.
     """
@@ -152,17 +157,15 @@ class GeneratedConv2d(_Conv):
         if mixer is None:
             return z
         self._z = z
-        n, b, h, w = z.shape
-        return np.matmul(mixer, z.reshape(n, b, h * w)).reshape(n, self.c_out, h, w)
+        return (mixer @ z.reshape(z.shape[0], -1)).reshape(self.c_out, *z.shape[1:])
 
     def backward(self, grad):
         mixer = self._gen.q_mixer
         if mixer is not None:
-            n, _, h, w = grad.shape
-            g = grad.reshape(n, self.c_out, h * w)
-            z = self._z.reshape(n, -1, h * w)
-            self._params["mixer"].grad += np.matmul(g, z.transpose(0, 2, 1)).sum(axis=0)
-            grad = np.matmul(mixer.T, g).reshape(self._z.shape)
+            g = grad.reshape(self.c_out, -1)
+            z2d = self._z.reshape(self._z.shape[0], -1)
+            self._params["mixer"].grad += g @ z2d.T
+            grad = (mixer.T @ g).reshape(self._z.shape)
         return super().backward(grad)
 
     def params(self):
@@ -182,14 +185,15 @@ class BatchNorm2d(Layer):
 
     def forward(self, x, train=False):
         x = tensor.as_tensor4d(x, "batch norm input")
-        if x.shape[1] != self.channels:
+        if x.shape[0] != self.channels:
             raise ShapeError(
                 f"batch norm over {self.channels} channels got input {x.shape}"
             )
+        x2d = x.reshape(self.channels, -1)
         if train:
-            mu = x.mean(axis=(0, 2, 3))
-            var = x.var(axis=(0, 2, 3))
-            m = x.shape[0] * x.shape[2] * x.shape[3]
+            mu = x2d.mean(axis=1)
+            var = x2d.var(axis=1)
+            m = x2d.shape[1]
             self.running_mean = (
                 (1 - self.momentum) * self.running_mean + self.momentum * mu
             )
@@ -200,25 +204,21 @@ class BatchNorm2d(Layer):
         else:
             mu, var = self.running_mean, self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mu[None, :, None, None]) * inv_std[None, :, None, None]
+        xhat = (x2d - mu[:, None]) * inv_std[:, None]
         self._cache = (xhat, inv_std, train)
-        return self.gamma.value[None, :, None, None] * xhat + \
-            self.beta.value[None, :, None, None]
+        out = self.gamma.value[:, None] * xhat + self.beta.value[:, None]
+        return out.reshape(x.shape)
 
     def backward(self, grad):
         xhat, inv_std, train = self._cache
-        axes = (0, 2, 3)
-        self.beta.grad += grad.sum(axis=axes)
-        self.gamma.grad += (grad * xhat).sum(axis=axes)
-        d_xhat = grad * self.gamma.value[None, :, None, None]
-        if not train:
-            return d_xhat * inv_std[None, :, None, None]
-        m = grad.shape[0] * grad.shape[2] * grad.shape[3]
-        mean_d = d_xhat.mean(axis=axes)
-        mean_dx = (d_xhat * xhat).mean(axis=axes)
-        return inv_std[None, :, None, None] * (
-            d_xhat - mean_d[None, :, None, None] - xhat * mean_dx[None, :, None, None]
-        )
+        g = grad.reshape(xhat.shape)
+        self.beta.grad += g.sum(axis=1)
+        self.gamma.grad += (g * xhat).sum(axis=1)
+        d_xhat = g * self.gamma.value[:, None]
+        if train:
+            d_xhat = (d_xhat - d_xhat.mean(axis=1)[:, None]
+                      - xhat * (d_xhat * xhat).mean(axis=1)[:, None])
+        return (inv_std[:, None] * d_xhat).reshape(grad.shape)
 
     def params(self):
         return [self.gamma, self.beta]
@@ -249,15 +249,15 @@ class AdaptiveAvgPool2d(Layer):
 
     def forward(self, x, train=False):
         x = tensor.as_tensor4d(x, "pool input")
-        n, c, h, w = x.shape
+        c, h, w, n = x.shape
         if h < self.out or w < self.out:
             raise ShapeError(f"cannot pool {h}x{w} down to {self.out}x{self.out}")
         hw = self._windows(h, self.out)
         ww = self._windows(w, self.out)
-        out = np.empty((n, c, self.out, self.out))
+        out = np.empty((c, self.out, self.out, n))
         for i, (h0, h1) in enumerate(hw):
             for j, (w0, w1) in enumerate(ww):
-                out[:, :, i, j] = x[:, :, h0:h1, w0:w1].mean(axis=(2, 3))
+                out[:, i, j] = x[:, h0:h1, w0:w1].mean(axis=(1, 2))
         self._cache = (x.shape, hw, ww)
         return out
 
@@ -267,17 +267,20 @@ class AdaptiveAvgPool2d(Layer):
         for i, (h0, h1) in enumerate(hw):
             for j, (w0, w1) in enumerate(ww):
                 area = (h1 - h0) * (w1 - w0)
-                dx[:, :, h0:h1, w0:w1] += grad[:, :, i : i + 1, j : j + 1] / area
+                dx[:, h0:h1, w0:w1] += grad[:, i : i + 1, j : j + 1] / area
         return dx
 
 
 class Flatten(Layer):
+    """(C, H, W, n) activations to the (n, C*H*W) matrix Linear takes, each
+    row's features in (c, h, w) order: one of a network's two layout changes."""
+
     def forward(self, x, train=False):
         self._shape = x.shape
-        return x.reshape(x.shape[0], -1)
+        return x.reshape(-1, x.shape[-1]).T
 
     def backward(self, grad):
-        return grad.reshape(self._shape)
+        return grad.T.reshape(self._shape)
 
 
 class Linear(Layer):
@@ -318,10 +321,17 @@ class ActQuant(Layer):
 
 
 class Sequential(Layer):
+    """Layers in a chain.  Takes an (n, C, H, W) batch and transposes it to
+    (C, H, W, n) once on entry; backward transposes d_x back on exit."""
+
     def __init__(self, layers: list[Layer]):
         self.layers = layers
 
     def forward(self, x, train=False):
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 4:
+            raise ShapeError(f"network input must be 4-D (n, c, h, w), got shape {x.shape}")
+        x = x.transpose(1, 2, 3, 0)
         for layer in self.layers:
             x = layer.forward(x, train=train)
         return x
@@ -329,7 +339,7 @@ class Sequential(Layer):
     def backward(self, grad):
         for layer in reversed(self.layers):
             grad = layer.backward(grad)
-        return grad
+        return grad.transpose(3, 0, 1, 2)
 
     def params(self):
         return [p for _, p in self.named_params()]
@@ -390,7 +400,9 @@ def plan_network(arch: str, in_channels: int, in_size: int, generated: tuple[int
     c, size = in_channels, in_size
     conv_idx = 0
     flat_dim = None
-    for kind, args in parse_arch(arch):
+    for piece, (kind, args) in zip(arch.split("-"), parse_arch(arch)):
+        if kind != "fc" and flat_dim is not None:
+            raise ConfigError(f"architecture token {piece!r} in {arch!r} follows an FC token")
         if kind == "conv":
             c_out, k, stride, pad = args
             out_size = tensor.conv_output_size(size, k, stride, pad)
@@ -415,6 +427,8 @@ def plan_network(arch: str, in_channels: int, in_size: int, generated: tuple[int
                 flat_dim = c * size * size
             tokens.append(("fc", (flat_dim, args[0])))
             flat_dim = args[0]
+    if flat_dim is None:
+        raise ConfigError(f"architecture {arch!r} ends in {piece!r}, not in an FC token")
     bad = [g for g in generated if g >= conv_idx]
     if bad:
         raise ConfigError(

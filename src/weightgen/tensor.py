@@ -3,7 +3,8 @@
 Conventions used throughout the package:
 
 * matrices are 2-D float64 ndarrays, row-major (C order);
-* activation tensors are 4-D float64 ndarrays shaped (n, c, h, w);
+* activation tensors are 4-D float64 ndarrays shaped (c, h, w, n), sample
+  innermost, as a conv's GEMM makes them (nn.Sequential takes (n, c, h, w));
 * convolution kernels are 4-D (C_out, C_in, k, k), and their GEMM "matrix
   view" is the row-major reshape to (C_out, C_in*k*k);
 * im2col rows are ordered (channel, kernel-row, kernel-col), columns are
@@ -30,7 +31,7 @@ def as_tensor4d(a, name: str = "tensor") -> np.ndarray:
     """Coerce to a 4-D float64 array, raising ShapeError otherwise."""
     t = np.asarray(a, dtype=np.float64)
     if t.ndim != 4:
-        raise ShapeError(f"{name} must be 4-D (n, c, h, w), got shape {t.shape}")
+        raise ShapeError(f"{name} must be 4-D (c, h, w, n), got shape {t.shape}")
     return t
 
 
@@ -62,7 +63,7 @@ def _output_dims(h: int, w: int, k: int, stride: int, pad: int) -> tuple[int, in
 
 
 def im2col(x, k: int, stride: int = 1, pad: int = 0) -> np.ndarray:
-    """Lower a batch of images to the (C_in*k*k) x (H_out*W_out*n) patch matrix.
+    """Lower a (C, H, W, n) batch to the (C*k*k) x (H_out*W_out*n) patch matrix.
 
     Zero padding.  Row r indexes (channel, kernel-row, kernel-col) in C order;
     column c indexes (out-row, out-col, sample) in C order, so the sample
@@ -70,10 +71,9 @@ def im2col(x, k: int, stride: int = 1, pad: int = 0) -> np.ndarray:
     W_out*n values.
     """
     x = as_tensor4d(x, "input")
-    n, c, h, w = x.shape
+    c, h, w, n = x.shape
     h_out, w_out = _output_dims(h, w, k, stride, pad)
-    xp = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=np.float64)
-    xp[:, pad : pad + h, pad : pad + w] = x.transpose(1, 2, 3, 0)
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
     sc, sh, sw, sn = xp.strides
     patches = np.lib.stride_tricks.as_strided(
         xp,
@@ -85,15 +85,15 @@ def im2col(x, k: int, stride: int = 1, pad: int = 0) -> np.ndarray:
 
 
 def col2im(cols, x_shape, k: int, stride: int = 1, pad: int = 0) -> np.ndarray:
-    """Adjoint of im2col: scatter-add patch columns back onto an image batch.
+    """Adjoint of im2col: scatter-add patch columns onto a (C, H, W, n) batch.
 
     <im2col(x), y> == <x, col2im(y)> holds exactly up to float64 roundoff,
     which is what conv backward relies on.
     """
-    n, c, h, w = x_shape
+    c, h, w, n = x_shape
     cols = as_matrix(cols, "cols")
     h_out, w_out = _output_dims(h, w, k, stride, pad)
-    if cols.shape != (c * k * k, n * h_out * w_out):
+    if cols.shape != (c * k * k, h_out * w_out * n):
         raise ShapeError(
             f"cols shape {cols.shape} does not match target {x_shape} with "
             f"kernel {k}, stride {stride}, pad {pad}"
@@ -105,73 +105,56 @@ def col2im(cols, x_shape, k: int, stride: int = 1, pad: int = 0) -> np.ndarray:
             xp[:, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += (
                 patches[:, i, j]
             )
-    return _to_nchw(xp[:, pad : pad + h, pad : pad + w], np.empty((n, c, h, w)))
-
-
-def _to_nchw(a, out) -> np.ndarray:
-    """Copy the (C, H, W, n) array a into the (n, C, H, W) array out, one
-    channel at a time: a whole-array strided copy runs out of cache."""
-    for ch in range(a.shape[0]):
-        out[:, ch] = a[ch].transpose(2, 0, 1)
-    return out
+    return xp[:, pad : pad + h, pad : pad + w]
 
 
 # glibc's top mmap threshold: larger buffers are mapped and faulted anew per call.
 _BLOCK_BYTES = 32 << 20
 
 
-def _conv_output(x, weight, stride: int, pad: int):
-    """Checked float64 input and weight of a conv2d call, and its
-    uninitialized (n, C_out, H_out, W_out) output."""
+def _conv_args(x, weight, stride: int, pad: int):
+    """Checked float64 input and weight of a conv2d call, and its (H_out, W_out)."""
     x = as_tensor4d(x, "input")
     w = as_tensor4d(weight, "weight")
-    n, c_in, h, wd = x.shape
+    c_in, h, wd, _ = x.shape
     if w.shape[1] != c_in:
         raise ShapeError(
             f"weight expects {w.shape[1]} input channels, input has {c_in} "
             f"(weight {w.shape}, input {x.shape})"
         )
-    h_out, w_out = _output_dims(h, wd, w.shape[2], stride, pad)
-    return x, w, np.empty((n, w.shape[0], h_out, w_out))
-
-
-def _conv_into(out, x, w, stride: int, pad: int) -> np.ndarray:
-    """Write the conv of x with w into out; return x's im2col matrix."""
-    c_out = w.shape[0]
-    cols = im2col(x, w.shape[2], stride, pad)
-    res = matmul(w.reshape(c_out, -1), cols)
-    _to_nchw(res.reshape(c_out, out.shape[2], out.shape[3], -1), out)
-    return cols
+    return x, w, _output_dims(h, wd, w.shape[2], stride, pad)
 
 
 def conv2d(x, weight, stride: int = 1, pad: int = 0):
-    """conv2d as GEMM of im2col with a (C_out, C_in, k, k) weight.
+    """conv2d of a (C_in, H, W, n) batch as GEMM of im2col with a
+    (C_out, C_in, k, k) weight.
 
-    Returns (output, cols): the (n, C_out, H_out, W_out) output and the
-    im2col patch matrix of x, which conv2d_backward needs.
+    Returns (output, cols): the GEMM result as the (C_out, H_out, W_out, n)
+    output, and x's im2col patch matrix, which conv2d_backward needs.
     """
-    x, w, out = _conv_output(x, weight, stride, pad)
-    return out, _conv_into(out, x, w, stride, pad)
+    x, w, (h_out, w_out) = _conv_args(x, weight, stride, pad)
+    cols = im2col(x, w.shape[2], stride, pad)
+    out = matmul(w.reshape(w.shape[0], -1), cols)
+    return out.reshape(w.shape[0], h_out, w_out, x.shape[3]), cols
 
 
 def conv2d_forward(x, weight, stride: int = 1, pad: int = 0) -> np.ndarray:
     """The output of conv2d alone; the im2col matrix is built in bounded
     blocks and never kept.
 
-    The batch goes through conv2d's lowering in the fewest sample blocks
-    whose im2col matrix fits _BLOCK_BYTES (32 MiB), block sizes differing by at most
-    one sample, and each block writes its slice of one preallocated output.
-    The split depends only on the shapes, and every output element is the
-    same dot product as in conv2d.
+    The batch goes through conv2d in the fewest sample blocks whose im2col
+    matrix fits _BLOCK_BYTES (32 MiB), block sizes differing by at most one
+    sample, and the blocks' outputs are joined on the sample axis.  The
+    split depends only on the shapes, and every output element is the same
+    dot product as in conv2d.
     """
-    x, w, out = _conv_output(x, weight, stride, pad)
-    n = x.shape[0]
-    sample_bytes = w[0].size * out.shape[2] * out.shape[3] * out.itemsize
+    x, w, (h_out, w_out) = _conv_args(x, weight, stride, pad)
+    n = x.shape[3]
+    sample_bytes = w[0].size * h_out * w_out * x.itemsize
     n_blocks = -(-n // max(1, _BLOCK_BYTES // max(1, sample_bytes)))
     bounds = [n * i // n_blocks for i in range(n_blocks + 1)]
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        _conv_into(out[start:stop], x[start:stop], w, stride, pad)
-    return out
+    return np.concatenate([conv2d(x[..., start:stop], w, stride, pad)[0]
+                           for start, stop in zip(bounds[:-1], bounds[1:])], axis=3)
 
 
 def conv2d_backward(grad, cols, weight, x_shape, stride: int = 1, pad: int = 0):
@@ -180,7 +163,7 @@ def conv2d_backward(grad, cols, weight, x_shape, stride: int = 1, pad: int = 0):
     Returns (d_weight, d_x), shaped like weight and like the input.
     """
     c_out, k = weight.shape[0], weight.shape[2]
-    g_mat = grad.transpose(1, 2, 3, 0).reshape(c_out, -1)
+    g_mat = grad.reshape(c_out, -1)
     d_weight = matmul(g_mat, cols.T).reshape(weight.shape)
     d_cols = matmul(weight.reshape(c_out, -1).T, g_mat)
     return d_weight, col2im(d_cols, x_shape, k, stride, pad)

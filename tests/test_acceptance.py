@@ -140,7 +140,7 @@ def _check_ortho_reg(rng):
 
 def _check_conv_backward(rng):
     layer = nn.Conv2d(2, 3, 3, stride=1, pad=1, rng=rng)
-    x = rng.standard_normal((2, 2, 5, 5))
+    x = rng.standard_normal((2, 5, 5, 2))
     upstream = rng.standard_normal(layer.forward(x).shape)
 
     def loss(_=None):
@@ -175,7 +175,7 @@ def _check_bn_backward(rng):
     layer = nn.BatchNorm2d(3)
     layer.gamma.value[:] = rng.uniform(0.5, 1.5, 3)
     layer.beta.value[:] = rng.standard_normal(3) * 0.1
-    x = rng.standard_normal((2, 3, 4, 4))
+    x = rng.standard_normal((3, 4, 4, 2))
     upstream = rng.standard_normal(x.shape)
 
     def loss(_=None):

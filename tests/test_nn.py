@@ -6,7 +6,7 @@ import pytest
 from weightgen import generator, nn, tensor
 from weightgen.errors import ConfigError, ShapeError, WeightgenError
 
-from oracles import finite_difference, rel_err
+from oracles import conv2d_naive, finite_difference, rel_err
 
 
 def _loss_through(layer, x, r, train=True):
@@ -16,7 +16,7 @@ def _loss_through(layer, x, r, train=True):
 def test_conv2d_backward_matches_finite_differences():
     rng = np.random.default_rng(0)
     layer = nn.Conv2d(3, 4, 3, stride=2, pad=1, rng=rng)
-    x = rng.standard_normal((2, 3, 7, 7))
+    x = rng.standard_normal((3, 7, 7, 2))
     r = rng.standard_normal(layer.forward(x).shape)
 
     out = layer.forward(x)
@@ -40,7 +40,7 @@ def test_generated_conv_backward_matches_finite_differences():
     for plan_args in [(4, 3, 3, 2, 3), (4, 3, 3, 3, 3), (4, 3, 3, 2, 4)]:
         factors = generator.init_random(generator.plan_layer(*plan_args), rng)
         layer = nn.GeneratedConv2d(factors, stride=1, pad=0, quantized=False)
-        x = rng.standard_normal((2, 3, 6, 6))
+        x = rng.standard_normal((3, 6, 6, 2))
         r = rng.standard_normal(layer.forward(x).shape)
 
         layer.forward(x)
@@ -71,7 +71,7 @@ def test_generated_conv_matches_dense_conv_of_generated_kernel(plan_args, train)
     dense = nn.Conv2d(3, 4, 3, stride=2, pad=1, rng=rng)
     fwd = generator.forward(factors)
     dense.weight.value = fwd.weight
-    x = rng.standard_normal((3, 3, 7, 7))
+    x = rng.standard_normal((3, 7, 7, 3))
     out = layer.forward(x, train=train)
     assert rel_err(out, dense.forward(x, train=train)) < 1e-12
 
@@ -92,7 +92,7 @@ def test_conv_backward_after_training_forward_matches_finite_differences(
         layer = nn.GeneratedConv2d(factors, stride=2, pad=1, quantized=False)
     else:
         layer = nn.Conv2d(3, 4, 3, stride=2, pad=1, rng=rng)
-    x = rng.standard_normal((2, 3, 7, 7))
+    x = rng.standard_normal((3, 7, 7, 2))
     r = rng.standard_normal(layer.forward(x, train=True).shape)
 
     layer.forward(x, train=True)
@@ -123,7 +123,7 @@ def test_eval_conv_forward_keeps_no_patch_matrix(monkeypatch):
     generated = nn.GeneratedConv2d(factors, stride=1, pad=1)
     for layer, kernel in [(dense, dense.weight.value),
                           (generated, generator.generate(factors))]:
-        x = rng.standard_normal((12, 8, 10, 10))
+        x = rng.standard_normal((8, 10, 10, 12))
         full_cols = tensor.im2col(x, 3, 1, 1).nbytes
         monkeypatch.setattr(tensor, "_BLOCK_BYTES", full_cols // 3)
         tracemalloc.start()
@@ -143,7 +143,7 @@ def test_generated_conv_quantized_forward_uses_generated_kernel():
     plan = generator.plan_layer(4, 3, 3, 2, 3)
     factors = generator.init_random(plan, rng)
     layer = nn.GeneratedConv2d(factors, quantized=True)
-    x = rng.standard_normal((2, 3, 6, 6))
+    x = rng.standard_normal((3, 6, 6, 2))
     out = layer.forward(x)
     from weightgen import tensor
     want = tensor.conv2d_forward(x, generator.generate(factors, quantized=True))
@@ -158,7 +158,7 @@ def test_batchnorm_backward_matches_finite_differences():
     layer = nn.BatchNorm2d(3)
     layer.gamma.value = rng.uniform(0.5, 1.5, 3)
     layer.beta.value = rng.standard_normal(3)
-    x = rng.standard_normal((4, 3, 5, 5))
+    x = rng.standard_normal((3, 5, 5, 4))
     r = rng.standard_normal(x.shape)
 
     layer.forward(x, train=True)
@@ -187,21 +187,21 @@ def test_batchnorm_backward_matches_finite_differences():
 def test_batchnorm_running_stats_and_eval_mode():
     rng = np.random.default_rng(4)
     layer = nn.BatchNorm2d(2, momentum=0.1)
-    x = rng.standard_normal((8, 2, 4, 4)) * 2.0 + 1.0
+    x = rng.standard_normal((2, 4, 4, 8)) * 2.0 + 1.0
     for _ in range(200):
         layer.forward(x, train=True)
-    assert rel_err(layer.running_mean, x.mean(axis=(0, 2, 3))) < 1e-6
+    assert rel_err(layer.running_mean, x.mean(axis=(1, 2, 3))) < 1e-6
     m = 8 * 4 * 4
-    assert rel_err(layer.running_var, x.var(axis=(0, 2, 3)) * m / (m - 1)) < 1e-6
+    assert rel_err(layer.running_var, x.var(axis=(1, 2, 3)) * m / (m - 1)) < 1e-6
     out = layer.forward(x, train=False)
     assert abs(out.mean()) < 0.1
     with pytest.raises(ShapeError):
-        layer.forward(rng.standard_normal((2, 3, 4, 4)))
+        layer.forward(rng.standard_normal((3, 4, 4, 2)))
 
 
 def test_relu_and_flatten_roundtrip():
     rng = np.random.default_rng(5)
-    x = rng.standard_normal((3, 2, 4, 4)) + 0.05  # keep away from the kink
+    x = rng.standard_normal((2, 4, 4, 3)) + 0.05  # keep away from the kink
     relu = nn.ReLU()
     r = rng.standard_normal(x.shape)
     relu.forward(x)
@@ -217,16 +217,16 @@ def test_relu_and_flatten_roundtrip():
 
 def test_adaptive_avgpool_windows_4_to_3():
     # 4 -> 3 uses overlapping windows rows (0,1), (1,2), (2,3).
-    x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
+    x = np.arange(16, dtype=np.float64).reshape(1, 4, 4, 1)
     pool = nn.AdaptiveAvgPool2d(3)
     out = pool.forward(x)
     assert out[0, 0, 0, 0] == pytest.approx((0 + 1 + 4 + 5) / 4)
-    assert out[0, 0, 1, 1] == pytest.approx((5 + 6 + 9 + 10) / 4)
-    assert out[0, 0, 2, 2] == pytest.approx((10 + 11 + 14 + 15) / 4)
+    assert out[0, 1, 1, 0] == pytest.approx((5 + 6 + 9 + 10) / 4)
+    assert out[0, 2, 2, 0] == pytest.approx((10 + 11 + 14 + 15) / 4)
 
     rng = np.random.default_rng(6)
-    xr = rng.standard_normal((2, 3, 4, 4))
-    r = rng.standard_normal((2, 3, 3, 3))
+    xr = rng.standard_normal((3, 4, 4, 2))
+    r = rng.standard_normal((3, 3, 3, 2))
     pool.forward(xr)
     dx = pool.backward(r)
     want = finite_difference(lambda t: _loss_through(pool, t, r), xr.copy())
@@ -286,6 +286,54 @@ def test_sequential_end_to_end_gradients():
         assert rel_err(p.grad, want) < 1e-5, name
 
 
+def test_eval_logits_match_an_nchw_reference():
+    # Every layer kind, recomputed in the (n, c, h, w) layout with oracles and
+    # plain NumPy: pins the network's layout boundaries and Flatten's
+    # per-sample (c, h, w) feature order, so Linear weights keep their meaning.
+    rng = np.random.default_rng(14)
+    net = nn.build_network("C4K3S2P1-C6K3S1-AvgPool2-FC5", 3, 9, rng,
+                           generated=(1,), n_basis=2, n_cross=3)
+    for layer in net.layers:
+        if isinstance(layer, nn.BatchNorm2d):
+            c = layer.channels
+            layer.running_mean = rng.standard_normal(c)
+            layer.running_var = rng.uniform(0.5, 2.0, c)
+            layer.gamma.value[:] = rng.uniform(0.5, 1.5, c)
+            layer.beta.value[:] = rng.standard_normal(c)
+    x = rng.standard_normal((4, 3, 9, 9))
+
+    want = x
+    for layer in net.layers:
+        if isinstance(layer, nn.Conv2d):
+            want = conv2d_naive(want, layer.weight.value, layer.stride, layer.pad)
+        elif isinstance(layer, nn.GeneratedConv2d):
+            kernel = generator.generate(layer.factors, quantized=True)
+            want = conv2d_naive(want, kernel, layer.stride, layer.pad)
+        elif isinstance(layer, nn.BatchNorm2d):
+            mean, var, gamma, beta = (a[None, :, None, None] for a in (
+                layer.running_mean, layer.running_var, layer.gamma.value, layer.beta.value))
+            want = (want - mean) / np.sqrt(var + layer.eps) * gamma + beta
+        elif isinstance(layer, nn.ReLU):
+            want = np.maximum(want, 0.0)
+        elif isinstance(layer, nn.AdaptiveAvgPool2d):
+            assert layer.out == 2 and want.shape[2:] == (3, 3)
+            pooled = np.empty(want.shape[:2] + (2, 2))
+            for i, rows in enumerate([slice(0, 2), slice(1, 3)]):
+                for j, cols in enumerate([slice(0, 2), slice(1, 3)]):
+                    pooled[:, :, i, j] = want[:, :, rows, cols].mean(axis=(2, 3))
+            want = pooled
+        elif isinstance(layer, nn.Flatten):
+            want = want.reshape(want.shape[0], -1)
+        else:
+            want = want @ layer.weight.value.T + layer.bias.value
+    assert [type(l).__name__ for l in net.layers] == [
+        "Conv2d", "BatchNorm2d", "ReLU", "GeneratedConv2d", "BatchNorm2d", "ReLU",
+        "AdaptiveAvgPool2d", "Flatten", "Linear"]
+    got = net.forward(x, train=False)
+    assert got.shape == (4, 5)
+    assert rel_err(got, want) < 1e-12
+
+
 def test_build_network_reference_arch_shapes():
     rng = np.random.default_rng(10)
     net = nn.build_network("C32K5S2-C32K5S1-C32K5S1-AvgPool3-FC10", 1, 28, rng,
@@ -329,10 +377,17 @@ def test_plan_network_gives_the_built_plans_and_errors():
     ]
     assert [kind for kind, _ in tokens] == ["conv"] * 3 + ["avgpool", "flatten", "fc"]
     for arch, size, generated in [("C4K3S1-AvgPool0-FC2", 8, ()), ("C4K9S1-FC2", 4, ()),
-                                  ("C4K3S1-FC2", 8, (5,)), ("C4K3S1-FC2", 8, (0,))]:
+                                  ("C4K3S1-FC2", 8, (5,)), ("C4K3S1-FC2", 8, (0,)),
+                                  ("C8K3S1", 8, ()), ("C8K3S1-AvgPool2", 8, ()),
+                                  ("FC10-C8K3S1", 8, ()), ("FC10-FC10-AvgPool2", 8, ())]:
         n_basis = 0  # infeasible for the generated layer, if any
         with pytest.raises(WeightgenError) as planned:
             nn.plan_network(arch, 1, size, generated, n_basis, 2, 4, 4, 4)
         with pytest.raises(WeightgenError) as built:
             nn.build_network(arch, 1, size, np.random.default_rng(0), generated, n_basis, 2)
         assert repr(planned.value) == repr(built.value)
+    # the output is always (n, classes): an FC block ends every arch
+    for arch, token in [("C8K3S1", "C8K3S1"), ("C8K3S1-AvgPool2", "AvgPool2"),
+                        ("FC10-C8K3S1", "C8K3S1"), ("FC10-FC10-AvgPool2", "AvgPool2")]:
+        with pytest.raises(ConfigError, match=f"'{token}'"):
+            nn.plan_network(arch, 1, 8, (), 2, 2, 4, 4, 4)

@@ -7,6 +7,16 @@ from weightgen.errors import ShapeError
 from oracles import conv2d_backward_naive, conv2d_naive, gemm_naive, rel_err
 
 
+def _chwn(a):
+    """An (n, c, h, w) oracle array in the (c, h, w, n) layout tensor uses."""
+    return a.transpose(1, 2, 3, 0)
+
+
+def _nchw(a):
+    """A (c, h, w, n) tensor result in the (n, c, h, w) layout oracles use."""
+    return a.transpose(3, 0, 1, 2)
+
+
 def test_matmul_agrees_with_gemm_to_roundoff():
     rng = np.random.default_rng(13)
     a = rng.standard_normal((24, 40))
@@ -29,7 +39,7 @@ def test_conv2d_matches_nested_loops(n, c, h, w, k, stride, pad):
     rng = np.random.default_rng(1000 + n * 100 + k)
     x = rng.standard_normal((n, c, h, w))
     wt = rng.standard_normal((4, c, k, k))
-    got = tensor.conv2d_forward(x, wt, stride=stride, pad=pad)
+    got = _nchw(tensor.conv2d_forward(_chwn(x), wt, stride=stride, pad=pad))
     want = conv2d_naive(x, wt, stride=stride, pad=pad)
     assert got.shape == want.shape
     assert rel_err(got, want) < 1e-12
@@ -48,28 +58,28 @@ def test_conv2d_forward_blocks_match_oracle(monkeypatch, n, c, h, w, k, stride, 
     rng = np.random.default_rng(2000 + n)
     x = rng.standard_normal((n, c, h, w))
     wt = rng.standard_normal((4, c, k, k))
-    cols_per_sample = tensor.im2col(x[:1], k, stride, pad).nbytes
+    cols_per_sample = tensor.im2col(_chwn(x[:1]), k, stride, pad).nbytes
     monkeypatch.setattr(tensor, "_BLOCK_BYTES", per_block * cols_per_sample)
     blocks = []
     im2col = tensor.im2col
 
     def counting_im2col(xb, *args):
-        blocks.append(xb.shape[0])
+        blocks.append(xb.shape[3])
         return im2col(xb, *args)
 
     monkeypatch.setattr(tensor, "im2col", counting_im2col)
-    got = tensor.conv2d_forward(x, wt, stride=stride, pad=pad)
+    got = _nchw(tensor.conv2d_forward(_chwn(x), wt, stride=stride, pad=pad))
     assert len(blocks) == -(-n // per_block) >= 3
     assert sum(blocks) == n and max(blocks) <= per_block
     assert max(blocks) - min(blocks) <= (0 if n % len(blocks) == 0 else 1)
     assert rel_err(got, conv2d_naive(x, wt, stride=stride, pad=pad)) < 1e-12
-    assert rel_err(got, tensor.conv2d(x, wt, stride, pad)[0]) < 1e-12
+    assert rel_err(got, _nchw(tensor.conv2d(_chwn(x), wt, stride, pad)[0])) < 1e-12
 
 
 def test_im2col_row_and_column_order():
     # 1 sample, 2 channels, 3x3 image, k=2: check one patch explicitly.
     x = np.arange(18, dtype=np.float64).reshape(1, 2, 3, 3)
-    cols = tensor.im2col(x, k=2)
+    cols = tensor.im2col(_chwn(x), k=2)
     assert cols.shape == (8, 4)
     # column 0 is the top-left patch: channel 0 rows then channel 1 rows,
     # each scanning (kh, kw) in C order.
@@ -83,7 +93,7 @@ def test_im2col_columns_put_the_sample_innermost():
     # 2 samples, 1 channel, 3x4 image, k=2: columns run (out-row, out-col,
     # sample) in C order, so neighbouring columns are the two samples' same patch.
     x = np.arange(24, dtype=np.float64).reshape(2, 1, 3, 4)
-    cols = tensor.im2col(x, k=2)
+    cols = tensor.im2col(_chwn(x), k=2)
     assert cols.shape == (4, 2 * 3 * 2)
     for i in range(2):
         for j in range(3):
@@ -98,12 +108,12 @@ def test_conv2d_backward_matches_nested_loops(stride, pad):
     rng = np.random.default_rng(40 + 2 * stride + pad)
     x = rng.standard_normal((3, 2, 7, 6))
     wt = rng.standard_normal((4, 2, 3, 3))
-    out, cols = tensor.conv2d(x, wt, stride, pad)
-    grad = rng.standard_normal(out.shape)
-    d_w, d_x = tensor.conv2d_backward(grad, cols, wt, x.shape, stride, pad)
+    out, cols = tensor.conv2d(_chwn(x), wt, stride, pad)
+    grad = rng.standard_normal(_nchw(out).shape)
+    d_w, d_x = tensor.conv2d_backward(_chwn(grad), cols, wt, _chwn(x).shape, stride, pad)
     want_w, want_x = conv2d_backward_naive(x, wt, grad, stride, pad)
     assert rel_err(d_w, want_w) < 1e-12
-    assert rel_err(d_x, want_x) < 1e-12
+    assert rel_err(_nchw(d_x), want_x) < 1e-12
 
 
 def test_im2col_col2im_adjoint_identity():
@@ -111,10 +121,10 @@ def test_im2col_col2im_adjoint_identity():
     x_shape = (2, 3, 9, 8)
     for k, stride, pad in [(3, 1, 0), (3, 2, 1), (5, 1, 2), (2, 2, 0)]:
         x = rng.standard_normal(x_shape)
-        cols = tensor.im2col(x, k, stride, pad)
+        cols = tensor.im2col(_chwn(x), k, stride, pad)
         y = rng.standard_normal(cols.shape)
         lhs = float(np.sum(cols * y))
-        rhs = float(np.sum(x * tensor.col2im(y, x_shape, k, stride, pad)))
+        rhs = float(np.sum(x * _nchw(tensor.col2im(y, _chwn(x).shape, k, stride, pad))))
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
 

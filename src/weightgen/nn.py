@@ -2,13 +2,17 @@
 
 Only what the experiments need: conv (dense or generated), batch norm,
 ReLU, adaptive average pooling, flatten, linear, and an optional
-activation fake-quantizer.  Layers cache what their backward needs on
-forward, except that an inference (``train=False``) conv keeps only a
-reference to its input and recomputes its im2col matrix if backward is
-called; ``Sequential`` chains them and collects parameters.  A generated
-conv convolves with its n_cross basis kernels, then mixes the result into
-C_out channels as a 1x1 conv; with its cross level active that costs
-n_cross/C_out + n_cross/(C_in*k*k) of a dense conv's multiply-adds.
+activation fake-quantizer.  A layer never writes its input, and on
+forward it makes only the arrays it returns or its backward needs: a
+training conv caches its im2col matrix, a training batch norm its
+normalized input, and ReLU its own output.  An inference (``train=False``)
+conv or batch norm caches only a reference to its input and recomputes
+its im2col matrix, or its normalized input, if backward is called; eval
+batch norm is one scale and shift per channel.  ``Sequential`` chains the
+layers and collects parameters.  A generated conv convolves with its
+n_cross basis kernels, then mixes the result into C_out channels as a 1x1
+conv; with its cross level active that costs n_cross/C_out +
+n_cross/(C_in*k*k) of a dense conv's multiply-adds.
 
 Activations between layers are (C, H, W, n), as a conv's GEMM makes them.
 Only ``Sequential``, on entry and exit, and ``Flatten``, which gives the
@@ -191,34 +195,49 @@ class BatchNorm2d(Layer):
             )
         x2d = x.reshape(self.channels, -1)
         if train:
-            mu = x2d.mean(axis=1)
-            var = x2d.var(axis=1)
             m = x2d.shape[1]
-            self.running_mean = (
-                (1 - self.momentum) * self.running_mean + self.momentum * mu
-            )
-            unbiased = var * (m / max(m - 1, 1))
-            self.running_var = (
-                (1 - self.momentum) * self.running_var + self.momentum * unbiased
-            )
+            mu = x2d.mean(axis=1)
+            xhat = x2d - mu[:, None]
+            var = np.einsum("ij,ij->i", xhat, xhat) / m
+            mom, unbiased = self.momentum, var * (m / max(m - 1, 1))
+            self.running_mean = (1 - mom) * self.running_mean + mom * mu
+            self.running_var = (1 - mom) * self.running_var + mom * unbiased
+            inv_std = 1.0 / np.sqrt(var + self.eps)
+            xhat *= inv_std[:, None]
+            out = xhat * self.gamma.value[:, None]
+            out += self.beta.value[:, None]
+            self._cache = (True, xhat, None, inv_std)
         else:
-            mu, var = self.running_mean, self.running_var
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x2d - mu[:, None]) * inv_std[:, None]
-        self._cache = (xhat, inv_std, train)
-        out = self.gamma.value[:, None] * xhat + self.beta.value[:, None]
+            mu = self.running_mean
+            inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
+            scale = self.gamma.value * inv_std
+            out = x2d * scale[:, None]
+            out += (self.beta.value - mu * scale)[:, None]
+            self._cache = (False, x2d, mu, inv_std)
         return out.reshape(x.shape)
 
     def backward(self, grad):
-        xhat, inv_std, train = self._cache
-        g = grad.reshape(xhat.shape)
-        self.beta.grad += g.sum(axis=1)
-        self.gamma.grad += (g * xhat).sum(axis=1)
-        d_xhat = g * self.gamma.value[:, None]
+        train, cached, mu, inv_std = self._cache
         if train:
-            d_xhat = (d_xhat - d_xhat.mean(axis=1)[:, None]
-                      - xhat * (d_xhat * xhat).mean(axis=1)[:, None])
-        return (inv_std[:, None] * d_xhat).reshape(grad.shape)
+            xhat = cached
+        else:  # an eval forward keeps only its input; xhat is needed for d_gamma
+            xhat = cached - mu[:, None]
+            xhat *= inv_std[:, None]
+        g = grad.reshape(xhat.shape)
+        g_sum = g.sum(axis=1)
+        g_xhat = np.einsum("ij,ij->i", g, xhat)
+        self.beta.grad += g_sum
+        self.gamma.grad += g_xhat
+        scale = self.gamma.value * inv_std
+        if train:  # the batch statistics depend on x too
+            m = g.shape[1]
+            d_x = xhat * (-g_xhat / m)[:, None]
+            d_x += g
+            d_x -= (g_sum / m)[:, None]
+            d_x *= scale[:, None]
+        else:
+            d_x = g * scale[:, None]
+        return d_x.reshape(grad.shape)
 
     def params(self):
         return [self.gamma, self.beta]
@@ -226,11 +245,11 @@ class BatchNorm2d(Layer):
 
 class ReLU(Layer):
     def forward(self, x, train=False):
-        self._mask = x > 0
-        return x * self._mask
+        self._out = np.maximum(x, 0.0)
+        return self._out
 
     def backward(self, grad):
-        return grad * self._mask
+        return grad * (self._out > 0)
 
 
 class AdaptiveAvgPool2d(Layer):
@@ -419,6 +438,9 @@ def plan_network(arch: str, in_channels: int, in_size: int, generated: tuple[int
             c, size = c_out, out_size
             conv_idx += 1
         elif kind == "avgpool":
+            if args[0] > size:
+                raise ConfigError(f"architecture token {piece!r} in {arch!r} cannot pool "
+                                  f"a {size}x{size} map up to {args[0]}x{args[0]}")
             (size,) = args
             tokens.append((kind, args))
         elif kind == "fc":

@@ -144,17 +144,22 @@ def conv2d_forward(x, weight, stride: int = 1, pad: int = 0) -> np.ndarray:
 
     The batch goes through conv2d in the fewest sample blocks whose im2col
     matrix fits _BLOCK_BYTES (32 MiB), block sizes differing by at most one
-    sample, and the blocks' outputs are joined on the sample axis.  The
-    split depends only on the shapes, and every output element is the same
-    dot product as in conv2d.
+    sample.  One block's output is returned as conv2d makes it; several are
+    written into one preallocated output, each into its own sample range.
+    The split depends only on the shapes, and every output element is the
+    same dot product as in conv2d.
     """
     x, w, (h_out, w_out) = _conv_args(x, weight, stride, pad)
     n = x.shape[3]
     sample_bytes = w[0].size * h_out * w_out * x.itemsize
     n_blocks = -(-n // max(1, _BLOCK_BYTES // max(1, sample_bytes)))
+    if n_blocks == 1:
+        return conv2d(x, w, stride, pad)[0]
     bounds = [n * i // n_blocks for i in range(n_blocks + 1)]
-    return np.concatenate([conv2d(x[..., start:stop], w, stride, pad)[0]
-                           for start, stop in zip(bounds[:-1], bounds[1:])], axis=3)
+    out = np.empty((w.shape[0], h_out, w_out, n))
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        out[..., start:stop] = conv2d(x[..., start:stop], w, stride, pad)[0]
+    return out
 
 
 def conv2d_backward(grad, cols, weight, x_shape, stride: int = 1, pad: int = 0):

@@ -11,6 +11,18 @@ for two trees in turn records alternating pairs.  Each set also holds the
 median and quartiles of every metric over its runs and the environment
 record run.py prints (Python, NumPy, BLAS and its thread count, nproc, git
 commit and ``src/`` line count).  A set refuses runs of a different commit.
+
+    python3 scripts/bench_record.py --compare parent change --out BENCH_8.json
+
+compares two recorded sets instead, workload by workload, by the paired
+rule: run i of one set is paired with run i of the other, so record them
+alternately.  For each metric (all are lower-is-better) it prints both
+medians and interquartile ranges and the pairs the second set wins, loses
+and ties.  The second set's gain counts only when it wins at least nine
+tenths of the pairs and its median beats the first's by more than the
+first's IQR; a loss by the same rule reads "worse", anything else
+"unresolved".  The comparison is also stored in the file under
+``comparisons``.
 """
 
 from __future__ import annotations
@@ -78,17 +90,76 @@ def record(doc: dict, label: str, workload: str, args: dict, run: dict) -> None:
     entry["summary"] = summarize(entry["runs"], run["units"])
 
 
+def compare(doc: dict, base: str, new: str) -> dict:
+    """The paired comparison of set new against set base, per workload and metric."""
+    sets = doc.get("sets", {})
+    for label in (base, new):
+        if label not in sets:
+            raise RecordError(f"no set named {label!r}; sets: {sorted(sets)}")
+    out = {}
+    for workload in sorted(set(sets[base]) & set(sets[new])):
+        b_entry, n_entry = sets[base][workload], sets[new][workload]
+        rows = {}
+        for name, b_sum in sorted(b_entry["summary"].items()):
+            n_sum = n_entry["summary"][name]
+            pairs = [(b["metrics"][name], n["metrics"][name])
+                     for b, n in zip(b_entry["runs"], n_entry["runs"])]
+            wins = sum(y < x for x, y in pairs)
+            losses = sum(y > x for x, y in pairs)
+            iqr = b_sum["q3"] - b_sum["q1"]
+            diff = n_sum["median"] - b_sum["median"]
+            if wins >= 0.9 * len(pairs) and -diff > iqr:
+                verdict = "gain"
+            elif losses >= 0.9 * len(pairs) and diff > iqr:
+                verdict = "worse"
+            else:
+                verdict = "unresolved"
+            rows[name] = {
+                "unit": b_sum["unit"], "pairs": len(pairs), "wins": wins, "losses": losses,
+                "base": {k: b_sum[k] for k in ("median", "q1", "q3")},
+                "new": {k: n_sum[k] for k in ("median", "q1", "q3")},
+                "change_pct": 100.0 * diff / b_sum["median"],
+                "clears_base_iqr": abs(diff) > iqr, "verdict": verdict,
+            }
+        out[workload] = rows
+    return out
+
+
+def print_comparison(result: dict, base: str, new: str) -> None:
+    print(f"{new} against {base}: medians [q1, q3]; wins/losses of {new} over the pairs")
+    for workload, rows in result.items():
+        for name, r in rows.items():
+            b, n = r["base"], r["new"]
+            print(f"{workload:8} {name:12} {b['median']:9.4g} [{b['q1']:.4g}, {b['q3']:.4g}]"
+                  f" -> {n['median']:9.4g} [{n['q1']:.4g}, {n['q3']:.4g}] {r['unit']:3}"
+                  f" {r['change_pct']:+6.1f}%  {r['wins']}/{r['losses']} of {r['pairs']}"
+                  f"  clears {base} IQR: {'yes' if r['clears_base_iqr'] else 'no'}"
+                  f"  {r['verdict']}")
+
+
+def save(doc: dict, path: str) -> None:
+    tmp = path + ".tmp"
+    with open(tmp, "w") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    os.replace(tmp, path)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--tree", required=True, help="checkout whose perfbench/run.py to run")
-    parser.add_argument("--label", required=True, help="set name, e.g. parent or change")
-    parser.add_argument("--workload", required=True, help="run.py workload")
+    parser.add_argument("--tree", help="checkout whose perfbench/run.py to run")
+    parser.add_argument("--label", help="set name, e.g. parent or change")
+    parser.add_argument("--workload", help="run.py workload")
+    parser.add_argument("--compare", nargs=2, metavar=("BASE", "NEW"),
+                        help="compare two recorded sets of --out instead of running")
     parser.add_argument("--runs", type=int, default=5, help="runs to add (default 5)")
     parser.add_argument("--seed", type=int, default=0, help="workload seed (default 0)")
     parser.add_argument("--seconds", type=float, default=40.0,
                         help="measured window per run (default 40)")
     parser.add_argument("--out", required=True, help="BENCH_*.json file to create or extend")
     ns = parser.parse_args(argv)
+    if ns.compare is None and None in (ns.tree, ns.label, ns.workload):
+        parser.error("recording runs needs --tree, --label and --workload")
     if ns.runs < 1:
         parser.error("--runs must be at least 1")
     doc = {}
@@ -97,17 +168,20 @@ def main(argv=None) -> int:
             doc = json.load(fh)
     args = {"seed": ns.seed, "seconds": ns.seconds, "trace": 0}
     try:
+        if ns.compare:
+            base, new = ns.compare
+            result = compare(doc, base, new)
+            print_comparison(result, base, new)
+            doc.setdefault("comparisons", {})[f"{new} vs {base}"] = result
+            save(doc, ns.out)
+            return 0
         for _ in range(ns.runs):
             run = run_once(ns.tree, ns.workload, ns.seed, ns.seconds)
             record(doc, ns.label, ns.workload, args, run)
             print(f"{ns.label} {ns.workload}: correct={run['correct']} "
                   f"failed={run['failed']}/{run['attempted']} " + " ".join(
                       f"{k}={v:.4g}" for k, v in sorted(run["metrics"].items())))
-            tmp = ns.out + ".tmp"
-            with open(tmp, "w") as fh:
-                json.dump(doc, fh, indent=1, sort_keys=True)
-                fh.write("\n")
-            os.replace(tmp, ns.out)
+            save(doc, ns.out)
     except RecordError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

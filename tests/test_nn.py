@@ -184,6 +184,88 @@ def test_batchnorm_backward_matches_finite_differences():
                    finite_difference(loss_beta, layer.beta.value.copy())) < 1e-7
 
 
+def test_batchnorm_eval_backward_matches_finite_differences():
+    rng = np.random.default_rng(15)
+    layer = nn.BatchNorm2d(3)
+    layer.gamma.value = rng.uniform(0.5, 1.5, 3)
+    layer.beta.value = rng.standard_normal(3)
+    layer.running_mean = rng.standard_normal(3)
+    layer.running_var = rng.uniform(0.5, 2.0, 3)
+    x = rng.standard_normal((3, 5, 5, 4))
+    r = rng.standard_normal(x.shape)
+
+    layer.forward(x, train=False)
+    layer.gamma.zero_grad()
+    layer.beta.zero_grad()
+    dx = layer.backward(r)
+
+    want_dx = finite_difference(lambda t: _loss_through(layer, t, r, train=False), x.copy())
+    assert rel_err(dx, want_dx) < 1e-7
+
+    def loss_gamma(g):
+        layer.gamma.value = g
+        return _loss_through(layer, x, r, train=False)
+
+    assert rel_err(layer.gamma.grad,
+                   finite_difference(loss_gamma, layer.gamma.value.copy())) < 1e-7
+
+    def loss_beta(b):
+        layer.beta.value = b
+        return _loss_through(layer, x, r, train=False)
+
+    assert rel_err(layer.beta.grad,
+                   finite_difference(loss_beta, layer.beta.value.copy())) < 1e-7
+
+
+def test_batchnorm_and_relu_never_write_their_input():
+    rng = np.random.default_rng(16)
+    bn = nn.BatchNorm2d(2)
+    bn.gamma.value = rng.uniform(0.5, 1.5, 2)
+    bn.beta.value = rng.standard_normal(2)
+    bn.running_mean = rng.standard_normal(2)
+    bn.running_var = rng.uniform(0.5, 2.0, 2)
+    for layer in (bn, nn.ReLU()):
+        for train in (True, False):
+            x = rng.standard_normal((2, 4, 4, 3))
+            x_before = x.tobytes()
+            out = layer.forward(x, train=train)
+            grad = rng.standard_normal(out.shape)
+            grad_before = grad.tobytes()
+            layer.backward(grad)
+            assert x.tobytes() == x_before, (type(layer).__name__, train)
+            assert grad.tobytes() == grad_before, (type(layer).__name__, train)
+    # As a network's first layer, batch norm sees the caller's own array: a
+    # one-sample batch stays C-contiguous through Sequential's transpose.
+    net = nn.Sequential([bn, nn.ReLU(), nn.Flatten(), nn.Linear(32, 3, rng=rng)])
+    for n in (1, 5):
+        for train in (True, False):
+            x = rng.standard_normal((n, 2, 4, 4))
+            x_before = x.tobytes()
+            net.backward(rng.standard_normal(net.forward(x, train=train).shape))
+            assert x.tobytes() == x_before, (n, train)
+
+
+def test_eval_batchnorm_keeps_no_full_size_array_beyond_its_output():
+    rng = np.random.default_rng(17)
+    layer = nn.BatchNorm2d(8)
+    layer.running_mean = rng.standard_normal(8)
+    layer.running_var = rng.uniform(0.5, 2.0, 8)
+    x = rng.standard_normal((8, 12, 12, 32))
+    layer.forward(x, train=True)  # leaves a training cache for the eval forward to drop
+    want = (x - layer.running_mean[:, None, None, None]) / np.sqrt(
+        layer.running_var[:, None, None, None] + layer.eps)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = layer.forward(x, train=False)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < out.nbytes + x.nbytes // 2
+    assert after - before - out.nbytes < x.nbytes // 8
+    assert rel_err(out, want) < 1e-12
+
+
 def test_batchnorm_running_stats_and_eval_mode():
     rng = np.random.default_rng(4)
     layer = nn.BatchNorm2d(2, momentum=0.1)
@@ -379,13 +461,17 @@ def test_plan_network_gives_the_built_plans_and_errors():
     for arch, size, generated in [("C4K3S1-AvgPool0-FC2", 8, ()), ("C4K9S1-FC2", 4, ()),
                                   ("C4K3S1-FC2", 8, (5,)), ("C4K3S1-FC2", 8, (0,)),
                                   ("C8K3S1", 8, ()), ("C8K3S1-AvgPool2", 8, ()),
-                                  ("FC10-C8K3S1", 8, ()), ("FC10-FC10-AvgPool2", 8, ())]:
+                                  ("FC10-C8K3S1", 8, ()), ("FC10-FC10-AvgPool2", 8, ()),
+                                  ("C4K3S1-AvgPool9-FC2", 8, ())]:
         n_basis = 0  # infeasible for the generated layer, if any
         with pytest.raises(WeightgenError) as planned:
             nn.plan_network(arch, 1, size, generated, n_basis, 2, 4, 4, 4)
         with pytest.raises(WeightgenError) as built:
             nn.build_network(arch, 1, size, np.random.default_rng(0), generated, n_basis, 2)
         assert repr(planned.value) == repr(built.value)
+    # a pool cannot enlarge its map: the error names the token at plan time
+    with pytest.raises(ConfigError, match="'AvgPool9'"):
+        nn.plan_network("C4K3S1-AvgPool9-FC2", 1, 8, (), 2, 2, 4, 4, 4)
     # the output is always (n, classes): an FC block ends every arch
     for arch, token in [("C8K3S1", "C8K3S1"), ("C8K3S1-AvgPool2", "AvgPool2"),
                         ("FC10-C8K3S1", "C8K3S1"), ("FC10-FC10-AvgPool2", "AvgPool2")]:

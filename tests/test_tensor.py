@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,30 @@ def test_conv2d_forward_blocks_match_oracle(monkeypatch, n, c, h, w, k, stride, 
     assert max(blocks) - min(blocks) <= (0 if n % len(blocks) == 0 else 1)
     assert rel_err(got, conv2d_naive(x, wt, stride=stride, pad=pad)) < 1e-12
     assert rel_err(got, _nchw(tensor.conv2d(_chwn(x), wt, stride, pad)[0])) < 1e-12
+
+
+def test_conv2d_forward_writes_blocks_into_one_output(monkeypatch):
+    # C_out = 16 > C_in*k*k = 9, so an output outweighs one block's patch
+    # matrix and GEMM result together: joining the block outputs after the
+    # fact would hold two outputs at once, well above the bound below.
+    rng = np.random.default_rng(2100)
+    x = rng.standard_normal((1, 12, 12, 16))
+    wt = rng.standard_normal((16, 1, 3, 3))
+    monkeypatch.setattr(tensor, "_BLOCK_BYTES", tensor.im2col(x, 3, 1, 1).nbytes // 4)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = tensor.conv2d_forward(x, wt, 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    blocks = [tensor.conv2d(x[..., a : a + 4], wt, 1, 1)[0] for a in range(0, 16, 4)]
+    assert out.flags.c_contiguous
+    assert out.tobytes() == np.concatenate(blocks, axis=3).tobytes()
+    block_cols = tensor.im2col(x[..., :4], 3, 1, 1).nbytes
+    bound = out.nbytes + block_cols + blocks[0].nbytes + blocks[0].nbytes // 4
+    assert bound < 2 * out.nbytes
+    assert peak - before < bound
 
 
 def test_im2col_row_and_column_order():

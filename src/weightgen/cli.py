@@ -183,9 +183,6 @@ def _resolve(ns: argparse.Namespace) -> dict:
         if CONFIG_TYPES[key] != "list":
             training.check_field(key, CONFIG_TYPES[key], value)
     merged.pop("command", None)
-    for key in ("limit_train", "limit_test"):
-        if merged.get(key, 1) < 1:
-            raise ConfigError(f"{key} must be at least 1, got {merged[key]}")
     return merged
 
 
@@ -480,10 +477,7 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     try:
         return ns.func(ns)
-    except WeightgenError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (WeightgenError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -157,13 +157,12 @@ def _plans(cfg: training.TrainConfig) -> list[generator.GenPlan]:
 
 
 def _aggregate_ratios(plans: list[generator.GenPlan], dense_bits: int = 16) -> tuple[float, float]:
-    """Stored/dense ratios summed over a set of generated layers."""
-    dense = sum(generator.dense_param_count(p) for p in plans)
-    stored = sum(generator.param_count(p) for p in plans)
-    stored_bits = sum(generator.memory_bits(p) for p in plans)
-    if dense == 0:
-        raise ConfigError("no generated layers to aggregate ratios over")
-    return stored / dense, stored_bits / (dense * dense_bits)
+    """generator.param_ratio and memory_ratio over a set of generated
+    layers, each weighted by its share of their dense parameters."""
+    dense = [generator.dense_param_count(p) for p in plans]
+    total = sum(dense)
+    return (sum(d * generator.param_ratio(p) for d, p in zip(dense, plans)) / total,
+            sum(d * generator.memory_ratio(p, dense_bits) for d, p in zip(dense, plans)) / total)
 
 
 def grid_search(
@@ -184,9 +183,9 @@ def grid_search(
     Every grid point reuses base_cfg with only the cardinalities and
     bitwidths replaced, and keeps base_cfg.seed, so each point is
     deterministic and a 1x1 grid reproduces a direct train() call
-    bit for bit. The teacher is shared across points: every point's
-    stage 1 fits its kernels, and its logits on train_x are computed once
-    per call and passed to every point's stage 2.
+    bit for bit. The teacher is shared across points: every point's stage
+    1 fits its kernels to it and copies its other layers, and its logits on
+    train_x are computed once per call and passed to every stage 2.
     Settings whose layer plans cannot be built are skipped and the
     reason is recorded instead of aborting the sweep; the plans are checked
     without building a network, so each point's network is built once, by
@@ -249,20 +248,15 @@ def pareto_front(points: list[ExplorationPoint]) -> list[ExplorationPoint]:
     """
     if not points:
         raise ConfigError("pareto_front needs at least one point")
-    order = sorted(points, key=lambda p: p.r_m)
     front: list[ExplorationPoint] = []
     best_acc = -math.inf
-    i = 0
-    while i < len(order):
-        j = i
-        while j < len(order) and order[j].r_m == order[i].r_m:
-            j += 1
-        group = order[i:j]
+    for _, group in itertools.groupby(sorted(points, key=lambda p: p.r_m),
+                                      key=lambda p: p.r_m):
+        group = list(group)
         group_max = max(p.accuracy for p in group)
         if group_max > best_acc:
             front.extend(p for p in group if p.accuracy == group_max)
             best_acc = group_max
-        i = j
     return front
 
 

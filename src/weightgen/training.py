@@ -1,9 +1,10 @@
 """Two-stage training for networks with generated convolutions.
 
 Stage 1 projects a dense teacher onto the factor space of every generated
-layer by truncated SVD, optionally refined in the l2 norm without ever
-ending at a worse fit.  Stage 2 runs quantization-aware knowledge
-distillation: mini-batch updates of all parameters on the gradient of
+layer by truncated SVD, refined in the l2 norm without ever ending at a
+worse fit, and copies the teacher's other layers into the student.  Stage
+2 runs quantization-aware knowledge distillation: mini-batch updates of
+all parameters on the gradient of
 
     L = L_KD + lambda * L_ort
 
@@ -37,6 +38,7 @@ import numpy as np
 from . import dataio, generator, nn, tensor
 from .errors import ConfigError, DivergenceError, ShapeError
 from .optim import RAdam
+from .quantize import check_bits
 
 CHECKPOINT_VERSION = 1
 # Former TrainConfig fields; checkpoint and config readers drop them.
@@ -243,10 +245,27 @@ _FIELD_CHECKS = {
 }
 
 
+# Config key -> (range check, what the error asks for); a NaN fails every
+# check.  n_basis, n_cross and the q_* widths are plan_layer's to check, so
+# that grid_search can skip a point whose plan cannot be built.
+_FIELD_RANGES = {
+    **dict.fromkeys(("in_channels", "in_size", "epochs", "batch_size", "eval_train_samples",
+                     "limit_train", "limit_test"), (lambda v: v >= 1, "at least 1")),
+    **dict.fromkeys(("lr", "lr_decay", "temperature"), (lambda v: v > 0, "positive")),
+    **dict.fromkeys(("weight_decay", "ortho_weight", "init_iters"),
+                    (lambda v: v >= 0, "non-negative")),
+    "beta": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+    "init": (lambda v: v in INIT_METHODS, f"one of {INIT_METHODS}"),
+}
+
+
 def check_field(name: str, annotation: str, value) -> None:
     """Raise a ConfigError naming the field unless value is of the JSON type
-    the annotation ("int", "float", "tuple[int, ...]", ...) stands for."""
+    the annotation ("int", "float", "tuple[int, ...]", ...) stands for and
+    lies in the field's _FIELD_RANGES range."""
     ok, want = _FIELD_CHECKS[annotation]
+    if ok(value) and name in _FIELD_RANGES:
+        ok, want = _FIELD_RANGES[name]
     if not ok(value):
         raise ConfigError(f"config field {name!r} must be {want}, got {value!r}")
 
@@ -282,10 +301,8 @@ class TrainConfig:
     def __post_init__(self):
         for f in fields(self):
             check_field(f.name, f.type, getattr(self, f.name))
-        if self.init not in INIT_METHODS:
-            raise ConfigError(f"init must be one of {INIT_METHODS}, got {self.init!r}")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be positive")
+        if self.act_bits is not None:
+            check_bits("act_bits", self.act_bits)
         self.generated = tuple(int(i) for i in self.generated)
 
 
@@ -346,32 +363,52 @@ def build_model(cfg: TrainConfig) -> nn.Sequential:
     )
 
 
+def _arrays(layer: nn.Layer) -> dict[str, np.ndarray]:
+    """Name -> array of every parameter and running statistic of a layer."""
+    out = {p.name: p.value for p in layer.params()}
+    if isinstance(layer, nn.BatchNorm2d):
+        out.update(running_mean=layer.running_mean, running_var=layer.running_var)
+    return out
+
+
 def initialize_from_teacher(model: nn.Sequential, teacher: nn.Sequential,
                             cfg: TrainConfig):
     """Stage 1: fit every generated layer's factors to the matching teacher
-    kernel.  Returns the per-layer relative residuals."""
-    student_convs = model.conv_layers()
-    teacher_convs = teacher.conv_layers()
-    if len(student_convs) != len(teacher_convs):
-        raise ConfigError(
-            f"teacher has {len(teacher_convs)} conv layers, student has "
-            f"{len(student_convs)}; architectures must match"
-        )
+    kernel (init="svd" is the l2 projection with zero steps), and copy every
+    other layer's parameters and running statistics from the teacher, so
+    the fitted kernels read the teacher's features.  Conv, batch-norm and
+    linear layers pair up in order, so a student's ActQuant layers are
+    passed over; a teacher layer holding other arrays raises a ConfigError
+    naming the student layer.  Returns the generated layers' residuals."""
+    kinds = (nn._Conv, nn.BatchNorm2d, nn.Linear)
+    student = [(i, layer) for i, layer in enumerate(model.layers) if isinstance(layer, kinds)]
+    dense = [layer for layer in teacher.layers if isinstance(layer, kinds)]
+    if len(student) != len(dense):
+        raise ConfigError(f"teacher has {len(dense)} conv, batch-norm and linear layers, "
+                          f"student has {len(student)}; architectures must match")
     residuals = []
-    for s_layer, t_layer in zip(student_convs, teacher_convs):
-        if not isinstance(s_layer, nn.GeneratedConv2d):
-            continue
+    for (i, s_layer), t_layer in zip(student, dense):
         if isinstance(t_layer, nn.GeneratedConv2d):
             raise ConfigError("teacher must be a dense network")
-        target = t_layer.weight.value
-        plan = s_layer.factors.plan
-        if cfg.init == "svd":
-            factors, residual = svd_init(target, plan)
-        else:
-            factors, residual = l2_project_init(target, plan, iters=cfg.init_iters)
-        for name, new in factors.stored():
-            getattr(s_layer.factors, name)[...] = new
-        residuals.append(residual)
+        fitted = isinstance(s_layer, nn.GeneratedConv2d)
+        s_arrays, t_arrays = ({} if fitted else _arrays(s_layer)), _arrays(t_layer)
+        s_shapes = {name: a.shape for name, a in s_arrays.items()}
+        if fitted:  # the kernel its factors generate
+            s_shapes["weight"] = (s_layer.c_out, s_layer.c_in, s_layer.k, s_layer.k)
+        t_shapes = {name: a.shape for name, a in t_arrays.items()}
+        if s_shapes != t_shapes:
+            raise ConfigError(f"student layer {i} ({type(s_layer).__name__}) holds {s_shapes}, "
+                              f"its teacher {type(t_layer).__name__} {t_shapes}; "
+                              "architectures must match")
+        for name, a in s_arrays.items():
+            a[...] = t_arrays[name]
+        if fitted:
+            iters = 0 if cfg.init == "svd" else cfg.init_iters
+            factors, residual = l2_project_init(t_arrays["weight"], s_layer.factors.plan,
+                                                iters=iters)
+            for name, new in factors.stored():
+                getattr(s_layer.factors, name)[...] = new
+            residuals.append(residual)
     return residuals
 
 
@@ -396,6 +433,11 @@ def train(
     lets callers that train several students on one set, such as
     grid_search, compute them once.
     """
+    want = (cfg.in_channels, cfg.in_size, cfg.in_size)
+    for name, x in (("train_x", train_x), ("test_x", test_x)):
+        if x.shape[1:] != want:
+            raise ShapeError(f"{name} samples have shape {x.shape[1:]}, but in_channels="
+                             f"{cfg.in_channels} and in_size={cfg.in_size} need {want}")
     n = train_x.shape[0]
     if teacher_logits is not None and teacher_logits.shape[:1] != (n,):
         raise ShapeError(

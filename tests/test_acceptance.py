@@ -334,7 +334,7 @@ def test_criterion_7_ablation_ordering():
     teacher_cfg = training.TrainConfig(seed=1000, epochs=epochs)
     teacher = training.train(teacher_cfg, tx, ty, ex, ey).model
 
-    def run(seed, init, ortho_weight, with_teacher):
+    def run(seed, init, ortho_weight, with_teacher, beta=0.9):
         cfg = training.TrainConfig(
             seed=seed,
             epochs=epochs,
@@ -343,6 +343,7 @@ def test_criterion_7_ablation_ordering():
             n_cross=12,
             init=init,
             ortho_weight=ortho_weight,
+            beta=beta,
         )
         result = training.train(
             cfg, tx, ty, ex, ey, teacher=teacher if with_teacher else None
@@ -351,7 +352,9 @@ def test_criterion_7_ablation_ordering():
 
     seeds = (0, 1, 2)
     full = np.mean([run(s, "l2", 0.02, True) for s in seeds])
-    l2_only = np.mean([run(s, "l2", 0.0, False) for s in seeds])
+    # The l2 projection and the teacher copy without distillation: beta=0
+    # leaves only the label term, so the teacher reaches this arm by stage 1.
+    l2_only = np.mean([run(s, "l2", 0.0, True, beta=0.0) for s in seeds])
     random_init = np.mean([run(s, "random", 0.0, False) for s in seeds])
     noise = 0.003
     assert full >= l2_only - noise, f"{full} < {l2_only} - {noise}"

@@ -1,7 +1,7 @@
 """Damaged artifacts fail with typed errors.
 
-Fixed-seed truncations and single-bit flips of a checkpoint, a raw and a
-quantized ``.isgw`` container and both files of an IDX pair must either
+Fixed-seed truncations and single-bit flips of a checkpoint, an ``.isgw``
+container and both files of an IDX pair must either
 load (a flip can land where no reader looks, or change a stored value) or
 raise a ``WeightgenError`` subclass; a truncated file must always raise.
 """
@@ -41,13 +41,10 @@ def _checkpoint(tmp_path):
     return path.read_bytes(), training.load_checkpoint
 
 
-def _isgw(quantized):
-    def make(tmp_path):
-        plan = generator.plan_layer(6, 3, 3, 2, 4, 3, 4, 5)
-        factors = generator.init_random(plan, np.random.default_rng(0))
-        data = factorfile.factors_to_bytes(factors, quantized=quantized)
-        return data, factorfile.load_factors
-    return make
+def _isgw(tmp_path):
+    plan = generator.plan_layer(6, 3, 3, 2, 4, 3, 4, 5)
+    factors = generator.init_random(plan, np.random.default_rng(0))
+    return factorfile.factors_to_bytes(factors), factorfile.load_factors
 
 
 def _idx(which):
@@ -73,8 +70,8 @@ def _idx(which):
 
 
 @pytest.mark.parametrize("make", [
-    _checkpoint, _isgw(False), _isgw(True), _idx("images"), _idx("labels"),
-], ids=["checkpoint", "isgw-raw", "isgw-quantized", "idx-images", "idx-labels"])
+    _checkpoint, _isgw, _idx("images"), _idx("labels"),
+], ids=["checkpoint", "isgw-raw", "idx-images", "idx-labels"])
 def test_damaged_artifacts_raise_only_typed_errors(tmp_path, make):
     data, load = make(tmp_path)
     load_path = os.path.join(tmp_path, "damaged")

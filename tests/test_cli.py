@@ -271,6 +271,26 @@ def test_docs_and_flags_cover_every_config_key():
                 assert annotation in flag_types[action.type], (command, action.dest)
 
 
+def test_docs_list_exactly_the_config_keys():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "formats.md")
+    section = open(path).read().split("## Run configuration")[1].split("\n## ")[0]
+    key_list = section.split("Its keys are exactly these:\n")[1].split("\n\n")[0]
+    listed = re.findall(r"`([a-z_]+)`", key_list)
+    assert len(listed) == len(set(listed)), "a key is listed twice"
+    assert set(listed) == set(cli.CONFIG_TYPES)
+
+
+def test_out_of_range_config_value_exits_2(tmp_path, capsys):
+    cfg_path = os.path.join(tmp_path, "bad.json")
+    out = os.path.join(tmp_path, "o")
+    with open(cfg_path, "w") as fh:
+        json.dump({"in_channels": 0}, fh)
+    assert cli.main(["train", "--config", cfg_path, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert "config field 'in_channels' must be at least 1" in captured.err
+    assert "Traceback" not in captured.err and not os.path.exists(out)
+
+
 def test_missing_out_and_missing_data_fail_typed(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv(cli.DATA_ENV_VAR, raising=False)
     assert cli.main(["train"]) == 2

@@ -272,6 +272,24 @@ def test_grid_ratios_match_generator_formulas():
         assert point.runtime > 0.0
 
 
+def test_grid_ratios_are_the_generator_ratios_for_every_plan_class():
+    cfg, train_x, train_y, test_x, test_y = _tiny_setup()
+    # Layer 1 is 6x4x3x3: B_i=4 skips the intra level, B_c=6 the cross level.
+    cfg = dataclasses.replace(cfg, arch="C4K3S1-C6K3S2-AvgPool2-FC2", generated=(1,))
+    grid = explorer.grid_search(cfg, train_x, train_y, test_x, test_y, [2, 4], [3, 6])
+    assert len(grid.points) == 4 and not grid.skipped
+    classes = set()
+    for point in grid.points:
+        plan = generator.plan_layer(6, 4, 3, point.n_basis, point.n_cross,
+                                    cfg.q_basis, cfg.q_coeff, cfg.q_mixer)
+        classes.add((plan.intra_active, plan.cross_active))
+        assert point.r == generator.param_ratio(plan)
+        assert point.r_m == generator.memory_ratio(plan, 16)
+    assert len(classes) == 4
+    (both_skipped,) = [p for p in grid.points if (p.n_basis, p.n_cross) == (4, 6)]
+    assert both_skipped.r == both_skipped.r_m == 1.0
+
+
 def test_grid_skips_infeasible_settings_with_reason():
     cfg, train_x, train_y, test_x, test_y = _tiny_setup()
     grid = explorer.grid_search(

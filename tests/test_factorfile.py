@@ -1,11 +1,8 @@
-import struct
-
 import numpy as np
 import pytest
 
 from weightgen import factorfile, generator
 from weightgen.errors import FactorFileError
-from weightgen.quantize import fake_quantize
 
 
 def _sample_factors(seed=0, **kw):
@@ -38,19 +35,6 @@ def test_raw_round_trip_is_bitwise(tmp_path, kw):
             assert b is None
         else:
             assert a.tobytes() == b.tobytes()
-
-
-def test_quantized_round_trip_reproduces_generated_weights(tmp_path):
-    f = _sample_factors(seed=3)
-    path = tmp_path / "layer.isgwq"
-    factorfile.save_factors(path, f, quantized=True)
-    g = factorfile.load_factors(path)
-    # the loaded factors are the fake-quantized originals...
-    assert np.array_equal(g.basis, fake_quantize(f.basis, f.plan.q_basis))
-    assert np.array_equal(g.coeff, fake_quantize(f.coeff, f.plan.q_coeff))
-    assert np.array_equal(g.mixer, fake_quantize(f.mixer, f.plan.q_mixer))
-    # ...and generation from them is bit-identical (requantizing is a no-op).
-    assert np.array_equal(generator.generate(g), generator.generate(f))
 
 
 def test_raw_container_size_is_header_plus_parameters():
@@ -91,16 +75,8 @@ def test_atomic_save_leaves_no_temp_files(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["layer.isgw"]
 
 
-@pytest.mark.parametrize("scale", [float("inf"), float("nan"), 0.0, -0.5])
-@pytest.mark.parametrize("name", ["basis", "mixer"])
-def test_rejects_invalid_quantization_scale(scale, name):
-    f = _sample_factors()
-    data = bytearray(factorfile.factors_to_bytes(f, quantized=True))
-    offset = 30
-    for stored, shape in f.plan.stored_shapes().items():
-        if stored == name:
-            break
-        offset += 8 + 2 * int(np.prod(shape))
-    struct.pack_into("<d", data, offset, scale)
-    with pytest.raises(FactorFileError, match=f"scale .* in {name}"):
+def test_rejects_the_retired_quantized_kind():
+    data = bytearray(factorfile.factors_to_bytes(_sample_factors()))
+    data[5] = 1  # the int16-code payload kind, no longer read
+    with pytest.raises(FactorFileError, match="unknown payload kind 1"):
         factorfile.factors_from_bytes(bytes(data))

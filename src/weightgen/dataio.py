@@ -3,8 +3,9 @@
 The IDX binary layout is parsed exactly: all integers are big-endian
 32-bit, images carry magic 2051 with (count, rows, cols) dimensions and
 uint8 pixels, labels carry magic 2049 with a count and uint8 values.
-Pixels are scaled to [0, 1] by 1/255 on load; serialization restores
-the exact original bytes, so load -> save -> load is bitwise stable.
+Pixels load as float32 k/255 in [0, 1], so the networks fed with them run
+in float32; serialization rounds x*255 and restores the exact original
+bytes, so load -> save -> load is bitwise stable.
 
 Every file the package writes goes through ``atomic_write``, so a file
 appears under its final name only when complete.
@@ -87,7 +88,7 @@ def _load_images(path: str) -> np.ndarray:
         if trailing:
             raise IdxTruncatedError(f"{path}: trailing bytes after pixel data")
     pixels = np.frombuffer(payload, dtype=np.uint8)
-    return pixels.reshape(count, 1, rows, cols).astype(np.float64) / 255.0
+    return pixels.reshape(count, 1, rows, cols).astype(np.float32) / np.float32(255)
 
 
 def _load_labels(path: str) -> np.ndarray:

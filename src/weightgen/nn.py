@@ -18,6 +18,14 @@ Activations between layers are (C, H, W, n), as a conv's GEMM makes them.
 Only ``Sequential``, on entry and exit, and ``Flatten``, which gives the
 linear layers (n, C*H*W) rows of (c, h, w)-ordered features, change layout.
 
+Every layer computes in its input's dtype by ``tensor.as_float``'s rule: a
+float32 batch (as ``dataio`` loads images) stays float32 through every
+conv, batch norm, pool and linear layer, and any other input runs in
+float64.  Parameters, their gradients and batch norm's running statistics
+are float64 whatever the activations are; a layer casts the few
+per-channel or weight arrays it multiplies activations with to their dtype,
+and accumulates its float32 parameter gradients into the float64 ones.
+
 Architectures are described by compact strings such as
 
     C32K5S2-C32K5S1-C32K5S1-AvgPool3-FC10
@@ -161,6 +169,7 @@ class GeneratedConv2d(_Conv):
         if mixer is None:
             return z
         self._z = z
+        mixer = mixer.astype(z.dtype, copy=False)
         return (mixer @ z.reshape(z.shape[0], -1)).reshape(self.c_out, *z.shape[1:])
 
     def backward(self, grad):
@@ -169,7 +178,7 @@ class GeneratedConv2d(_Conv):
             g = grad.reshape(self.c_out, -1)
             z2d = self._z.reshape(self._z.shape[0], -1)
             self._params["mixer"].grad += g @ z2d.T
-            grad = (mixer.T @ g).reshape(self._z.shape)
+            grad = (mixer.astype(g.dtype, copy=False).T @ g).reshape(self._z.shape)
         return super().backward(grad)
 
     def params(self):
@@ -194,6 +203,7 @@ class BatchNorm2d(Layer):
                 f"batch norm over {self.channels} channels got input {x.shape}"
             )
         x2d = x.reshape(self.channels, -1)
+        dt = x.dtype
         if train:
             m = x2d.shape[1]
             mu = x2d.mean(axis=1)
@@ -204,16 +214,16 @@ class BatchNorm2d(Layer):
             self.running_var = (1 - mom) * self.running_var + mom * unbiased
             inv_std = 1.0 / np.sqrt(var + self.eps)
             xhat *= inv_std[:, None]
-            out = xhat * self.gamma.value[:, None]
-            out += self.beta.value[:, None]
+            out = xhat * self.gamma.value.astype(dt)[:, None]
+            out += self.beta.value.astype(dt)[:, None]
             self._cache = (True, xhat, None, inv_std)
         else:
             mu = self.running_mean
             inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
             scale = self.gamma.value * inv_std
-            out = x2d * scale[:, None]
-            out += (self.beta.value - mu * scale)[:, None]
-            self._cache = (False, x2d, mu, inv_std)
+            out = x2d * scale.astype(dt)[:, None]
+            out += (self.beta.value - mu * scale).astype(dt)[:, None]
+            self._cache = (False, x2d, mu.astype(dt), inv_std.astype(dt))
         return out.reshape(x.shape)
 
     def backward(self, grad):
@@ -228,7 +238,7 @@ class BatchNorm2d(Layer):
         g_xhat = np.einsum("ij,ij->i", g, xhat)
         self.beta.grad += g_sum
         self.gamma.grad += g_xhat
-        scale = self.gamma.value * inv_std
+        scale = self.gamma.value.astype(inv_std.dtype) * inv_std
         if train:  # the batch statistics depend on x too
             m = g.shape[1]
             d_x = xhat * (-g_xhat / m)[:, None]
@@ -245,7 +255,7 @@ class BatchNorm2d(Layer):
 
 class ReLU(Layer):
     def forward(self, x, train=False):
-        self._out = np.maximum(x, 0.0)
+        self._out = np.maximum(tensor.as_float(x), 0.0)
         return self._out
 
     def backward(self, grad):
@@ -273,7 +283,7 @@ class AdaptiveAvgPool2d(Layer):
             raise ShapeError(f"cannot pool {h}x{w} down to {self.out}x{self.out}")
         hw = self._windows(h, self.out)
         ww = self._windows(w, self.out)
-        out = np.empty((c, self.out, self.out, n))
+        out = np.empty((c, self.out, self.out, n), dtype=x.dtype)
         for i, (h0, h1) in enumerate(hw):
             for j, (w0, w1) in enumerate(ww):
                 out[:, i, j] = x[:, h0:h1, w0:w1].mean(axis=(1, 2))
@@ -282,7 +292,7 @@ class AdaptiveAvgPool2d(Layer):
 
     def backward(self, grad):
         x_shape, hw, ww = self._cache
-        dx = np.zeros(x_shape)
+        dx = np.zeros(x_shape, dtype=grad.dtype)
         for i, (h0, h1) in enumerate(hw):
             for j, (w0, w1) in enumerate(ww):
                 area = (h1 - h0) * (w1 - w0)
@@ -310,13 +320,14 @@ class Linear(Layer):
         self.bias = Param("bias", np.zeros(d_out))
 
     def forward(self, x, train=False):
-        self._x = x
-        return x @ self.weight.value.T + self.bias.value
+        self._x = x = tensor.as_float(x)
+        w, b = (p.value.astype(x.dtype, copy=False) for p in (self.weight, self.bias))
+        return x @ w.T + b
 
     def backward(self, grad):
         self.weight.grad += grad.T @ self._x
         self.bias.grad += grad.sum(axis=0)
-        return grad @ self.weight.value
+        return grad @ self.weight.value.astype(grad.dtype, copy=False)
 
     def params(self):
         return [self.weight, self.bias]
@@ -326,14 +337,16 @@ class ActQuant(Layer):
     """Fake-quantize activations with a per-batch dynamic scale.
 
     The scale is the batch's maximum magnitude, so no input lies outside the
-    grid and the straight-through gradient passes unchanged.
+    grid and the straight-through gradient passes unchanged.  The grid is
+    computed in float64, and its values are returned in the input's dtype.
     """
 
     def __init__(self, bits: int = 8):
         self.bits = bits
 
     def forward(self, x, train=False):
-        return fake_quantize(x, self.bits)
+        x = tensor.as_float(x)
+        return fake_quantize(x, self.bits).astype(x.dtype, copy=False)
 
     def backward(self, grad):
         return grad
@@ -341,21 +354,26 @@ class ActQuant(Layer):
 
 class Sequential(Layer):
     """Layers in a chain.  Takes an (n, C, H, W) batch and transposes it to
-    (C, H, W, n) once on entry; backward transposes d_x back on exit."""
+    (C, H, W, n) once on entry; backward transposes d_x back on exit.  A
+    float32 batch runs in float32, any other in float64; backward casts the
+    incoming gradient (kd_loss's is float64) to the forward's dtype."""
 
     def __init__(self, layers: list[Layer]):
         self.layers = layers
+        self._dtype = np.float64
 
     def forward(self, x, train=False):
-        x = np.asarray(x, dtype=np.float64)
+        x = tensor.as_float(x)
         if x.ndim != 4:
             raise ShapeError(f"network input must be 4-D (n, c, h, w), got shape {x.shape}")
+        self._dtype = x.dtype
         x = x.transpose(1, 2, 3, 0)
         for layer in self.layers:
             x = layer.forward(x, train=train)
         return x
 
     def backward(self, grad):
+        grad = np.asarray(grad, dtype=self._dtype)
         for layer in reversed(self.layers):
             grad = layer.backward(grad)
         return grad.transpose(3, 0, 1, 2)

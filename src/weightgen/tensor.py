@@ -2,9 +2,12 @@
 
 Conventions used throughout the package:
 
-* matrices are 2-D float64 ndarrays, row-major (C order);
-* activation tensors are 4-D float64 ndarrays shaped (c, h, w, n), sample
-  innermost, as a conv's GEMM makes them (nn.Sequential takes (n, c, h, w));
+* an array is computed in its own dtype if that is float32, and in
+  float64 otherwise (``as_float``): a float32 batch runs every im2col,
+  GEMM and col2im at half the bytes, any other input runs in float64;
+* matrices are 2-D, row-major (C order);
+* activation tensors are 4-D, shaped (c, h, w, n), sample innermost, as a
+  conv's GEMM makes them (nn.Sequential takes (n, c, h, w));
 * convolution kernels are 4-D (C_out, C_in, k, k), and their GEMM "matrix
   view" is the row-major reshape to (C_out, C_in*k*k);
 * im2col rows are ordered (channel, kernel-row, kernel-col), columns are
@@ -19,17 +22,24 @@ import numpy as np
 from .errors import NonFiniteError, ShapeError
 
 
+def as_float(a) -> np.ndarray:
+    """a as an array of the dtype it is computed in: a float32 array as it
+    is, anything else as float64."""
+    a = np.asarray(a)
+    return a if a.dtype == np.float32 else a.astype(np.float64, copy=False)
+
+
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-D float64 array, raising ShapeError otherwise."""
-    m = np.asarray(a, dtype=np.float64)
+    """Coerce to a 2-D array by as_float's rule, raising ShapeError otherwise."""
+    m = as_float(a)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ShapeError(f"{name} must be 2-D with positive dims, got shape {m.shape}")
     return m
 
 
 def as_tensor4d(a, name: str = "tensor") -> np.ndarray:
-    """Coerce to a 4-D float64 array, raising ShapeError otherwise."""
-    t = np.asarray(a, dtype=np.float64)
+    """Coerce to a 4-D array by as_float's rule, raising ShapeError otherwise."""
+    t = as_float(a)
     if t.ndim != 4:
         raise ShapeError(f"{name} must be 4-D (c, h, w, n), got shape {t.shape}")
     return t
@@ -87,8 +97,8 @@ def im2col(x, k: int, stride: int = 1, pad: int = 0) -> np.ndarray:
 def col2im(cols, x_shape, k: int, stride: int = 1, pad: int = 0) -> np.ndarray:
     """Adjoint of im2col: scatter-add patch columns onto a (C, H, W, n) batch.
 
-    <im2col(x), y> == <x, col2im(y)> holds exactly up to float64 roundoff,
-    which is what conv backward relies on.
+    <im2col(x), y> == <x, col2im(y)> holds exactly up to the roundoff of
+    cols' dtype, which is what conv backward relies on.
     """
     c, h, w, n = x_shape
     cols = as_matrix(cols, "cols")
@@ -99,7 +109,7 @@ def col2im(cols, x_shape, k: int, stride: int = 1, pad: int = 0) -> np.ndarray:
             f"kernel {k}, stride {stride}, pad {pad}"
         )
     patches = cols.reshape(c, k, k, h_out, w_out, n)
-    xp = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=np.float64)
+    xp = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=cols.dtype)
     for i in range(k):
         for j in range(k):
             xp[:, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += (
@@ -113,9 +123,10 @@ _BLOCK_BYTES = 32 << 20
 
 
 def _conv_args(x, weight, stride: int, pad: int):
-    """Checked float64 input and weight of a conv2d call, and its (H_out, W_out)."""
+    """Checked input and weight of a conv2d call, the weight cast to the
+    input's dtype, and its (H_out, W_out)."""
     x = as_tensor4d(x, "input")
-    w = as_tensor4d(weight, "weight")
+    w = as_tensor4d(weight, "weight").astype(x.dtype, copy=False)
     c_in, h, wd, _ = x.shape
     if w.shape[1] != c_in:
         raise ShapeError(
@@ -156,7 +167,7 @@ def conv2d_forward(x, weight, stride: int = 1, pad: int = 0) -> np.ndarray:
     if n_blocks == 1:
         return conv2d(x, w, stride, pad)[0]
     bounds = [n * i // n_blocks for i in range(n_blocks + 1)]
-    out = np.empty((w.shape[0], h_out, w_out, n))
+    out = np.empty((w.shape[0], h_out, w_out, n), dtype=x.dtype)
     for start, stop in zip(bounds[:-1], bounds[1:]):
         out[..., start:stop] = conv2d(x[..., start:stop], w, stride, pad)[0]
     return out
@@ -165,12 +176,13 @@ def conv2d_forward(x, weight, stride: int = 1, pad: int = 0) -> np.ndarray:
 def conv2d_backward(grad, cols, weight, x_shape, stride: int = 1, pad: int = 0):
     """Gradients of conv2d given the output gradient and the forward's cols.
 
-    Returns (d_weight, d_x), shaped like weight and like the input.
+    Returns (d_weight, d_x), shaped like weight and like the input, both
+    computed in cols' dtype when grad has it.
     """
     c_out, k = weight.shape[0], weight.shape[2]
     g_mat = grad.reshape(c_out, -1)
     d_weight = matmul(g_mat, cols.T).reshape(weight.shape)
-    d_cols = matmul(weight.reshape(c_out, -1).T, g_mat)
+    d_cols = matmul(weight.reshape(c_out, -1).astype(cols.dtype, copy=False).T, g_mat)
     return d_weight, col2im(d_cols, x_shape, k, stride, pad)
 
 

@@ -193,23 +193,27 @@ def l2_project_init(target: np.ndarray, plan: generator.GenPlan, iters: int = 30
 
     With one level skipped the truncated SVD is the optimum (Eckart-Young,
     per basis kernel when only the intra level is active) and is returned
-    as it is.  Otherwise RAdam runs iters steps from a copy of it, the step
-    size decaying exponentially over the second half (a constant step
-    wanders well above the attainable residual), and the last iterate is
-    returned only if it fits strictly better than the start.
+    as it is.  Otherwise RAdam runs iters steps from it, the step size
+    decaying exponentially over the second half (a constant step wanders
+    well above the attainable residual), and the last iterate is returned
+    only if it fits strictly better than the start.  The fit is scale-free:
+    RAdam fits target/||target|| from that target's own truncated SVD, and
+    each fitted factor is multiplied back by ||target||^(1/3).
     """
     start, start_residual = svd_init(target, plan)
-    if not (plan.intra_active and plan.cross_active):
-        return start, start_residual
     target = np.asarray(target, dtype=np.float64)
-    factors = replace(start, **{n: t.copy() for n, t in start.stored()})
+    norm = float(np.linalg.norm(target))
+    if not (plan.intra_active and plan.cross_active) or norm == 0.0:
+        return start, start_residual
+    unit_target = target / norm
+    factors, _ = svd_init(unit_target, plan)
     params = [nn.Param(name, value) for name, value in factors.stored()]
     opt = RAdam(params, lr=_PROJECT_LR)
     tail_start = iters // 2
     decay = (_PROJECT_END_LR / _PROJECT_LR) ** (1.0 / max(iters - tail_start, 1))
     for it in range(iters):
         fwd = generator.forward(factors, quantized=False)
-        diff = fwd.weight - target
+        diff = fwd.weight - unit_target
         if not np.isfinite(np.sum(diff * diff)):
             raise DivergenceError("projection loss became non-finite", iteration=it)
         grads = generator.backward(factors, fwd, 2.0 * diff)
@@ -218,6 +222,8 @@ def l2_project_init(target: np.ndarray, plan: generator.GenPlan, iters: int = 30
         opt.step()
         if it >= tail_start:
             opt.lr *= decay
+    root = norm ** (1.0 / 3.0)
+    factors = replace(factors, **{n: t * root for n, t in factors.stored()})
     residual = _residual(factors, target)
     if residual < start_residual:
         return factors, residual

@@ -45,9 +45,11 @@ def test_pixel_scaling_is_exact(tmp_path):
     images = np.arange(256, dtype=np.uint8).reshape(1, 16, 16)
     img, lbl = _write_pair(tmp_path, images, [0])
     ds = dataio.load_idx(img, lbl)
+    assert ds.images.dtype == np.float32
     assert ds.images.max() == 1.0
-    assert ds.images[0, 0, 0, 1] == 1.0 / 255.0
-    assert np.array_equal(ds.images, images.reshape(1, 1, 16, 16) / 255.0)
+    want = images.reshape(1, 1, 16, 16).astype(np.float32) / np.float32(255)
+    assert np.array_equal(ds.images, want) and ds.images.tobytes() == want.tobytes()
+    assert np.array_equal(np.rint(ds.images * 255), images.reshape(1, 1, 16, 16))
 
 
 def test_little_endian_magic_rejected(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from weightgen import generator, nn, tensor
 from weightgen.errors import ConfigError, ShapeError, WeightgenError
+from weightgen.optim import RAdam
 
 from oracles import conv2d_naive, finite_difference, rel_err
 
@@ -477,3 +478,74 @@ def test_plan_network_gives_the_built_plans_and_errors():
                         ("FC10-C8K3S1", "C8K3S1"), ("FC10-FC10-AvgPool2", "AvgPool2")]:
         with pytest.raises(ConfigError, match=f"'{token}'"):
             nn.plan_network(arch, 1, 8, (), 2, 2, 4, 4, 4)
+
+
+# ---------------------------------------------------------------------------
+# activation dtype: float32 batches run in float32, everything else in float64
+
+
+def _default_batch(dtype, n=8, seed=21):
+    return np.random.default_rng(seed).random((n, 1, 28, 28)).astype(dtype)
+
+
+def _default_net(**kw):
+    return nn.build_network("C32K5S2-C32K5S1-C32K5S1-AvgPool3-FC10", 1, 28,
+                            np.random.default_rng(20), n_basis=2, n_cross=12, **kw)
+
+
+@pytest.mark.parametrize("train", [True, False])
+def test_float32_batch_stays_float32_while_state_stays_float64(train):
+    net = _default_net(generated=(1, 2), act_bits=8)
+    assert any(isinstance(l, nn.ActQuant) for l in net.layers)
+    seen = []
+    for i, layer in enumerate(net.layers):
+        for method in ("forward", "backward"):
+            def record(*args, orig=getattr(layer, method), name=f"{i}.{method}", **kw):
+                out = orig(*args, **kw)
+                seen.append((name, out.dtype))
+                return out
+            setattr(layer, method, record)
+    opt = RAdam(net.params(), lr=1e-3)
+    logits = net.forward(_default_batch(np.float32), train=train)
+    net.zero_grad()
+    d_x = net.backward(np.ones(logits.shape))  # a float64 gradient, as kd_loss gives
+    assert len(seen) == 2 * len(net.layers)
+    assert [name for name, dt in seen if dt != np.float32] == []
+    assert d_x.dtype == np.float32
+    opt.step()
+    for name, p in net.named_params():
+        assert p.value.dtype == p.grad.dtype == np.float64, name
+    assert all(m.dtype == np.float64 for m in opt._m + opt._v)
+    for layer in net.layers:
+        if isinstance(layer, nn.BatchNorm2d):
+            assert layer.running_mean.dtype == layer.running_var.dtype == np.float64
+
+
+@pytest.mark.parametrize("train", [True, False])
+@pytest.mark.parametrize("generated", [(), (1, 2)], ids=["dense", "generated"])
+def test_float32_and_float64_runs_agree(generated, train):
+    x = _default_batch(np.float64)
+    r = np.random.default_rng(22).standard_normal((x.shape[0], 10))
+    runs = []
+    for dtype in (np.float64, np.float32):
+        net = _default_net(generated=generated)
+        logits = net.forward(x.astype(dtype), train=train)
+        net.zero_grad()
+        net.backward(r)
+        assert logits.dtype == dtype
+        runs.append((logits, {name: p.grad.copy() for name, p in net.named_params()}))
+    (want, want_grads), (got, got_grads) = runs
+    assert rel_err(got, want) <= 1e-4
+    for name, grad in want_grads.items():
+        assert rel_err(got_grads[name], grad) <= 1e-4, name
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.float16])
+def test_other_input_dtypes_run_the_float64_path(dtype):
+    x = (_default_batch(np.float64) * 4).astype(dtype)
+    for train in (True, False):
+        got_net, want_net = _default_net(generated=(1,)), _default_net(generated=(1,))
+        got = got_net.forward(x, train=train)
+        want = want_net.forward(x.astype(np.float64), train=train)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        assert got_net.backward(np.ones(got.shape)).dtype == np.float64

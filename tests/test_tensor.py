@@ -142,6 +142,27 @@ def test_conv2d_backward_matches_nested_loops(stride, pad):
     assert rel_err(_nchw(d_x), want_x) < 1e-12
 
 
+@pytest.mark.parametrize("stride, pad", [(1, 0), (2, 1)])
+def test_float32_conv_runs_in_float32(monkeypatch, stride, pad):
+    # A float32 input casts the float64 kernel once and keeps every result
+    # float32: the patch matrix, both conv outputs, d_weight and col2im's d_x.
+    rng = np.random.default_rng(44 + stride)
+    x = rng.standard_normal((5, 2, 7, 6))
+    wt = rng.standard_normal((4, 2, 3, 3))
+    grad = rng.standard_normal(_nchw(tensor.conv2d(_chwn(x), wt, stride, pad)[0]).shape)
+    out, cols = tensor.conv2d(_chwn(x.astype(np.float32)), wt, stride, pad)
+    d_w, d_x = tensor.conv2d_backward(_chwn(grad.astype(np.float32)), cols, wt,
+                                      _chwn(x).shape, stride, pad)
+    monkeypatch.setattr(tensor, "_BLOCK_BYTES", cols.nbytes // 3)
+    blocked = tensor.conv2d_forward(_chwn(x.astype(np.float32)), wt, stride, pad)
+    assert {a.dtype for a in (out, cols, d_w, d_x, blocked)} == {np.dtype(np.float32)}
+    want_w, want_x = conv2d_backward_naive(x, wt, grad, stride, pad)
+    assert rel_err(_nchw(out), conv2d_naive(x, wt, stride, pad)) < 1e-6
+    assert blocked.tobytes() == out.tobytes()
+    assert rel_err(d_w, want_w) < 1e-6
+    assert rel_err(_nchw(d_x), want_x) < 1e-6
+
+
 def test_im2col_col2im_adjoint_identity():
     rng = np.random.default_rng(29)
     x_shape = (2, 3, 9, 8)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -228,6 +229,22 @@ def test_l2_project_never_fits_worse_than_svd(shape, seed, std):
     assert residual == float(np.linalg.norm(built - target)) / float(np.linalg.norm(target))
 
 
+def test_l2_project_is_scale_free():
+    # The fit runs on target/||target||: no overflow at any scale, and the
+    # same relative residual at every scale.
+    plan = generator.plan_layer(32, 32, 5, 2, 12)
+    draw = np.random.default_rng(1).standard_normal((32, 32, 5, 5))
+    residuals = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for std in (1.0, 4.0, 5.0, 8.0):
+            _, svd_residual = training.svd_init(std * draw, plan)
+            _, residual = training.l2_project_init(std * draw, plan, iters=1000)
+            assert residual <= svd_residual, std
+            residuals.append(residual)
+    assert max(residuals) - min(residuals) <= 1e-3
+
+
 def test_l2_project_random_start_needs_rng_and_shape_checked():
     plan = generator.plan_layer(8, 6, 3, 2, 4)
     with pytest.raises(ShapeError):
@@ -277,6 +294,35 @@ def test_train_is_bitwise_deterministic():
     for (n1, p1), (n2, p2) in zip(r1.model.named_params(), r2.model.named_params()):
         assert n1 == n2
         assert p1.value.tobytes() == p2.value.tobytes()
+
+
+def test_float32_training_is_deterministic_and_checkpoints_float64(tmp_path):
+    x, y = synthetic_blobs(128, seed=12)
+    tx, ty = synthetic_blobs(64, seed=13)
+    x, tx = x.astype(np.float32), tx.astype(np.float32)
+    cfg = training.TrainConfig(
+        arch="C4K3S1-C4K3S1-AvgPool2-FC2", in_channels=2, in_size=8, epochs=2,
+        batch_size=32, lr=0.01, seed=7, eval_train_samples=128, generated=(1,),
+        n_basis=1, n_cross=2, init="random",
+    )
+    r1 = training.train(cfg, x, y, tx, ty)
+    r2 = training.train(cfg, x, y, tx, ty)
+    assert r1.metrics == r2.metrics
+    for (n1, p1), (n2, p2) in zip(r1.model.named_params(), r2.model.named_params()):
+        assert n1 == n2 and p1.value.dtype == np.float64
+        assert p1.value.tobytes() == p2.value.tobytes()
+    path = tmp_path / "ckpt.npz"
+    training.save_checkpoint(path, r1.model, cfg, epoch=cfg.epochs)
+    with np.load(path) as z:
+        stored = {k: z[k] for k in z.files if k != "meta"}
+    assert stored and all(a.dtype == np.float64 for a in stored.values())
+    model, _, _ = training.load_checkpoint(path)
+    for (_, p1), (_, p2) in zip(r1.model.named_params(), model.named_params()):
+        assert p1.value.tobytes() == p2.value.tobytes()
+    for l1, l2 in zip(r1.model.layers, model.layers):
+        if isinstance(l1, nn.BatchNorm2d):
+            assert l1.running_mean.tobytes() == l2.running_mean.tobytes()
+            assert l1.running_var.tobytes() == l2.running_var.tobytes()
 
 
 def test_train_student_with_distillation_and_ortho():

@@ -242,6 +242,7 @@ def test_l2_project_is_scale_free():
             _, residual = training.l2_project_init(std * draw, plan, iters=1000)
             assert residual <= svd_residual, std
             residuals.append(residual)
+        assert training.l2_project_init(0.0 * draw, plan, iters=1000)[1] == 0.0
     assert max(residuals) - min(residuals) <= 1e-3
 
 

@@ -21,8 +21,12 @@ medians and interquartile ranges and the pairs the second set wins, loses
 and ties.  The second set's gain counts only when it wins at least nine
 tenths of the pairs and its median beats the first's by more than the
 first's IQR; a loss by the same rule reads "worse", anything else
-"unresolved".  The comparison is also stored in the file under
-``comparisons``.
+"unresolved".  It also prints, per workload and set, the distinct digests,
+the failed and attempted operations summed over the runs and whether every
+run was correct; no metric reads "gain" when the second set has an incorrect
+run or fails a larger share of its operations than the first.  The
+comparison is also stored in the file, under ``comparisons`` and
+``run_checks``.
 """
 
 from __future__ import annotations
@@ -90,15 +94,38 @@ def record(doc: dict, label: str, workload: str, args: dict, run: dict) -> None:
     entry["summary"] = summarize(entry["runs"], run["units"])
 
 
-def compare(doc: dict, base: str, new: str) -> dict:
-    """The paired comparison of set new against set base, per workload and metric."""
+def run_checks(doc: dict, base: str, new: str) -> dict:
+    """Per workload both sets ran and per set: distinct digests, summed
+    failed and attempted operations, and whether every run was correct."""
     sets = doc.get("sets", {})
     for label in (base, new):
         if label not in sets:
             raise RecordError(f"no set named {label!r}; sets: {sorted(sets)}")
     out = {}
     for workload in sorted(set(sets[base]) & set(sets[new])):
-        b_entry, n_entry = sets[base][workload], sets[new][workload]
+        out[workload] = {}
+        for label in (base, new):
+            runs = sets[label][workload]["runs"]
+            out[workload][label] = {
+                "digests": sorted({str(run["digest"]) for run in runs}),
+                "failed": sum(run["failed"] for run in runs),
+                "attempted": sum(run["attempted"] for run in runs),
+                "correct": all(run["correct"] for run in runs),
+            }
+    return out
+
+
+def _failed_share(check: dict) -> float:
+    return check["failed"] / max(check["attempted"], 1)
+
+
+def compare(doc: dict, base: str, new: str) -> dict:
+    """The paired comparison of set new against set base, per workload and metric."""
+    out = {}
+    for workload, checks in run_checks(doc, base, new).items():
+        b_entry, n_entry = doc["sets"][base][workload], doc["sets"][new][workload]
+        b_chk, n_chk = checks[base], checks[new]
+        sound = n_chk["correct"] and _failed_share(n_chk) <= _failed_share(b_chk)
         rows = {}
         for name, b_sum in sorted(b_entry["summary"].items()):
             n_sum = n_entry["summary"][name]
@@ -108,7 +135,7 @@ def compare(doc: dict, base: str, new: str) -> dict:
             losses = sum(y > x for x, y in pairs)
             iqr = b_sum["q3"] - b_sum["q1"]
             diff = n_sum["median"] - b_sum["median"]
-            if wins >= 0.9 * len(pairs) and -diff > iqr:
+            if wins >= 0.9 * len(pairs) and -diff > iqr and sound:
                 verdict = "gain"
             elif losses >= 0.9 * len(pairs) and diff > iqr:
                 verdict = "worse"
@@ -125,7 +152,11 @@ def compare(doc: dict, base: str, new: str) -> dict:
     return out
 
 
-def print_comparison(result: dict, base: str, new: str) -> None:
+def print_comparison(result: dict, checks: dict, base: str, new: str) -> None:
+    for workload, sides in checks.items():
+        for label, c in sides.items():
+            print(f"{workload:8} {label}: correct={c['correct']} "
+                  f"failed={c['failed']}/{c['attempted']} digests={' '.join(c['digests'])}")
     print(f"{new} against {base}: medians [q1, q3]; wins/losses of {new} over the pairs")
     for workload, rows in result.items():
         for name, r in rows.items():
@@ -170,9 +201,10 @@ def main(argv=None) -> int:
     try:
         if ns.compare:
             base, new = ns.compare
-            result = compare(doc, base, new)
-            print_comparison(result, base, new)
+            result, checks = compare(doc, base, new), run_checks(doc, base, new)
+            print_comparison(result, checks, base, new)
             doc.setdefault("comparisons", {})[f"{new} vs {base}"] = result
+            doc.setdefault("run_checks", {})[f"{new} vs {base}"] = checks
             save(doc, ns.out)
             return 0
         for _ in range(ns.runs):

@@ -402,33 +402,13 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
     if not ckpt:
         raise ConfigError("missing checkpoint: pass --checkpoint with a path")
     model, _, _ = training.load_checkpoint(ckpt)
-    stats = explorer.layer_correlations(model)
-    rows = []
-    for entry in stats:
-        intra = (
-            None
-            if entry.intra is None
-            else {"mean": entry.intra.mean, "std": entry.intra.std}
-        )
-        rows.append(
-            {
-                "layer": entry.index,
-                "c_out": entry.c_out,
-                "c_in": entry.c_in,
-                "k": entry.k,
-                "cross": entry.cross.mean,
-                "intra": intra,
-            }
-        )
-        intra_text = (
-            "skipped (1x1)"
-            if entry.intra is None
-            else f"{entry.intra.mean:.4f} +/- {entry.intra.std:.4f}"
-        )
-        print(
-            f"layer {entry.index}: {entry.c_out}x{entry.c_in}x{entry.k}x{entry.k} "
-            f"cross={entry.cross.mean:.4f} intra={intra_text}"
-        )
+    rows = explorer.layer_correlations(model)
+    for row in rows:
+        intra = row["intra"]
+        intra_text = ("skipped (1x1)" if intra is None
+                      else f"{intra['mean']:.4f} +/- {intra['std']:.4f}")
+        print(f"layer {row['layer']}: {row['c_out']}x{row['c_in']}x{row['k']}x{row['k']} "
+              f"cross={row['cross']:.4f} intra={intra_text}")
     out = merged.get("out")
     if out:
         os.makedirs(out, exist_ok=True)

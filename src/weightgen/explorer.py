@@ -81,18 +81,6 @@ class GridResult:
     skipped: tuple[SkippedSetting, ...]
 
 
-@dataclasses.dataclass(frozen=True)
-class LayerCorrelation:
-    """Correlation metrics for one convolution layer of a model."""
-
-    index: int
-    c_out: int
-    c_in: int
-    k: int
-    intra: KernelCorrelation | None
-    cross: KernelCorrelation
-
-
 def _top_mass(sigma: np.ndarray) -> float:
     total = float(np.sum(sigma))
     if total <= 0.0:
@@ -156,13 +144,13 @@ def _plans(cfg: training.TrainConfig) -> list[generator.GenPlan]:
     return [args[-1] for kind, args in tokens if kind == "conv" and args[-1] is not None]
 
 
-def _aggregate_ratios(plans: list[generator.GenPlan], dense_bits: int = 16) -> tuple[float, float]:
+def _aggregate_ratios(plans: list[generator.GenPlan]) -> tuple[float, float]:
     """generator.param_ratio and memory_ratio over a set of generated
     layers, each weighted by its share of their dense parameters."""
     dense = [generator.dense_param_count(p) for p in plans]
     total = sum(dense)
     return (sum(d * generator.param_ratio(p) for d, p in zip(dense, plans)) / total,
-            sum(d * generator.memory_ratio(p, dense_bits) for d, p in zip(dense, plans)) / total)
+            sum(d * generator.memory_ratio(p) for d, p in zip(dense, plans)) / total)
 
 
 def grid_search(
@@ -175,7 +163,6 @@ def grid_search(
     n_cross_list: list[int],
     bit_settings: list[tuple[int, int, int]] | None = None,
     teacher: nn.Sequential | None = None,
-    dense_bits: int = 16,
     verbose: bool = False,
 ) -> GridResult:
     """Train one student per setting and record ratios and accuracy.
@@ -220,7 +207,7 @@ def grid_search(
             teacher_logits=teacher_logits,
         )
         runtime = time.perf_counter() - start
-        r, r_m = _aggregate_ratios(plans, dense_bits=dense_bits)
+        r, r_m = _aggregate_ratios(plans)
         point = ExplorationPoint(
             **setting,
             r=r,
@@ -293,13 +280,15 @@ def write_grid_json(result: GridResult, path: str, front: list[ExplorationPoint]
     dataio.atomic_write(path, (json.dumps(payload, indent=2) + "\n").encode())
 
 
-def layer_correlations(model: nn.Sequential) -> tuple[LayerCorrelation, ...]:
-    """Correlation metrics for every convolution layer of a model.
+def layer_correlations(model: nn.Sequential) -> list[dict]:
+    """Correlation metrics for every convolution layer of a model, one
+    {layer, c_out, c_in, k, cross, intra} row each: cross is the cross-mode
+    mean, intra a {mean, std} dict or None for 1x1 kernels.
 
     Generated layers are measured on the weights they generate, so the
     metric reflects what the network actually convolves with.
     """
-    out = []
+    rows = []
     for index, layer in enumerate(model.layers):
         if isinstance(layer, nn.GeneratedConv2d):
             weight = generator.generate(layer.factors, quantized=layer.quantized)
@@ -307,14 +296,11 @@ def layer_correlations(model: nn.Sequential) -> tuple[LayerCorrelation, ...]:
             weight = layer.weight.value
         else:
             continue
-        out.append(
-            LayerCorrelation(
-                index=index,
-                c_out=weight.shape[0],
-                c_in=weight.shape[1],
-                k=weight.shape[2],
-                intra=kernel_correlation(weight, mode="intra"),
-                cross=kernel_correlation(weight, mode="cross"),
-            )
-        )
-    return tuple(out)
+        intra = kernel_correlation(weight, mode="intra")
+        c_out, c_in, k = weight.shape[:3]
+        rows.append({
+            "layer": index, "c_out": c_out, "c_in": c_in, "k": k,
+            "cross": kernel_correlation(weight, mode="cross").mean,
+            "intra": None if intra is None else {"mean": intra.mean, "std": intra.std},
+        })
+    return rows

@@ -65,9 +65,9 @@ class GenPlan:
     n_cross: int
     intra_active: bool
     cross_active: bool
-    q_basis: int = 4
-    q_coeff: int = 4
-    q_mixer: int = 4
+    q_basis: int
+    q_coeff: int
+    q_mixer: int
 
     @property
     def kk(self) -> int:

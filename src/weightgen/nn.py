@@ -112,10 +112,9 @@ class Conv2d(_Conv):
     """Dense convolution with a He-initialized weight tensor."""
 
     def __init__(self, c_in: int, c_out: int, k: int, stride: int = 1,
-                 pad: int = 0, rng: np.random.Generator | None = None):
+                 pad: int = 0, *, rng: np.random.Generator):
         self.c_in, self.c_out, self.k = c_in, c_out, k
         self.stride, self.pad = stride, pad
-        rng = rng or np.random.default_rng()
         w = rng.standard_normal((c_out, c_in, k, k)) * np.sqrt(2.0 / (c_in * k * k))
         self.weight = Param("weight", w)
         self._cache = None
@@ -186,10 +185,10 @@ class GeneratedConv2d(_Conv):
 
 
 class BatchNorm2d(Layer):
-    def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1):
+    eps, momentum = 1e-5, 0.1
+
+    def __init__(self, channels: int):
         self.channels = channels
-        self.eps = eps
-        self.momentum = momentum
         self.gamma = Param("gamma", np.ones(channels))
         self.beta = Param("beta", np.zeros(channels))
         self.running_mean = np.zeros(channels)
@@ -313,8 +312,7 @@ class Flatten(Layer):
 
 
 class Linear(Layer):
-    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator | None = None):
-        rng = rng or np.random.default_rng()
+    def __init__(self, d_in: int, d_out: int, *, rng: np.random.Generator):
         bound = 1.0 / np.sqrt(d_in)
         self.weight = Param("weight", rng.uniform(-bound, bound, (d_out, d_in)))
         self.bias = Param("bias", np.zeros(d_out))

@@ -193,17 +193,18 @@ def l2_project_init(target: np.ndarray, plan: generator.GenPlan, iters: int = 30
 
     With one level skipped the truncated SVD is the optimum (Eckart-Young,
     per basis kernel when only the intra level is active) and is returned
-    as it is.  Otherwise RAdam runs iters steps from it, the step size
-    decaying exponentially over the second half (a constant step wanders
-    well above the attainable residual), and the last iterate is returned
-    only if it fits strictly better than the start.  The fit is scale-free:
-    RAdam fits target/||target|| from that target's own truncated SVD, and
-    each fitted factor is multiplied back by ||target||^(1/3).
+    as it is; so it is with iters=0.  Otherwise RAdam runs iters steps
+    from it, the step size decaying exponentially over the second half (a
+    constant step wanders well above the attainable residual), and the last
+    iterate is returned only if it fits strictly better than the start.
+    The fit is scale-free: RAdam fits target/||target|| from that target's
+    own truncated SVD, and each fitted factor is multiplied back by
+    ||target||^(1/3).
     """
     start, start_residual = svd_init(target, plan)
     target = np.asarray(target, dtype=np.float64)
     norm = float(np.linalg.norm(target))
-    if not (plan.intra_active and plan.cross_active) or norm == 0.0:
+    if not (plan.intra_active and plan.cross_active) or norm == 0.0 or iters == 0:
         return start, start_residual
     unit_target = target / norm
     factors, _ = svd_init(unit_target, plan)
@@ -252,11 +253,11 @@ _FIELD_CHECKS = {
 
 
 # Config key -> (range check, what the error asks for); a NaN fails every
-# check.  n_basis, n_cross and the q_* widths are plan_layer's to check, so
-# that grid_search can skip a point whose plan cannot be built.
+# check.  n_basis, n_cross and the three factor widths are plan_layer's to
+# check, so that grid_search can skip a point whose plan cannot be built.
 _FIELD_RANGES = {
     **dict.fromkeys(("in_channels", "in_size", "epochs", "batch_size", "eval_train_samples",
-                     "limit_train", "limit_test"), (lambda v: v >= 1, "at least 1")),
+                     "limit_train", "limit_test", "q_weight"), (lambda v: v >= 1, "at least 1")),
     **dict.fromkeys(("lr", "lr_decay", "temperature"), (lambda v: v > 0, "positive")),
     **dict.fromkeys(("weight_decay", "ortho_weight", "init_iters"),
                     (lambda v: v >= 0, "non-negative")),
@@ -445,6 +446,8 @@ def train(
             raise ShapeError(f"{name} samples have shape {x.shape[1:]}, but in_channels="
                              f"{cfg.in_channels} and in_size={cfg.in_size} need {want}")
     n = train_x.shape[0]
+    if n == 0:
+        raise ShapeError("train_x has no samples")
     if teacher_logits is not None and teacher_logits.shape[:1] != (n,):
         raise ShapeError(
             f"teacher_logits shape {teacher_logits.shape} does not match "

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 
 import pytest
@@ -42,3 +43,35 @@ def test_compare_applies_the_paired_rule():
     assert row["losses"] == 10 and row["verdict"] == "worse"
     with pytest.raises(bench_record.RecordError, match="'other'"):
         bench_record.compare(_doc(base, base), "parent", "other")
+
+
+def test_compare_reads_correctness_failures_and_digests(tmp_path, capsys):
+    base = [10.0, 11.0, 10.5, 10.2, 10.8, 10.1, 10.9, 10.4, 10.6, 10.3]
+    doc = _doc(base, [v - 2.0 for v in base])
+
+    def verdict():
+        return bench_record.compare(doc, "parent", "change")["w"]["op_s"]["verdict"]
+
+    assert verdict() == "gain"
+    runs = doc["sets"]["change"]["w"]["runs"]
+    runs[0]["digest"] = "abc"
+    runs[3]["correct"] = False
+    checks = bench_record.run_checks(doc, "parent", "change")["w"]
+    assert checks["change"] == {"digests": ["None", "abc"], "failed": 0, "attempted": 10,
+                                "correct": False}
+    assert checks["parent"]["correct"] and checks["parent"]["digests"] == ["None"]
+    assert verdict() == "unresolved"  # an incorrect run on the new side
+    runs[3]["correct"] = True
+    runs[5]["failed"] = 1
+    assert verdict() == "unresolved"  # a larger failed share than the parent's
+    doc["sets"]["parent"]["w"]["runs"][2]["failed"] = 1
+    assert verdict() == "gain"  # the same failed share
+
+    path = os.path.join(tmp_path, "bench.json")
+    bench_record.save(doc, path)
+    assert bench_record.main(["--compare", "parent", "change", "--out", path]) == 0
+    text = capsys.readouterr().out
+    assert "w        change: correct=True failed=1/10 digests=None abc" in text
+    stored = json.load(open(path))
+    assert stored["run_checks"]["change vs parent"]["w"]["parent"]["failed"] == 1
+    assert stored["comparisons"]["change vs parent"]["w"]["op_s"]["verdict"] == "gain"

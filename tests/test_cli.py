@@ -8,7 +8,8 @@ import struct
 import numpy as np
 import pytest
 
-from weightgen import cli, costmodel, factorfile, training
+from weightgen import cli, costmodel, dataio, factorfile, training
+from weightgen.errors import ShapeError
 
 
 def _fake_fashion_root(tmp_path, n_train=48, n_test=24, seed=0):
@@ -299,6 +300,28 @@ def test_missing_out_and_missing_data_fail_typed(tmp_path, capsys, monkeypatch):
     assert "WEIGHTGEN_DATA" in capsys.readouterr().err
 
 
+def test_empty_train_split_is_a_typed_error(tmp_path, capsys):
+    root = _fake_fashion_root(tmp_path, n_train=0)
+    out = os.path.join(tmp_path, "o")
+    assert cli.main(["train", "--data", root, *_TRAIN_FLAGS, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "train_x" in err and "Traceback" not in err
+    train_ds = dataio.load_fashion_split(root, "train")
+    test_ds = dataio.load_fashion_split(root, "test")
+    cfg = training.TrainConfig(arch="C4K3S2-AvgPool2-FC10", epochs=1, init="random")
+    with pytest.raises(ShapeError, match="train_x"):
+        training.train(cfg, train_ds.images, train_ds.labels, test_ds.images, test_ds.labels)
+
+
+@pytest.mark.parametrize("command", ["cost", "init"])
+def test_zero_q_weight_is_named(tmp_path, capsys, command):
+    argv = [command, "--q-weight", "0", "--out", os.path.join(tmp_path, "o")]
+    if command == "init":
+        argv += ["--teacher", os.path.join(tmp_path, "missing.npz")]
+    assert cli.main(argv) == 2
+    assert "config field 'q_weight' must be at least 1, got 0" in capsys.readouterr().err
+
+
 def test_explore_one_by_one_grid_writes_single_row(tmp_path, capsys):
     root = _fake_fashion_root(tmp_path)
     out = os.path.join(tmp_path, "grid")
@@ -384,6 +407,31 @@ def test_analyze_prints_per_layer_metrics(tmp_path, capsys):
     rows = json.load(open(os.path.join(out, "correlations.json")))
     assert rows[0]["c_out"] == 4
     assert 0.0 < rows[0]["cross"] <= 1.0
+
+
+def test_analyze_row_layout_and_1x1_skip(tmp_path, capsys):
+    cfg = training.TrainConfig(arch="C4K3S2-C6K1S1-C8K3S1-AvgPool2-FC10", generated=(2,),
+                               n_basis=2, n_cross=4, seed=3)
+    ckpt = os.path.join(tmp_path, "ckpt.npz")
+    training.save_checkpoint(ckpt, training.build_model(cfg), cfg, epoch=1)
+    out = os.path.join(tmp_path, "an")
+    assert cli.main(["analyze", "--checkpoint", ckpt, "--out", out]) == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("layer ")]
+    rows = json.load(open(os.path.join(out, "correlations.json")))
+    assert [row["layer"] for row in rows] == [0, 3, 6]
+    for row, line in zip(rows, lines):
+        assert list(row) == ["layer", "c_out", "c_in", "k", "cross", "intra"]
+        assert 0.0 < row["cross"] <= 1.0
+        assert line.startswith(f"layer {row['layer']}: ")
+        assert f"cross={row['cross']:.4f}" in line
+        if row["k"] == 1:
+            assert row["intra"] is None and line.endswith("intra=skipped (1x1)")
+        else:
+            intra = row["intra"]
+            assert list(intra) == ["mean", "std"]
+            assert line.endswith(f"intra={intra['mean']:.4f} +/- {intra['std']:.4f}")
+    assert [(r["c_out"], r["c_in"], r["k"]) for r in rows] == [(4, 1, 3), (6, 4, 1), (8, 6, 3)]
+    assert len(lines) == 3
 
 
 def test_analyze_requires_checkpoint(capsys):

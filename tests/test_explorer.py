@@ -385,10 +385,10 @@ def test_layer_correlations_covers_dense_and_generated_layers():
     stats = explorer.layer_correlations(model)
     assert len(stats) == 2
     first, second = stats
-    assert (first.c_out, first.c_in, first.k) == (6, 1, 3)
-    assert (second.c_out, second.c_in, second.k) == (8, 6, 3)
+    assert (first["c_out"], first["c_in"], first["k"]) == (6, 1, 3)
+    assert (second["c_out"], second["c_in"], second["k"]) == (8, 6, 3)
     for entry in stats:
-        assert 0.0 < entry.cross.mean <= 1.0
-        assert entry.intra is not None
-        assert 0.0 < entry.intra.mean <= 1.0
-        assert entry.intra.std >= 0.0
+        assert 0.0 < entry["cross"] <= 1.0
+        assert entry["intra"] is not None
+        assert 0.0 < entry["intra"]["mean"] <= 1.0
+        assert entry["intra"]["std"] >= 0.0

@@ -269,7 +269,7 @@ def test_eval_batchnorm_keeps_no_full_size_array_beyond_its_output():
 
 def test_batchnorm_running_stats_and_eval_mode():
     rng = np.random.default_rng(4)
-    layer = nn.BatchNorm2d(2, momentum=0.1)
+    layer = nn.BatchNorm2d(2)
     x = rng.standard_normal((2, 4, 4, 8)) * 2.0 + 1.0
     for _ in range(200):
         layer.forward(x, train=True)

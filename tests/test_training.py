@@ -211,6 +211,20 @@ def test_l2_project_with_a_level_skipped_returns_svd_factors(shape):
         assert np.array_equal(getattr(factors, name), value)
 
 
+@pytest.mark.parametrize("shape", [(32, 32, 5, 2, 12), (16, 8, 3, 2, 6)])
+def test_l2_project_with_zero_steps_is_svd_init(shape):
+    plan = generator.plan_layer(*shape)
+    c_out, c_in, k = shape[:3]
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        target = rng.uniform(0.01, 3.0) * rng.standard_normal((c_out, c_in, k, k))
+        want, want_residual = training.svd_init(target, plan)
+        factors, residual = training.l2_project_init(target, plan, iters=0)
+        assert residual == want_residual, seed
+        for name, value in want.stored():
+            assert getattr(factors, name).tobytes() == value.tobytes(), (seed, name)
+
+
 @pytest.mark.parametrize("shape, seed, std", [
     ((32, 32, 5, 2, 12), 1, 2.5),  # RAdam blows this fit up to a residual near 1e34
     ((8, 6, 3, 2, 4), 0, 1.0),

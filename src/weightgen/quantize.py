@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CardinalityError, NonFiniteError, QuantRangeError
+from .tensor import as_float
 
 MAX_BITS = 16
 
@@ -62,18 +63,22 @@ def quantize_codes(m, bits: int):
     scale * codes / n_pos.  Ties round away from zero.
     """
     n_pos = positive_levels(bits)
-    m = np.asarray(m, dtype=np.float64)
-    if not np.isfinite(m).all():
+    m = as_float(m)
+    mag = np.abs(m, dtype=np.float64)  # the one float64 buffer, updated in place
+    scale = float(np.max(mag)) if m.size else 0.0
+    if not math.isfinite(scale):  # max propagates NaN and inf
         raise NonFiniteError("quantize input contains non-finite entries")
-    scale = float(np.max(np.abs(m))) if m.size else 0.0
     if scale == 0.0:
         scale = 1.0
     if n_pos == 0:
         return np.zeros(m.shape, dtype=np.int64), scale
-    mag = np.floor(np.abs(m) / scale * n_pos + 0.5)
-    codes = np.where(m < 0, -mag, mag)
-    codes = np.clip(codes, -n_pos, n_pos).astype(np.int64)
-    return codes, scale
+    mag /= scale
+    mag *= n_pos
+    mag += 0.5
+    np.floor(mag, out=mag)
+    np.copysign(mag, m, out=mag)  # -mag where m < 0; a -0.0 code is 0
+    np.clip(mag, -n_pos, n_pos, out=mag)
+    return mag.astype(np.int64), scale
 
 
 def dequantize(codes, scale: float, bits: int) -> np.ndarray:
@@ -88,7 +93,10 @@ def dequantize(codes, scale: float, bits: int) -> np.ndarray:
         raise QuantRangeError(
             f"codes out of range [-{n_pos}, {n_pos}] for bits={bits}"
         )
-    return scale * (codes.astype(np.float64) / n_pos)
+    values = codes.astype(np.float64)
+    values /= n_pos
+    values *= scale
+    return values
 
 
 def fake_quantize(m, bits: int) -> np.ndarray:

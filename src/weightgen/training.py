@@ -445,9 +445,9 @@ def train(
         if x.shape[1:] != want:
             raise ShapeError(f"{name} samples have shape {x.shape[1:]}, but in_channels="
                              f"{cfg.in_channels} and in_size={cfg.in_size} need {want}")
+        if x.shape[0] == 0:
+            raise ShapeError(f"{name} has no samples")
     n = train_x.shape[0]
-    if n == 0:
-        raise ShapeError("train_x has no samples")
     if teacher_logits is not None and teacher_logits.shape[:1] != (n,):
         raise ShapeError(
             f"teacher_logits shape {teacher_logits.shape} does not match "

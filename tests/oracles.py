@@ -119,3 +119,26 @@ def rel_err(got, want):
     want = np.asarray(want, dtype=np.float64)
     denom = max(np.linalg.norm(want.reshape(-1)), 1e-30)
     return np.linalg.norm((got - want).reshape(-1)) / denom
+
+
+def quantize_codes_frozen(m, bits):
+    """The quantizer's codes and scale as first written, one full-size
+    temporary per step; the package must match it bitwise."""
+    n_pos = 2 ** (bits - 1) - 1
+    m = np.asarray(m, dtype=np.float64)
+    scale = float(np.max(np.abs(m))) if m.size else 0.0
+    if scale == 0.0:
+        scale = 1.0
+    if n_pos == 0:
+        return np.zeros(m.shape, dtype=np.int64), scale
+    mag = np.floor(np.abs(m) / scale * n_pos + 0.5)
+    codes = np.where(m < 0, -mag, mag)
+    return np.clip(codes, -n_pos, n_pos).astype(np.int64), scale
+
+
+def dequantize_frozen(codes, scale, bits):
+    """The quantizer's reconstruction as first written."""
+    n_pos = 2 ** (bits - 1) - 1
+    if n_pos == 0:
+        return np.zeros(np.shape(codes), dtype=np.float64)
+    return scale * (np.asarray(codes).astype(np.float64) / n_pos)

@@ -313,6 +313,23 @@ def test_empty_train_split_is_a_typed_error(tmp_path, capsys):
         training.train(cfg, train_ds.images, train_ds.labels, test_ds.images, test_ds.labels)
 
 
+def test_empty_test_split_fails_before_training(tmp_path, capsys, monkeypatch):
+    root = _fake_fashion_root(tmp_path, n_test=0)
+    out = os.path.join(tmp_path, "o")
+    assert cli.main(["train", "--data", root, *_TRAIN_FLAGS, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "test_x has no samples" in err and "Traceback" not in err
+    calls = []
+    kd_loss = training.kd_loss
+    monkeypatch.setattr(training, "kd_loss", lambda *a, **kw: calls.append(1) or kd_loss(*a, **kw))
+    train_ds = dataio.load_fashion_split(root, "train")
+    test_ds = dataio.load_fashion_split(root, "test")
+    cfg = training.TrainConfig(arch="C4K3S2-AvgPool2-FC10", epochs=1, init="random")
+    with pytest.raises(ShapeError, match="test_x has no samples"):
+        training.train(cfg, train_ds.images, train_ds.labels, test_ds.images, test_ds.labels)
+    assert calls == []
+
+
 @pytest.mark.parametrize("command", ["cost", "init"])
 def test_zero_q_weight_is_named(tmp_path, capsys, command):
     argv = [command, "--q-weight", "0", "--out", os.path.join(tmp_path, "o")]

@@ -4,7 +4,7 @@ import pytest
 from weightgen import generator, quantize
 from weightgen.errors import CardinalityError, NonFiniteError, QuantRangeError
 
-from oracles import enumerate_composed_codes
+from oracles import dequantize_frozen, enumerate_composed_codes, quantize_codes_frozen
 
 
 @pytest.mark.parametrize("bits", [1, 2, 3, 4, 8])
@@ -64,6 +64,28 @@ def test_zero_tensor_and_one_bit_degenerate():
     assert not codes.any()
     m = np.array([3.0, -1.0, 0.2])
     assert not quantize.fake_quantize(m, 1).any()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bits", [1, 2, 8, 16])
+def test_in_place_quantizer_matches_the_frozen_formulas_bitwise(bits, dtype):
+    rng = np.random.default_rng(bits)
+    cases = [
+        3.0 * rng.standard_normal((4, 5, 6)),
+        -np.abs(rng.standard_normal(9)),  # negative values only
+        np.array([-0.0, 0.0, 1.0, -1.0, 0.5, -0.5, 0.25, -0.75, 1e-30, -1e-30]),  # ties, -0.0
+        np.zeros((2, 3)),
+        np.array([-0.0, -0.0]),
+    ]
+    for m in (c.astype(dtype) for c in cases):
+        codes, scale = quantize.quantize_codes(m, bits)
+        want_codes, want_scale = quantize_codes_frozen(m, bits)
+        assert codes.dtype == np.int64 and np.array_equal(codes, want_codes)
+        assert scale == want_scale
+        values = quantize.dequantize(codes, scale, bits)
+        want = dequantize_frozen(want_codes, want_scale, bits)
+        assert values.dtype == np.float64 and values.tobytes() == want.tobytes()
+        assert quantize.fake_quantize(m, bits).tobytes() == want.tobytes()
 
 
 def test_quantize_rejects_bad_inputs():

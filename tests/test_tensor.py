@@ -128,6 +128,68 @@ def test_im2col_columns_put_the_sample_innermost():
                 assert cols[:, (i * 3 + j) * 2 + b].tolist() == patch.tolist()
 
 
+def _im2col_loops(x, k, stride):
+    """im2col at pad 0 of an (n, c, h, w) batch, one patch at a time."""
+    n, _, h, w = x.shape
+    h_out, w_out = (h - k) // stride + 1, (w - k) // stride + 1
+    return np.stack([x[b, :, i * stride : i * stride + k, j * stride : j * stride + k].reshape(-1)
+                     for i in range(h_out) for j in range(w_out) for b in range(n)], axis=1)
+
+
+@pytest.mark.parametrize("k,stride", [(3, 1), (2, 2), (1, 1)])
+def test_im2col_at_pad_0_reads_strided_inputs_and_copies(k, stride):
+    # At pad 0 im2col strides over x itself: Sequential's transposed entry
+    # view and a sample slice are not contiguous, and a 1x1 window at
+    # stride 1 would otherwise hand back a view of x.
+    rng = np.random.default_rng(60 + k)
+    x = rng.standard_normal((6, 3, 7, 8))
+    entry = _chwn(x)  # what Sequential.forward passes its first layer
+    chwn = np.ascontiguousarray(entry)
+    for view, batch in ((entry, x), (chwn[..., 2:5], x[2:5]), (chwn, x)):
+        before = view.copy()
+        cols = tensor.im2col(view, k, stride, 0)
+        assert np.array_equal(cols, _im2col_loops(batch, k, stride))
+        assert cols.flags.c_contiguous and cols.flags.writeable
+        cols += 1.0
+        assert np.array_equal(view, before)
+
+
+def test_generated_layer_sized_d_weight_matches_nested_loops():
+    # The basis conv of a generated layer 1: C_in 32, B_c = 12 kernels of 5x5
+    # over 12x12 maps, where d_weight is the (cols @ g.T).T product.
+    rng = np.random.default_rng(61)
+    x = rng.standard_normal((3, 32, 12, 12))
+    wt = rng.standard_normal((12, 32, 5, 5))
+    out, cols = tensor.conv2d(_chwn(x), wt)
+    grad = rng.standard_normal(_nchw(out).shape)
+    d_w, d_x = tensor.conv2d_backward(_chwn(grad), cols, wt, _chwn(x).shape)
+    want_w, want_x = conv2d_backward_naive(x, wt, grad)
+    assert d_w.shape == wt.shape
+    assert rel_err(d_w, want_w) < 1e-12
+    assert rel_err(_nchw(d_x), want_x) < 1e-12
+
+
+def test_eval_conv_of_layer_1_at_batch_256_runs_in_4_blocks(monkeypatch):
+    # Layer 1's float32 patch matrix at evaluate's batch 256 is 52 MB; a
+    # 16 MiB bound splits it into 4 blocks of 64 samples (13 MB each).
+    rng = np.random.default_rng(62)
+    x = rng.standard_normal((32, 12, 12, 256)).astype(np.float32)
+    wt = rng.standard_normal((32, 32, 5, 5))
+    calls = []
+    conv2d = tensor.conv2d
+
+    def counting_conv2d(xb, *args):
+        calls.append(xb.shape[3])
+        return conv2d(xb, *args)
+
+    monkeypatch.setattr(tensor, "conv2d", counting_conv2d)
+    out = tensor.conv2d_forward(x, wt)
+    assert calls == [64, 64, 64, 64]
+    assert out.dtype == np.float32 and out.shape == (32, 8, 8, 256)
+    assert out.tobytes() == np.concatenate(
+        [conv2d(x[..., a : a + 64], wt)[0] for a in range(0, 256, 64)], axis=3).tobytes()
+
+
 @pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("pad", [0, 1])
 def test_conv2d_backward_matches_nested_loops(stride, pad):

@@ -321,7 +321,12 @@ def test_empty_test_split_fails_before_training(tmp_path, capsys, monkeypatch):
     assert "error:" in err and "test_x has no samples" in err and "Traceback" not in err
     calls = []
     kd_loss = training.kd_loss
-    monkeypatch.setattr(training, "kd_loss", lambda *a, **kw: calls.append(1) or kd_loss(*a, **kw))
+
+    def counting_kd_loss(*args, **kwargs):
+        calls.append(1)
+        return kd_loss(*args, **kwargs)
+
+    monkeypatch.setattr(training, "kd_loss", counting_kd_loss)
     train_ds = dataio.load_fashion_split(root, "train")
     test_ds = dataio.load_fashion_split(root, "test")
     cfg = training.TrainConfig(arch="C4K3S2-AvgPool2-FC10", epochs=1, init="random")

@@ -206,8 +206,10 @@ def _snapshot(merged: dict, command: str, out_dir: str, artifacts) -> None:
 
 
 @contextlib.contextmanager
-def _artifact_set():
-    """Record written files; remove them all if the run fails midway."""
+def _artifact_set(out: str):
+    """Make the output directory, then record written files; remove them all
+    if the run fails midway."""
+    os.makedirs(out, exist_ok=True)
     written: list[str] = []
     try:
         yield written
@@ -218,11 +220,12 @@ def _artifact_set():
         raise
 
 
-def _ensure_out(merged: dict) -> str:
+def _require_out(merged: dict) -> str:
+    """The output directory, checked up front; _artifact_set makes it only
+    once there are artifacts to write."""
     out = merged.get("out")
     if not out:
         raise ConfigError("missing output directory: pass --out or set 'out' in the config")
-    os.makedirs(out, exist_ok=True)
     return out
 
 
@@ -247,14 +250,14 @@ def cmd_train(ns: argparse.Namespace) -> int:
     merged = _resolve(ns)
     cfg = _build(training.TrainConfig, merged)
     merged.update(dataclasses.asdict(cfg))
-    out = _ensure_out(merged)
+    out = _require_out(merged)
     train_x, train_y, test_x, test_y = _load_datasets(merged)
     teacher = _load_teacher(merged)
     result = training.train(
         cfg, train_x, train_y, test_x, test_y,
         teacher=teacher, verbose=merged.get("verbose", False),
     )
-    with _artifact_set() as artifacts:
+    with _artifact_set(out) as artifacts:
         metrics_path = os.path.join(out, "metrics.csv")
         training.write_metrics(metrics_path, result.metrics)
         artifacts.append(metrics_path)
@@ -280,7 +283,7 @@ def cmd_init(ns: argparse.Namespace) -> int:
     merged = {"layer": 0, "q_weight": 16, **_resolve(ns)}
     cfg = _build(training.TrainConfig, merged)
     merged.update(dataclasses.asdict(cfg))
-    out = _ensure_out(merged)
+    out = _require_out(merged)
     teacher_path = merged.get("teacher")
     if not teacher_path:
         raise ConfigError("missing teacher: pass --teacher with a checkpoint path")
@@ -304,7 +307,7 @@ def cmd_init(ns: argparse.Namespace) -> int:
     )
     _, svd_residual = training.svd_init(target, plan)
     factors, l2_residual = training.l2_project_init(target, plan, iters=cfg.init_iters)
-    with _artifact_set() as artifacts:
+    with _artifact_set(out) as artifacts:
         factors_path = os.path.join(out, "factors.isgw")
         factorfile.save_factors(factors_path, factors)
         artifacts.append(factors_path)
@@ -342,7 +345,7 @@ def cmd_explore(ns: argparse.Namespace) -> int:
         if key not in merged:
             raise ConfigError("missing grid: pass --bi-list and --bc-list")
         merged[key] = _parse_int_list(merged[key], key)
-    out = _ensure_out(merged)
+    out = _require_out(merged)
     train_x, train_y, test_x, test_y = _load_datasets(merged)
     teacher = _load_teacher(merged)
     result = explorer.grid_search(
@@ -351,7 +354,7 @@ def cmd_explore(ns: argparse.Namespace) -> int:
         teacher=teacher, verbose=merged.get("verbose", False),
     )
     front = explorer.pareto_front(list(result.points)) if result.points else []
-    with _artifact_set() as artifacts:
+    with _artifact_set(out) as artifacts:
         csv_path = os.path.join(out, "grid.csv")
         explorer.write_grid_csv(list(result.points), csv_path)
         artifacts.append(csv_path)
@@ -388,8 +391,7 @@ def cmd_cost(ns: argparse.Namespace) -> int:
         print("  warning: generation latency exceeds the load time it saves")
     out = merged.get("out")
     if out:
-        os.makedirs(out, exist_ok=True)
-        with _artifact_set() as artifacts:
+        with _artifact_set(out) as artifacts:
             _write_json(out, "cost.json", report.as_dict(), artifacts)
             _snapshot(merged, "cost", out, artifacts)
         print(f"artifacts in {out}")
@@ -411,8 +413,7 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
               f"cross={row['cross']:.4f} intra={intra_text}")
     out = merged.get("out")
     if out:
-        os.makedirs(out, exist_ok=True)
-        with _artifact_set() as artifacts:
+        with _artifact_set(out) as artifacts:
             _write_json(out, "correlations.json", rows, artifacts)
             _snapshot(merged, "analyze", out, artifacts)
         print(f"artifacts in {out}")

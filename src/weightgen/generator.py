@@ -18,10 +18,12 @@ The effective cardinality of a skipped level is the number of rows stored
 there: C_in for the intra level, C_out for the cross level.
 
 ``forward`` forms the quantized basis kernels w_cross = coeff @ basis; the
-dense kernels ``GenForward.weight`` are mixed only when read.  A generated
-conv layer never reads them: it convolves with w_cross, then applies the
-mixer as a 1x1 conv, at n_cross/C_out + n_cross/(C_in*k*k) of a dense
-conv's multiply-adds (``nn.GeneratedConv2d``).
+dense kernels ``GenForward.weight`` are mixed only when read.  This float64
+pass is what stage 1 fits through.  A generated conv layer reads neither:
+it applies the quantized factors level by level, the coeff as a 1x1 conv,
+the basis as a grouped k x k conv and the mixer as a 1x1 conv, and with the
+intra level skipped it convolves with w_cross and then mixes
+(``nn.GeneratedConv2d``).
 
 Every stored factor is fake-quantized to its own bit-width during
 generation, with a per-tensor scale; gradients flow through the quantizer
@@ -226,17 +228,6 @@ class FactorGrads:
     mixer: np.ndarray | None
 
 
-def intra_backward(
-    fwd: GenForward, d_w_cross: np.ndarray
-) -> tuple[np.ndarray | None, np.ndarray]:
-    """(d_basis, d_coeff) from a gradient on the (n_cross, c_in, k*k) basis
-    kernels; d_basis is None when the intra level is skipped."""
-    if not fwd.plan.intra_active:
-        return None, d_w_cross
-    return (np.matmul(np.swapaxes(fwd.q_coeff, 1, 2), d_w_cross),
-            np.matmul(d_w_cross, np.swapaxes(fwd.q_basis, 1, 2)))
-
-
 def backward(
     factors: TwoLevelFactors, fwd: GenForward, d_weight: np.ndarray
 ) -> FactorGrads:
@@ -257,8 +248,12 @@ def backward(
     if p.cross_active:
         d_mixer = np.matmul(g_flat, fwd.w_cross.reshape(p.n_cross, -1).T)
         g_flat = np.matmul(fwd.q_mixer.T, g_flat)
-    d_basis, d_coeff = intra_backward(fwd, g_flat.reshape(p.n_cross, p.c_in, p.kk))
-    return FactorGrads(basis=d_basis, coeff=d_coeff, mixer=d_mixer)
+    d_w_cross = g_flat.reshape(p.n_cross, p.c_in, p.kk)
+    if not p.intra_active:
+        return FactorGrads(basis=None, coeff=d_w_cross, mixer=d_mixer)
+    return FactorGrads(basis=np.matmul(np.swapaxes(fwd.q_coeff, 1, 2), d_w_cross),
+                       coeff=np.matmul(d_w_cross, np.swapaxes(fwd.q_basis, 1, 2)),
+                       mixer=d_mixer)
 
 
 def dense_param_count(plan: GenPlan) -> int:

@@ -4,15 +4,22 @@ Only what the experiments need: conv (dense or generated), batch norm,
 ReLU, adaptive average pooling, flatten, linear, and an optional
 activation fake-quantizer.  A layer never writes its input, and on
 forward it makes only the arrays it returns or its backward needs: a
-training conv caches its im2col matrix, a training batch norm its
-normalized input, and ReLU its own output.  An inference (``train=False``)
-conv or batch norm caches only a reference to its input and recomputes
-its im2col matrix, or its normalized input, if backward is called; eval
-batch norm is one scale and shift per channel.  ``Sequential`` chains the
-layers and collects parameters.  A generated conv convolves with its
-n_cross basis kernels, then mixes the result into C_out channels as a 1x1
-conv; with its cross level active that costs n_cross/C_out +
-n_cross/(C_in*k*k) of a dense conv's multiply-adds.
+training conv caches its im2col matrix (a generated conv with its intra
+level active, its grouped conv's row-patch matrix), a training batch norm
+its normalized input, and ReLU its own output.  An inference
+(``train=False``) conv or batch norm caches only a reference to its input
+and recomputes those matrices, or its normalized input, if backward is
+called; eval batch norm is one scale and shift per channel.
+``Sequential`` chains the layers and collects parameters.
+
+A generated conv never forms its kernels.  With its intra level active it
+runs a 1x1 conv with the coeff factors into n_cross*n_basis channels, a
+grouped k x k conv with the basis kernels, one banded GEMM per group
+(``tensor.grouped_conv``), and the mixer as a 1x1 conv: per output pixel,
+n_cross*n_basis*(C_in*HW/(H_out*W_out) + k*H_used) + C_out*n_cross
+multiply-adds, H_used = (H_out-1)*stride + k, against C_out*C_in*k*k for a
+dense conv.  With the intra level skipped it convolves with its n_cross
+stored basis kernels on the im2col path and then mixes.
 
 Activations between layers are (C, H, W, n), as a conv's GEMM makes them.
 Only ``Sequential``, on entry and exit, and ``Flatten``, which gives the
@@ -132,12 +139,19 @@ class Conv2d(_Conv):
 class GeneratedConv2d(_Conv):
     """Convolution whose kernels are generated from two-level factors.
 
-    The C_out dense kernels are never formed: the input is convolved with
-    the n_cross basis kernels, and the (n_cross, H, W, n) result is mixed
-    into C_out channels as a 1x1 conv, one GEMM.  Without a mixer the basis
-    kernels are the kernels.  With one, the cost over a dense conv's is
-    n_cross/C_out + n_cross/(C_in*k*k) < 1 + min(1, C_out/(C_in*k*k)):
-    under 1.04 for layers 1 and 2 of the default arch, 0.39 at n_cross = 12.
+    The C_out dense kernels are never formed, nor, with the intra level
+    active, the n_cross basis kernels: the layer runs three steps.  A 1x1
+    conv with the quantized coeff, laid out as (n_cross*n_basis, C_in),
+    gives u; a grouped conv (``tensor.grouped_conv``) convolves each group
+    of n_basis channels of u with its n_basis quantized basis kernels and
+    sums them into one channel; the mixer mixes the n_cross results into
+    C_out channels as a 1x1 conv.  With the intra level skipped the layer
+    convolves with its stored basis kernels on the im2col path instead, and
+    without a mixer the basis-kernel output is the output.
+
+    A training forward caches the grouped conv's row-patch matrix; an
+    inference forward runs all three steps per bounded sample block
+    (``tensor.in_sample_blocks``) and caches only its input.
     """
 
     def __init__(self, factors: generator.TwoLevelFactors, stride: int = 1,
@@ -152,33 +166,68 @@ class GeneratedConv2d(_Conv):
         self._cache = self._gen = self._z = None
 
     def _kernel(self):
-        self._gen = generator.forward(self.factors, quantized=self.quantized)
         return self._gen.w_cross.reshape(-1, self.c_in, self.k, self.k)
 
     def _take_grad(self, d_w_cross):
-        d_basis, d_coeff = generator.intra_backward(
-            self._gen, d_w_cross.reshape(self._gen.w_cross.shape))
-        if d_basis is not None:
-            self._params["basis"].grad += d_basis
-        self._params["coeff"].grad += d_coeff
+        self._params["coeff"].grad += d_w_cross.reshape(self._gen.w_cross.shape)
 
-    def forward(self, x, train=False):
-        z = super().forward(x, train)
+    def _basis_conv(self, x, a, kernels):
+        """(z, rows): the n_cross basis-kernel channels of x, u = a x
+        convolved group-wise with kernels, and the grouped conv's rows."""
+        u = (a @ x.reshape(self.c_in, -1)).reshape(a.shape[0], *x.shape[1:])
+        return tensor.grouped_conv(u, kernels, self.stride, self.pad)
+
+    def _mix(self, z):
         mixer = self._gen.q_mixer
         if mixer is None:
             return z
-        self._z = z
         mixer = mixer.astype(z.dtype, copy=False)
         return (mixer @ z.reshape(z.shape[0], -1)).reshape(self.c_out, *z.shape[1:])
 
+    def forward(self, x, train=False):
+        self._gen = generator.forward(self.factors, quantized=self.quantized)
+        if not self.factors.plan.intra_active:
+            z = super().forward(x, train)
+        else:
+            x = tensor.as_tensor4d(x, "conv input")
+            # the coeff as the (n_cross*n_basis, C_in) matrix of a 1x1 conv,
+            # the basis as (n_cross, n_basis, k, k) grouped-conv kernels
+            p = self.factors.plan
+            a = self._gen.q_coeff.transpose(0, 2, 1).reshape(-1, p.c_in).astype(x.dtype)
+            kernels = self._gen.q_basis.reshape(p.n_cross, p.n_basis, p.k, p.k).astype(x.dtype)
+            if not train:
+                self._cache, self._z = (x, None, a, kernels), None
+                sample_bytes = tensor.row_patch_bytes(
+                    (a.shape[0], *x.shape[1:]), self.k, self.stride, self.pad, x.itemsize)
+                return tensor.in_sample_blocks(
+                    lambda xb: self._mix(self._basis_conv(xb, a, kernels)[0]), x, sample_bytes)
+            z, rows = self._basis_conv(x, a, kernels)
+            self._cache = (x, rows, a, kernels)
+        self._z = z if self._gen.q_mixer is not None else None
+        return self._mix(z)
+
     def backward(self, grad):
+        intra = self.factors.plan.intra_active
+        if intra:
+            x, rows, a, kernels = self._cache
+            if rows is None:  # an inference forward kept only its input
+                self._z, rows = self._basis_conv(x, a, kernels)
         mixer = self._gen.q_mixer
         if mixer is not None:
             g = grad.reshape(self.c_out, -1)
             z2d = self._z.reshape(self._z.shape[0], -1)
             self._params["mixer"].grad += g @ z2d.T
             grad = (mixer.astype(g.dtype, copy=False).T @ g).reshape(self._z.shape)
-        return super().backward(grad)
+        if not intra:
+            return super().backward(grad)
+        p = self.factors.plan
+        d_kernels, d_u = tensor.grouped_conv_backward(
+            grad, rows, kernels, (a.shape[0], *x.shape[1:]), self.stride, self.pad)
+        d_u = d_u.reshape(a.shape[0], -1)
+        d_a = d_u @ x.reshape(self.c_in, -1).T
+        self._params["basis"].grad += d_kernels.reshape(p.n_cross, p.n_basis, p.kk)
+        self._params["coeff"].grad += d_a.reshape(p.n_cross, p.n_basis, p.c_in).transpose(0, 2, 1)
+        return (a.T @ d_u).reshape(x.shape)
 
     def params(self):
         return list(self._params.values())

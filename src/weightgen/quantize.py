@@ -56,12 +56,9 @@ def grid_levels(bits: int) -> int:
     return 2 * positive_levels(bits) + 1
 
 
-def quantize_codes(m, bits: int):
-    """Quantize to integer codes.  Returns (codes, scale).
-
-    codes is int64 in [-n_pos, n_pos]; the represented values are
-    scale * codes / n_pos.  Ties round away from zero.
-    """
+def _code_buffer(m, bits: int):
+    """(codes, scale, n_pos): m's codes as a float64 buffer of whole numbers
+    in [-n_pos, n_pos] (a negative zero code is 0), and its scale."""
     n_pos = positive_levels(bits)
     m = as_float(m)
     mag = np.abs(m, dtype=np.float64)  # the one float64 buffer, updated in place
@@ -71,14 +68,26 @@ def quantize_codes(m, bits: int):
     if scale == 0.0:
         scale = 1.0
     if n_pos == 0:
-        return np.zeros(m.shape, dtype=np.int64), scale
+        mag[...] = 0.0
+        return mag, scale, n_pos
     mag /= scale
     mag *= n_pos
     mag += 0.5
     np.floor(mag, out=mag)
-    np.copysign(mag, m, out=mag)  # -mag where m < 0; a -0.0 code is 0
+    np.copysign(mag, m, out=mag)  # -mag where m < 0
     np.clip(mag, -n_pos, n_pos, out=mag)
-    return mag.astype(np.int64), scale
+    mag += 0.0  # -0.0 + 0.0 is +0.0: a negative zero code is 0
+    return mag, scale, n_pos
+
+
+def quantize_codes(m, bits: int):
+    """Quantize to integer codes.  Returns (codes, scale).
+
+    codes is int64 in [-n_pos, n_pos]; the represented values are
+    scale * codes / n_pos.  Ties round away from zero.
+    """
+    codes, scale, _ = _code_buffer(m, bits)
+    return codes.astype(np.int64), scale
 
 
 def dequantize(codes, scale: float, bits: int) -> np.ndarray:
@@ -100,9 +109,14 @@ def dequantize(codes, scale: float, bits: int) -> np.ndarray:
 
 
 def fake_quantize(m, bits: int) -> np.ndarray:
-    """Quantize and reconstruct in one step (the training-time view)."""
-    codes, scale = quantize_codes(m, bits)
-    return dequantize(codes, scale, bits)
+    """Quantize and reconstruct in one step (the training-time view): the
+    float64 values of dequantize(*quantize_codes(m, bits), bits), bit for
+    bit, computed in quantize_codes' buffer with no integer copy."""
+    values, scale, n_pos = _code_buffer(m, bits)
+    if n_pos:
+        values /= n_pos
+        values *= scale
+    return values
 
 
 @dataclass(frozen=True)

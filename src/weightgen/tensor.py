@@ -1,4 +1,5 @@
-"""Dense numerical kernels: im2col lowering, convolution, SVD.
+"""Dense numerical kernels: im2col and row-patch lowering, convolution,
+grouped convolution, SVD.
 
 Conventions used throughout the package:
 
@@ -12,7 +13,10 @@ Conventions used throughout the package:
   view" is the row-major reshape to (C_out, C_in*k*k);
 * im2col rows are ordered (channel, kernel-row, kernel-col), columns are
   ordered output-row major, output-column, then sample minor, so each of
-  col2im's k*k shifted adds runs over W_out*n contiguous values.
+  col2im's k*k shifted adds runs over W_out*n contiguous values;
+* row-patch rows are ordered (channel, kernel-col, input row) and columns
+  (output-column, sample), so a grouped conv's banded GEMM gives its output
+  in (c, h, w, n) layout with no transpose.
 """
 
 from __future__ import annotations
@@ -153,28 +157,38 @@ def conv2d(x, weight, stride: int = 1, pad: int = 0):
     return out.reshape(w.shape[0], h_out, w_out, x.shape[3]), cols
 
 
-def conv2d_forward(x, weight, stride: int = 1, pad: int = 0) -> np.ndarray:
-    """The output of conv2d alone; the im2col matrix is built in bounded
-    blocks and never kept.
+def in_sample_blocks(fn, x, sample_bytes: int) -> np.ndarray:
+    """fn(x) computed over the fewest sample blocks of x whose temporaries,
+    at sample_bytes per sample, fit _BLOCK_BYTES (16 MiB), block sizes
+    differing by at most one sample.
 
-    The batch goes through conv2d in the fewest sample blocks whose im2col
-    matrix fits _BLOCK_BYTES (16 MiB), block sizes differing by at most one
-    sample.  One block's output is returned as conv2d makes it; several are
-    written into one preallocated output, each into its own sample range.
-    The split depends only on the shapes, and every output element is the
-    same dot product as in conv2d.
+    fn maps a (..., n_block) batch to a (..., n_block) output.  One block's
+    output is returned as fn makes it; several are written into one
+    preallocated output, each into its own sample range.  The split depends
+    only on n and sample_bytes.
     """
-    x, w, (h_out, w_out) = _conv_args(x, weight, stride, pad)
-    n = x.shape[3]
-    sample_bytes = w[0].size * h_out * w_out * x.itemsize
+    n = x.shape[-1]
     n_blocks = -(-n // max(1, _BLOCK_BYTES // max(1, sample_bytes)))
     if n_blocks == 1:
-        return conv2d(x, w, stride, pad)[0]
-    bounds = [n * i // n_blocks for i in range(n_blocks + 1)]
-    out = np.empty((w.shape[0], h_out, w_out, n), dtype=x.dtype)
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        out[..., start:stop] = conv2d(x[..., start:stop], w, stride, pad)[0]
+        return fn(x)
+    out = None
+    for i in range(n_blocks):
+        start, stop = n * i // n_blocks, n * (i + 1) // n_blocks
+        part = fn(x[..., start:stop])
+        if out is None:
+            out = np.empty(part.shape[:-1] + (n,), dtype=part.dtype)
+        out[..., start:stop] = part
+        del part  # not alive while the next block is computed
     return out
+
+
+def conv2d_forward(x, weight, stride: int = 1, pad: int = 0) -> np.ndarray:
+    """The output of conv2d alone; the im2col matrix is built in bounded
+    blocks (in_sample_blocks) and never kept.  Every output element is the
+    same dot product as in conv2d."""
+    x, w, (h_out, w_out) = _conv_args(x, weight, stride, pad)
+    sample_bytes = w[0].size * h_out * w_out * x.itemsize
+    return in_sample_blocks(lambda xb: conv2d(xb, w, stride, pad)[0], x, sample_bytes)
 
 
 def conv2d_backward(grad, cols, weight, x_shape, stride: int = 1, pad: int = 0):
@@ -189,6 +203,114 @@ def conv2d_backward(grad, cols, weight, x_shape, stride: int = 1, pad: int = 0):
     d_weight = matmul(cols, g_mat.T).T.reshape(weight.shape)
     d_cols = matmul(weight.reshape(c_out, -1).astype(cols.dtype, copy=False).T, g_mat)
     return d_weight, col2im(d_cols, x_shape, k, stride, pad)
+
+
+def _row_patch_dims(h: int, w: int, k: int, stride: int, pad: int):
+    """(H_used, H_out, W_out): the padded input rows a k x k window reaches,
+    and the checked output dims."""
+    h_out, w_out = _output_dims(h, w, k, stride, pad)
+    return (h_out - 1) * stride + k, h_out, w_out
+
+
+def row_patch_bytes(u_shape, k: int, stride: int, pad: int, itemsize: int) -> int:
+    """Bytes per sample of row_patches' matrix for a (C, H, W, n) input."""
+    c, h, w, _ = u_shape
+    h_used, _, w_out = _row_patch_dims(h, w, k, stride, pad)
+    return c * k * h_used * w_out * itemsize
+
+
+def row_patches(u, k: int, stride: int = 1, pad: int = 0) -> np.ndarray:
+    """Lower a (C, H, W, n) batch to the (C*k*H_used) x (W_out*n) row-patch
+    matrix, H_used = (H_out-1)*stride + k.
+
+    Zero padding.  Row r indexes (channel, kernel-col j, padded input row
+    hp) in C order and column c indexes (out-col, sample); the entry is the
+    padded input at (channel, hp, out-col*stride + j, sample).  Each input
+    row is copied k times, once per kernel column, where im2col copies it
+    k*k times.
+    """
+    u = as_tensor4d(u, "input")
+    c, h, w, n = u.shape
+    h_used, _, w_out = _row_patch_dims(h, w, k, stride, pad)
+    up = np.pad(u, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else u
+    sc, sh, sw, sn = up.strides
+    patches = np.lib.stride_tricks.as_strided(
+        up,
+        shape=(c, k, h_used, w_out, n),
+        strides=(sc, sw, sh, stride * sw, sn),
+        writeable=False,
+    )
+    return np.array(patches, order="C").reshape(c * k * h_used, w_out * n)
+
+
+def _diagonals(band: np.ndarray, stride: int) -> np.ndarray:
+    """The kernel entries of a (G, H_out, B, k, H_used) banded array, as a
+    (G, H_out, B, k, k) view: [g, o, b, j, i] is band[g, o, b, j, o*stride + i]."""
+    sg, so, sb, sj, sh = band.strides
+    return np.lib.stride_tricks.as_strided(
+        band, shape=band.shape[:4] + (band.shape[3],), strides=(sg, so + stride * sh, sb, sj, sh)
+    )
+
+
+def _banded(kernels: np.ndarray, h_out: int, h_used: int, stride: int) -> np.ndarray:
+    """The (G, H_out, B*k*H_used) left factors of grouped_conv: row o of group
+    g holds kernels[g]'s rows on the diagonals that start at column o*stride."""
+    g, b, k, _ = kernels.shape
+    band = np.zeros((g, h_out, b, k, h_used), dtype=kernels.dtype)
+    _diagonals(band, stride)[...] = kernels.transpose(0, 1, 3, 2)[:, None]
+    return band.reshape(g, h_out, b * k * h_used)
+
+
+def _grouped_args(u, kernels, stride: int, pad: int):
+    """Checked input and (G, B, k, k) kernels of a grouped_conv call, the
+    kernels cast to the input's dtype, and row_patches' dims."""
+    u = as_tensor4d(u, "input")
+    kern = as_tensor4d(kernels, "kernels").astype(u.dtype, copy=False)
+    g, b, k, k2 = kern.shape
+    if k2 != k or g * b != u.shape[0]:
+        raise ShapeError(
+            f"kernels {kern.shape} must be (G, B, k, k) with G*B = {u.shape[0]} "
+            f"input channels"
+        )
+    return u, kern, _row_patch_dims(u.shape[1], u.shape[2], k, stride, pad)
+
+
+def grouped_conv(u, kernels, stride: int = 1, pad: int = 0):
+    """Grouped conv of a (G*B, H, W, n) batch with (G, B, k, k) kernels:
+    output channel g is the sum of input channels g*B .. g*B+B-1, each
+    convolved with its own kernel of kernels[g].
+
+    Each group is one GEMM of a banded (H_out, B*k*H_used) matrix, which
+    holds kernels[g]'s rows on shifted diagonals, with the group's rows of
+    row_patches(u).  Returns (output, rows): the (G, H_out, W_out, n) output
+    and the (G, B*k*H_used, W_out*n) row-patch matrix that
+    grouped_conv_backward needs.
+    """
+    u, kern, (h_used, h_out, w_out) = _grouped_args(u, kernels, stride, pad)
+    g, k = kern.shape[0], kern.shape[2]
+    rows = row_patches(u, k, stride, pad).reshape(g, -1, w_out * u.shape[3])
+    out = np.matmul(_banded(kern, h_out, h_used, stride), rows)
+    return out.reshape(g, h_out, w_out, u.shape[3]), rows
+
+
+def grouped_conv_backward(grad, rows, kernels, u_shape, stride: int = 1, pad: int = 0):
+    """Gradients of grouped_conv given the output gradient and the forward's
+    rows.  Returns (d_kernels, d_u), shaped like kernels and like the input,
+    both computed in rows' dtype when grad has it."""
+    c, h, w, n = u_shape
+    kern = np.asarray(kernels).astype(rows.dtype, copy=False)
+    g, b, k, _ = kern.shape
+    h_used, h_out, w_out = _row_patch_dims(h, w, k, stride, pad)
+    g_mat = grad.reshape(g, h_out, w_out * n)
+    d_band = np.matmul(g_mat, rows.transpose(0, 2, 1)).reshape(g, h_out, b, k, h_used)
+    d_kernels = _diagonals(d_band, stride).sum(axis=1).transpose(0, 1, 3, 2)
+    banded = _banded(kern, h_out, h_used, stride)
+    d_rows = np.matmul(banded.transpose(0, 2, 1), g_mat).reshape(c, k, h_used, w_out, n)
+    # the adjoint of row_patches: k shifted adds, one per kernel column
+    up = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=d_rows.dtype)
+    for j in range(k):
+        up[:, :h_used, j : j + stride * w_out : stride] += d_rows[:, j]
+    return d_kernels, up[:, pad : pad + h, pad : pad + w]
 
 
 def _check_finite(m: np.ndarray, what: str) -> None:

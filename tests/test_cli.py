@@ -473,3 +473,17 @@ def test_train_with_teacher_distills(tmp_path):
     assert os.path.exists(os.path.join(out, "metrics.csv"))
     snapshot = json.load(open(os.path.join(out, "config.json")))
     assert snapshot["teacher"] == ckpt
+
+
+def test_rejected_inputs_leave_no_out_directory(tmp_path, capsys):
+    root = _fake_fashion_root(tmp_path, n_test=0)
+    out = os.path.join(tmp_path, "o")
+    assert cli.main(["train", "--data", root, *_TRAIN_FLAGS, "--out", out]) == 2
+    assert "test_x has no samples" in capsys.readouterr().err
+    assert not os.path.exists(out)
+    assert cli.main(["init", "--teacher", os.path.join(tmp_path, "missing.npz"),
+                     "--out", out]) == 2
+    assert not os.path.exists(out)
+    assert cli.main(["explore", "--data", os.path.join(tmp_path, "nowhere"),
+                     "--bi-list", "2", "--bc-list", "4", "--out", out]) == 2
+    assert not os.path.exists(out)

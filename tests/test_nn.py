@@ -549,3 +549,68 @@ def test_other_input_dtypes_run_the_float64_path(dtype):
         want = want_net.forward(x.astype(np.float64), train=train)
         assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
         assert got_net.backward(np.ones(got.shape)).dtype == np.float64
+
+
+_PLAN_CLASSES = pytest.mark.parametrize(
+    "plan_args", [(4, 3, 3, 2, 3), (4, 3, 3, 3, 3), (4, 3, 3, 2, 4), (4, 3, 3, 3, 4)],
+    ids=["both", "intra-skipped", "cross-skipped", "both-skipped"])
+
+
+@pytest.mark.parametrize("train", [True, False])
+@_PLAN_CLASSES
+def test_float32_generated_layer_matches_float64(plan_args, train):
+    rng = np.random.default_rng(23)
+    factors = generator.init_random(generator.plan_layer(*plan_args), rng)
+    x = rng.standard_normal((3, 7, 7, 4))
+    r = rng.standard_normal((4, 4, 4, 4))
+    runs = []
+    for dtype in (np.float64, np.float32):
+        layer = nn.GeneratedConv2d(factors, stride=2, pad=1)
+        out = layer.forward(x.astype(dtype), train=train)
+        d_x = layer.backward(r.astype(dtype))
+        assert out.dtype == d_x.dtype == dtype
+        runs.append((out, d_x, {p.name: p.grad for p in layer.params()}))
+    (want, want_dx, want_grads), (got, got_dx, got_grads) = runs
+    assert rel_err(got, want) < 1e-5
+    assert rel_err(got_dx, want_dx) < 1e-5
+    for name, grad in want_grads.items():
+        assert rel_err(got_grads[name], grad) < 1e-5, name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_intra_active_generated_conv_trains_without_im2col(monkeypatch, dtype):
+    rng = np.random.default_rng(24)
+    factors = generator.init_random(generator.plan_layer(4, 3, 3, 2, 3), rng)
+    layer = nn.GeneratedConv2d(factors, stride=2, pad=1)
+    x = rng.standard_normal((3, 7, 7, 2)).astype(dtype)
+    dense = nn.Conv2d(3, 4, 3, stride=2, pad=1, rng=rng)
+    dense.weight.value = generator.generate(factors)
+    want = dense.forward(x, train=True)
+    r = rng.standard_normal(want.shape).astype(dtype)
+    want_dx = dense.backward(r)
+    monkeypatch.setattr(tensor, "im2col", None)
+    out = layer.forward(x, train=True)
+    d_x = layer.backward(r)
+    assert rel_err(out, want) < 1e-5 and rel_err(d_x, want_dx) < 1e-5
+    assert all(np.abs(p.grad).sum() > 0 for p in layer.params())
+
+
+def test_eval_generated_conv_runs_all_three_steps_per_block(monkeypatch):
+    rng = np.random.default_rng(25)
+    factors = generator.init_random(generator.plan_layer(4, 8, 3, 2, 3), rng)
+    layer = nn.GeneratedConv2d(factors, stride=1, pad=1)
+    x = rng.standard_normal((8, 10, 10, 12))
+    want = layer.forward(x, train=True)
+    u_shape = (6, 10, 10, 12)
+    monkeypatch.setattr(tensor, "_BLOCK_BYTES", tensor.row_patch_bytes(u_shape, 3, 1, 1, 8) * 4)
+    blocks = []
+    grouped_conv = tensor.grouped_conv
+
+    def counting_grouped_conv(u, *args):
+        blocks.append(u.shape[3])
+        return grouped_conv(u, *args)
+
+    monkeypatch.setattr(tensor, "grouped_conv", counting_grouped_conv)
+    out = layer.forward(x, train=False)
+    assert blocks == [4, 4, 4]
+    assert rel_err(out, want) < 1e-12

@@ -150,3 +150,21 @@ def test_distinct_value_bound_vs_exact_enumeration(q_basis, q_coeff, n_basis):
 def test_bools_are_not_counts_or_bit_widths(call, error, name):
     with pytest.raises(error, match=name):
         call()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bits", range(1, 17))
+def test_fake_quantize_is_the_dequantized_codes_bitwise(bits, dtype):
+    rng = np.random.default_rng(100 + bits)
+    cases = [
+        3.0 * rng.standard_normal((3, 4, 5)),
+        np.array([-0.0, 0.0, 1.0, -1.0, 0.5, -0.5, -0.25, 1e-30, -1e-30, -1e-9]),
+        np.zeros(4),
+        np.array([-0.0]),
+        np.zeros((0, 3)),
+    ]
+    for m in (c.astype(dtype) for c in cases):
+        got = quantize.fake_quantize(m, bits)
+        want = quantize.dequantize(*quantize.quantize_codes(m, bits), bits)
+        assert got.dtype == np.float64 and got.shape == m.shape
+        assert got.tobytes() == want.tobytes()

@@ -6,7 +6,7 @@ import pytest
 from weightgen import tensor
 from weightgen.errors import ShapeError
 
-from oracles import conv2d_backward_naive, conv2d_naive, gemm_naive, rel_err
+from oracles import conv2d_backward_naive, conv2d_naive, finite_difference, gemm_naive, rel_err
 
 
 def _chwn(a):
@@ -284,3 +284,70 @@ def test_frobenius_norm_equals_singular_value_energy():
     m = rng.standard_normal((10, 6))
     s = tensor.singular_values(m)
     assert abs(np.sum(s**2) - np.sum(m**2)) < 1e-9 * np.sum(m**2)
+
+
+def _block_diagonal(kernels):
+    """The dense (G, G*B, k, k) weight of a grouped conv's (G, B, k, k) kernels."""
+    g, b = kernels.shape[:2]
+    w = np.zeros((g, g * b) + kernels.shape[2:])
+    for i in range(g):
+        w[i, i * b : (i + 1) * b] = kernels[i]
+    return w
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("pad", [0, 1, 2])
+def test_grouped_conv_matches_nested_loops_and_is_adjoint(stride, pad):
+    rng = np.random.default_rng(10 * stride + pad)
+    g, b, k, n = 3, 2, 3, 2
+    u = rng.standard_normal((g * b, 7, 6, n))
+    kernels = rng.standard_normal((g, b, k, k))
+    out, rows = tensor.grouped_conv(u, kernels, stride, pad)
+    want = conv2d_naive(_nchw(u), _block_diagonal(kernels), stride=stride, pad=pad)
+    assert rel_err(_nchw(out), want) < 1e-12
+
+    grad = rng.standard_normal(out.shape)
+    d_kernels, d_u = tensor.grouped_conv_backward(grad, rows, kernels, u.shape, stride, pad)
+    assert d_kernels.shape == kernels.shape and d_u.shape == u.shape
+    # both are adjoints of the bilinear map (u, kernels) -> out
+    dot = np.vdot(out, grad)
+    assert abs(dot - np.vdot(u, d_u)) < 1e-12 * np.abs(out * grad).sum()
+    assert abs(dot - np.vdot(kernels, d_kernels)) < 1e-12 * np.abs(out * grad).sum()
+
+
+@pytest.mark.parametrize("stride,pad", [(1, 0), (2, 1)])
+def test_grouped_conv_backward_matches_finite_differences(stride, pad):
+    rng = np.random.default_rng(40 + stride)
+    u = rng.standard_normal((4, 6, 5, 2))
+    kernels = rng.standard_normal((2, 2, 3, 3))
+    grad = rng.standard_normal(tensor.grouped_conv(u, kernels, stride, pad)[0].shape)
+    rows = tensor.grouped_conv(u, kernels, stride, pad)[1]
+    d_kernels, d_u = tensor.grouped_conv_backward(grad, rows, kernels, u.shape, stride, pad)
+
+    def loss(u_, kernels_):
+        return float(np.sum(tensor.grouped_conv(u_, kernels_, stride, pad)[0] * grad))
+
+    want_u = finite_difference(lambda t: loss(t, kernels), u.copy())
+    want_kernels = finite_difference(lambda t: loss(u, t), kernels.copy())
+    assert rel_err(d_u, want_u) < 1e-7
+    assert rel_err(d_kernels, want_kernels) < 1e-7
+
+
+def test_row_patches_copy_each_input_row_k_times():
+    x = np.arange(2 * 4 * 5 * 3, dtype=np.float64).reshape(2, 4, 5, 3)
+    rows = tensor.row_patches(x, 2)
+    assert rows.shape == (2 * 2 * 4, 4 * 3)
+    assert rows.nbytes == tensor.row_patch_bytes(x.shape, 2, 1, 0, 8) * 3
+    # row (channel, kernel col j, input row) holds out-cols j.. j+3 of that row
+    for c in range(2):
+        for j in range(2):
+            for h in range(4):
+                assert np.array_equal(rows[(c * 2 + j) * 4 + h], x[c, h, j : j + 4].ravel())
+    assert not np.may_share_memory(tensor.row_patches(x[:, :, :1], 1), x)
+
+
+def test_grouped_conv_rejects_mismatched_kernels():
+    with pytest.raises(ShapeError, match="G\\*B"):
+        tensor.grouped_conv(np.zeros((5, 4, 4, 1)), np.zeros((2, 2, 3, 3)))
+    with pytest.raises(ShapeError):
+        tensor.grouped_conv(np.zeros((4, 4, 4, 1)), np.zeros((2, 2, 3, 2)))

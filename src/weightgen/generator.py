@@ -17,13 +17,14 @@ stored densely), the cross level when n_cross >= min(C_out, C_in*k*k)
 The effective cardinality of a skipped level is the number of rows stored
 there: C_in for the intra level, C_out for the cross level.
 
-``forward`` forms the quantized basis kernels w_cross = coeff @ basis; the
-dense kernels ``GenForward.weight`` are mixed only when read.  This float64
-pass is what stage 1 fits through.  A generated conv layer reads neither:
-it applies the quantized factors level by level, the coeff as a 1x1 conv,
-the basis as a grouped k x k conv and the mixer as a 1x1 conv, and with the
-intra level skipped it convolves with w_cross and then mixes
-(``nn.GeneratedConv2d``).
+``forward`` quantizes the factors; the basis kernels ``GenForward.w_cross``
+= coeff @ basis and the dense kernels ``GenForward.weight`` are formed only
+when read.  This float64 pass is what stage 1 fits through.  A generated
+conv layer never reads ``weight``.  When it runs fewer multiply-adds that
+way it applies the quantized factors level by level, the coeff as a 1x1
+conv, the basis as a grouped k x k conv and the mixer as a 1x1 conv, and
+never reads ``w_cross`` either; otherwise, and always with the intra level
+skipped, it convolves with w_cross and then mixes (``nn.GeneratedConv2d``).
 
 Every stored factor is fake-quantized to its own bit-width during
 generation, with a per-tensor scale; gradients flow through the quantizer
@@ -187,10 +188,15 @@ class GenForward:
     """Intermediates of one generation pass, kept for the backward pass."""
 
     plan: GenPlan
-    w_cross: np.ndarray         # (n_cross, c_in, k*k), post-quantization
     q_basis: np.ndarray | None
     q_coeff: np.ndarray
     q_mixer: np.ndarray | None
+
+    @cached_property
+    def w_cross(self) -> np.ndarray:
+        """The (n_cross, c_in, k*k) quantized basis kernels, coeff @ basis,
+        formed on first use."""
+        return np.matmul(self.q_coeff, self.q_basis) if self.plan.intra_active else self.q_coeff
 
     @cached_property
     def weight(self) -> np.ndarray:
@@ -203,16 +209,14 @@ class GenForward:
 
 
 def forward(factors: TwoLevelFactors, quantized: bool = True) -> GenForward:
-    """Quantize the factors and form the basis kernels; the dense kernels
-    are mixed only when ``weight`` is read."""
+    """Quantize the factors; the basis kernels and the dense kernels are
+    formed only when ``w_cross`` and ``weight`` are read."""
     factors.validate()
     p = factors.plan
     q = dict.fromkeys(FACTOR_NAMES)
     for name, t in factors.stored():
         q[name] = fake_quantize(t, p.bits(name)) if quantized else t
-    qb, qc, qm = q["basis"], q["coeff"], q["mixer"]
-    w_cross = np.matmul(qc, qb) if p.intra_active else qc  # (n_cross, c_in, k*k)
-    return GenForward(plan=p, w_cross=w_cross, q_basis=qb, q_coeff=qc, q_mixer=qm)
+    return GenForward(plan=p, q_basis=q["basis"], q_coeff=q["coeff"], q_mixer=q["mixer"])
 
 
 def generate(factors: TwoLevelFactors, quantized: bool = True) -> np.ndarray:
@@ -226,6 +230,17 @@ class FactorGrads:
     basis: np.ndarray | None
     coeff: np.ndarray
     mixer: np.ndarray | None
+
+
+def intra_backward(
+    fwd: GenForward, d_w_cross: np.ndarray
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """(d_basis, d_coeff) from a gradient on the (n_cross, c_in, k*k) basis
+    kernels; d_basis is None when the intra level is skipped."""
+    if not fwd.plan.intra_active:
+        return None, d_w_cross
+    return (np.matmul(np.swapaxes(fwd.q_coeff, 1, 2), d_w_cross),
+            np.matmul(d_w_cross, np.swapaxes(fwd.q_basis, 1, 2)))
 
 
 def backward(
@@ -248,12 +263,8 @@ def backward(
     if p.cross_active:
         d_mixer = np.matmul(g_flat, fwd.w_cross.reshape(p.n_cross, -1).T)
         g_flat = np.matmul(fwd.q_mixer.T, g_flat)
-    d_w_cross = g_flat.reshape(p.n_cross, p.c_in, p.kk)
-    if not p.intra_active:
-        return FactorGrads(basis=None, coeff=d_w_cross, mixer=d_mixer)
-    return FactorGrads(basis=np.matmul(np.swapaxes(fwd.q_coeff, 1, 2), d_w_cross),
-                       coeff=np.matmul(d_w_cross, np.swapaxes(fwd.q_basis, 1, 2)),
-                       mixer=d_mixer)
+    d_basis, d_coeff = intra_backward(fwd, g_flat.reshape(p.n_cross, p.c_in, p.kk))
+    return FactorGrads(basis=d_basis, coeff=d_coeff, mixer=d_mixer)
 
 
 def dense_param_count(plan: GenPlan) -> int:

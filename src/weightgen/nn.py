@@ -4,22 +4,26 @@ Only what the experiments need: conv (dense or generated), batch norm,
 ReLU, adaptive average pooling, flatten, linear, and an optional
 activation fake-quantizer.  A layer never writes its input, and on
 forward it makes only the arrays it returns or its backward needs: a
-training conv caches its im2col matrix (a generated conv with its intra
-level active, its grouped conv's row-patch matrix), a training batch norm
+training conv caches its im2col matrix (a generated conv on its grouped
+path, its grouped conv's row-patch matrix), a training batch norm
 its normalized input, and ReLU its own output.  An inference
 (``train=False``) conv or batch norm caches only a reference to its input
 and recomputes those matrices, or its normalized input, if backward is
 called; eval batch norm is one scale and shift per channel.
 ``Sequential`` chains the layers and collects parameters.
 
-A generated conv never forms its kernels.  With its intra level active it
-runs a 1x1 conv with the coeff factors into n_cross*n_basis channels, a
-grouped k x k conv with the basis kernels, one banded GEMM per group
-(``tensor.grouped_conv``), and the mixer as a 1x1 conv: per output pixel,
+A generated conv never forms its C_out kernels.  Per output pixel, its
+im2col path, a conv with its n_cross basis kernels and then the mixer as a
+1x1 conv, runs n_cross*C_in*k*k + C_out*n_cross multiply-adds against
+C_out*C_in*k*k for a dense conv.  With its intra level active it may
+instead run its grouped path: a 1x1 conv with the coeff factors into
+n_cross*n_basis channels, a grouped k x k conv with the basis kernels, one
+banded GEMM per group (``tensor.grouped_conv``), and the mixer, at
 n_cross*n_basis*(C_in*HW/(H_out*W_out) + k*H_used) + C_out*n_cross
-multiply-adds, H_used = (H_out-1)*stride + k, against C_out*C_in*k*k for a
-dense conv.  With the intra level skipped it convolves with its n_cross
-stored basis kernels on the im2col path and then mixes.
+multiply-adds, H_used = (H_out-1)*stride + k.  Each forward takes the
+grouped path when it runs fewer multiply-adds and caches no larger a
+matrix, which holds for small n_basis only: on layer 1 of the default
+arch up to n_basis = 6.
 
 Activations between layers are (C, H, W, n), as a conv's GEMM makes them.
 Only ``Sequential``, on entry and exit, and ``Flatten``, which gives the
@@ -139,19 +143,20 @@ class Conv2d(_Conv):
 class GeneratedConv2d(_Conv):
     """Convolution whose kernels are generated from two-level factors.
 
-    The C_out dense kernels are never formed, nor, with the intra level
-    active, the n_cross basis kernels: the layer runs three steps.  A 1x1
+    The C_out dense kernels are never formed.  On the im2col path the layer
+    convolves with its n_cross quantized basis kernels and the mixer mixes
+    the results into C_out channels as a 1x1 conv; without a mixer the
+    basis-kernel output is the output.  On the grouped path, open only with
+    the intra level active, the basis kernels are not formed either: a 1x1
     conv with the quantized coeff, laid out as (n_cross*n_basis, C_in),
     gives u; a grouped conv (``tensor.grouped_conv``) convolves each group
     of n_basis channels of u with its n_basis quantized basis kernels and
-    sums them into one channel; the mixer mixes the n_cross results into
-    C_out channels as a 1x1 conv.  With the intra level skipped the layer
-    convolves with its stored basis kernels on the im2col path instead, and
-    without a mixer the basis-kernel output is the output.
+    sums them into one channel; the mixer follows.  Each forward takes the
+    grouped path when ``_grouped`` says it costs less for the input's shape.
 
-    A training forward caches the grouped conv's row-patch matrix; an
-    inference forward runs all three steps per bounded sample block
-    (``tensor.in_sample_blocks``) and caches only its input.
+    A training forward on the grouped path caches the grouped conv's
+    row-patch matrix; an inference forward runs all three steps per bounded
+    sample block (``tensor.in_sample_blocks``) and caches only its input.
     """
 
     def __init__(self, factors: generator.TwoLevelFactors, stride: int = 1,
@@ -164,12 +169,34 @@ class GeneratedConv2d(_Conv):
         self.c_in, self.c_out, self.k = p.c_in, p.c_out, p.k
         self._params = {name: Param(name, value) for name, value in factors.stored()}
         self._cache = self._gen = self._z = None
+        self._on_grouped = False
 
     def _kernel(self):
         return self._gen.w_cross.reshape(-1, self.c_in, self.k, self.k)
 
     def _take_grad(self, d_w_cross):
-        self._params["coeff"].grad += d_w_cross.reshape(self._gen.w_cross.shape)
+        d_basis, d_coeff = generator.intra_backward(
+            self._gen, d_w_cross.reshape(self._gen.w_cross.shape))
+        if d_basis is not None:
+            self._params["basis"].grad += d_basis
+        self._params["coeff"].grad += d_coeff
+
+    def _grouped(self, x_shape) -> bool:
+        """Whether a forward on an x_shape input takes the grouped path.  It
+        needs the intra level, and per sample the 1x1 coeff conv plus the
+        banded grouped conv must run fewer multiply-adds than the im2col conv
+        with the n_cross basis kernels (the mixer's are the same on both
+        paths), and cache a row-patch matrix no larger than its im2col one."""
+        p = self.factors.plan
+        if not p.intra_active:
+            return False
+        _, h, w, _ = x_shape
+        s, pad = self.stride, self.pad
+        rows = tensor.row_patch_bytes((p.n_cross * p.n_basis, h, w, 1), p.k, s, pad, 1)
+        h_out = tensor.conv_output_size(h, p.k, s, pad)
+        cols = p.c_in * p.kk * h_out * tensor.conv_output_size(w, p.k, s, pad)
+        grouped_macs = p.n_cross * p.n_basis * p.c_in * h * w + rows * h_out
+        return grouped_macs < p.n_cross * cols and rows <= cols
 
     def _basis_conv(self, x, a, kernels):
         """(z, rows): the n_cross basis-kernel channels of x, u = a x
@@ -185,11 +212,17 @@ class GeneratedConv2d(_Conv):
         return (mixer @ z.reshape(z.shape[0], -1)).reshape(self.c_out, *z.shape[1:])
 
     def forward(self, x, train=False):
+        x = tensor.as_tensor4d(x, "conv input")
+        if x.shape[0] != self.c_in:
+            raise ShapeError(
+                f"weight expects {self.c_in} input channels, input has {x.shape[0]} "
+                f"(input {x.shape})"
+            )
         self._gen = generator.forward(self.factors, quantized=self.quantized)
-        if not self.factors.plan.intra_active:
+        self._on_grouped = self._grouped(x.shape)
+        if not self._on_grouped:
             z = super().forward(x, train)
         else:
-            x = tensor.as_tensor4d(x, "conv input")
             # the coeff as the (n_cross*n_basis, C_in) matrix of a 1x1 conv,
             # the basis as (n_cross, n_basis, k, k) grouped-conv kernels
             p = self.factors.plan
@@ -207,8 +240,7 @@ class GeneratedConv2d(_Conv):
         return self._mix(z)
 
     def backward(self, grad):
-        intra = self.factors.plan.intra_active
-        if intra:
+        if self._on_grouped:
             x, rows, a, kernels = self._cache
             if rows is None:  # an inference forward kept only its input
                 self._z, rows = self._basis_conv(x, a, kernels)
@@ -218,7 +250,7 @@ class GeneratedConv2d(_Conv):
             z2d = self._z.reshape(self._z.shape[0], -1)
             self._params["mixer"].grad += g @ z2d.T
             grad = (mixer.astype(g.dtype, copy=False).T @ g).reshape(self._z.shape)
-        if not intra:
+        if not self._on_grouped:
             return super().backward(grad)
         p = self.factors.plan
         d_kernels, d_u = tensor.grouped_conv_backward(

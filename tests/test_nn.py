@@ -551,8 +551,10 @@ def test_other_input_dtypes_run_the_float64_path(dtype):
         assert got_net.backward(np.ones(got.shape)).dtype == np.float64
 
 
+# C_in=16 and k=5 make the grouped path the cheaper one for the intra-active
+# plans on a 9x9 input at every stride and pad used below
 _PLAN_CLASSES = pytest.mark.parametrize(
-    "plan_args", [(4, 3, 3, 2, 3), (4, 3, 3, 3, 3), (4, 3, 3, 2, 4), (4, 3, 3, 3, 4)],
+    "plan_args", [(4, 16, 5, 2, 3), (4, 16, 5, 16, 3), (4, 16, 5, 2, 4), (4, 16, 5, 16, 4)],
     ids=["both", "intra-skipped", "cross-skipped", "both-skipped"])
 
 
@@ -561,12 +563,13 @@ _PLAN_CLASSES = pytest.mark.parametrize(
 def test_float32_generated_layer_matches_float64(plan_args, train):
     rng = np.random.default_rng(23)
     factors = generator.init_random(generator.plan_layer(*plan_args), rng)
-    x = rng.standard_normal((3, 7, 7, 4))
+    x = rng.standard_normal((16, 9, 9, 4))
     r = rng.standard_normal((4, 4, 4, 4))
     runs = []
     for dtype in (np.float64, np.float32):
         layer = nn.GeneratedConv2d(factors, stride=2, pad=1)
         out = layer.forward(x.astype(dtype), train=train)
+        assert layer._on_grouped == factors.plan.intra_active
         d_x = layer.backward(r.astype(dtype))
         assert out.dtype == d_x.dtype == dtype
         runs.append((out, d_x, {p.name: p.grad for p in layer.params()}))
@@ -580,10 +583,10 @@ def test_float32_generated_layer_matches_float64(plan_args, train):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_intra_active_generated_conv_trains_without_im2col(monkeypatch, dtype):
     rng = np.random.default_rng(24)
-    factors = generator.init_random(generator.plan_layer(4, 3, 3, 2, 3), rng)
+    factors = generator.init_random(generator.plan_layer(4, 16, 5, 2, 3), rng)
     layer = nn.GeneratedConv2d(factors, stride=2, pad=1)
-    x = rng.standard_normal((3, 7, 7, 2)).astype(dtype)
-    dense = nn.Conv2d(3, 4, 3, stride=2, pad=1, rng=rng)
+    x = rng.standard_normal((16, 9, 9, 2)).astype(dtype)
+    dense = nn.Conv2d(16, 4, 5, stride=2, pad=1, rng=rng)
     dense.weight.value = generator.generate(factors)
     want = dense.forward(x, train=True)
     r = rng.standard_normal(want.shape).astype(dtype)
@@ -595,14 +598,60 @@ def test_intra_active_generated_conv_trains_without_im2col(monkeypatch, dtype):
     assert all(np.abs(p.grad).sum() > 0 for p in layer.params())
 
 
+@pytest.mark.parametrize("n_basis, grouped", [(1, True), (2, True), (6, False), (12, False)])
+@pytest.mark.parametrize("stride, pad", [(1, 0), (1, 2), (2, 0), (2, 1), (2, 2)])
+def test_generated_conv_takes_the_path_with_fewer_multiply_adds(
+        monkeypatch, n_basis, grouped, stride, pad):
+    rng = np.random.default_rng(26)
+    factors = generator.init_random(generator.plan_layer(4, 16, 5, n_basis, 3), rng)
+    layer = nn.GeneratedConv2d(factors, stride=stride, pad=pad)
+    fwd = generator.forward(factors)
+    dense = nn.Conv2d(16, 4, 5, stride=stride, pad=pad, rng=rng)
+    dense.weight.value = fwd.weight
+    x = rng.standard_normal((16, 9, 9, 3))
+    want = dense.forward(x, train=True)
+    r = rng.standard_normal(want.shape)
+    want_dx = dense.backward(r)
+    want_grads = generator.backward(factors, fwd, dense.weight.grad)
+    # the path not taken must not run
+    monkeypatch.setattr(tensor, "im2col" if grouped else "grouped_conv", None)
+    out = layer.forward(x, train=True)
+    assert layer._on_grouped == grouped
+    assert rel_err(out, want) < 1e-12
+    assert rel_err(layer.backward(r), want_dx) < 1e-12
+    for p in layer.params():
+        assert rel_err(p.grad, getattr(want_grads, p.name)) < 1e-12, p.name
+
+
+def test_layer1_of_the_default_arch_leaves_the_grouped_path_above_n_basis_6():
+    # (C_out, C_in, k) = (32, 32, 5) on a 12x12 input, stride 1, pad 0:
+    # n_basis*(32*144/64 + 5*12) against 32*25 multiply-adds per output pixel
+    rng = np.random.default_rng(27)
+    x = np.zeros((32, 12, 12, 1))
+    for n_basis in range(1, 25):
+        factors = generator.init_random(generator.plan_layer(32, 32, 5, n_basis, 12), rng)
+        layer = nn.GeneratedConv2d(factors)
+        assert layer._grouped(x.shape) == (n_basis <= 6), n_basis
+
+
+@pytest.mark.parametrize("n_basis", [2, 16])
+def test_generated_conv_rejects_wrong_input_channels(n_basis):
+    factors = generator.init_random(generator.plan_layer(4, 16, 5, n_basis, 3),
+                                    np.random.default_rng(28))
+    layer = nn.GeneratedConv2d(factors, stride=2, pad=1)
+    for train in (True, False):
+        with pytest.raises(ShapeError, match="expects 16 input channels"):
+            layer.forward(np.zeros((15, 9, 9, 2)), train=train)
+
+
 def test_eval_generated_conv_runs_all_three_steps_per_block(monkeypatch):
     rng = np.random.default_rng(25)
-    factors = generator.init_random(generator.plan_layer(4, 8, 3, 2, 3), rng)
+    factors = generator.init_random(generator.plan_layer(4, 16, 5, 2, 3), rng)
     layer = nn.GeneratedConv2d(factors, stride=1, pad=1)
-    x = rng.standard_normal((8, 10, 10, 12))
+    x = rng.standard_normal((16, 10, 10, 12))
     want = layer.forward(x, train=True)
     u_shape = (6, 10, 10, 12)
-    monkeypatch.setattr(tensor, "_BLOCK_BYTES", tensor.row_patch_bytes(u_shape, 3, 1, 1, 8) * 4)
+    monkeypatch.setattr(tensor, "_BLOCK_BYTES", tensor.row_patch_bytes(u_shape, 5, 1, 1, 8) * 4)
     blocks = []
     grouped_conv = tensor.grouped_conv
 

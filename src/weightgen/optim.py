@@ -5,6 +5,11 @@ early steps, where the adaptive second moment is untrustworthy
 (approximated SMA length below 5), fall back to bias-corrected momentum
 SGD; later steps scale the Adam step by the rectification term.  Weight
 decay is decoupled, applied as p -= lr * wd * p before the update.
+
+The moments are one float64 vector over all Params.  A step gathers the
+gradients and values into preallocated flat buffers, updates them in one
+pass, elementwise exactly as a per-Param update would, and writes the
+values back; it raises on a non-finite gradient before writing anything.
 """
 
 from __future__ import annotations
@@ -25,10 +30,21 @@ class RAdam:
         self.lr = lr
         self.weight_decay = weight_decay
         self._step = 0
-        self._m = [np.zeros_like(p.value) for p in self.params]
-        self._v = [np.zeros_like(p.value) for p in self.params]
+        sizes = [p.value.size for p in self.params]
+        self._m, self._v, self._g, self._x, self._tmp, self._tmp2 = np.zeros((6, sum(sizes)))
+        # per Param, its slices of the gradient and value buffers, shaped like it
+        ends = np.cumsum(sizes, dtype=int)
+        self._views = [(p, self._g[end - size:end].reshape(p.value.shape),
+                        self._x[end - size:end].reshape(p.value.shape))
+                       for p, size, end in zip(self.params, sizes, ends)]
 
     def step(self) -> None:
+        g, x, m, v, tmp, tmp2 = self._g, self._x, self._m, self._v, self._tmp, self._tmp2
+        for p, p_g, _ in self._views:
+            p_g[...] = p.grad
+        if not np.isfinite(g).all():
+            bad = next(p for p in self.params if not np.isfinite(p.grad).all())
+            raise NonFiniteError(f"gradient of {bad.name} is non-finite at step {self._step + 1}")
         self._step += 1
         t = self._step
         b1, b2 = self.beta1, self.beta2
@@ -45,17 +61,18 @@ class RAdam:
             step_size = rect * np.sqrt(1.0 - b2_t) / (1.0 - b1_t)
         else:
             step_size = 1.0 / (1.0 - b1_t)
-        for p, m, v in zip(self.params, self._m, self._v):
-            g = p.grad
-            if not np.isfinite(g).all():
-                raise NonFiniteError(f"gradient of {p.name} is non-finite at step {t}")
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            if self.weight_decay:
-                p.value -= self.weight_decay * self.lr * p.value
-            if rectified:
-                p.value -= self.lr * step_size * m / (np.sqrt(v) + self.eps)
-            else:
-                p.value -= self.lr * step_size * m
+        for p, _, p_x in self._views:
+            p_x[...] = p.value
+        m *= b1
+        m += np.multiply(g, 1.0 - b1, out=tmp)
+        v *= b2
+        np.multiply(g, 1.0 - b2, out=tmp)
+        v += np.multiply(tmp, g, out=tmp)
+        if self.weight_decay:
+            x -= np.multiply(x, self.weight_decay * self.lr, out=tmp)
+        np.multiply(m, self.lr * step_size, out=tmp)
+        if rectified:
+            tmp /= np.add(np.sqrt(v, out=tmp2), self.eps, out=tmp2)
+        x -= tmp
+        for p, _, p_x in self._views:
+            p.value[...] = p_x

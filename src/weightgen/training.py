@@ -212,14 +212,21 @@ def l2_project_init(target: np.ndarray, plan: generator.GenPlan, iters: int = 30
     opt = RAdam(params, lr=_PROJECT_LR)
     tail_start = iters // 2
     decay = (_PROJECT_END_LR / _PROJECT_LR) ** (1.0 / max(iters - tail_start, 1))
+    # the factors' arrays are the Params' values, updated in place; so is
+    # fwd.w_cross, and d holds the residual, then the loss gradient
+    fwd = generator.GenForward(plan, factors.basis, factors.coeff, factors.mixer)
+    w_cross, d = fwd.w_cross, np.empty(unit_target.size)
+    d_flat, target_flat = d.reshape(plan.c_out, -1), unit_target.reshape(plan.c_out, -1)
+    grads = {p.name: p.grad for p in params}
     for it in range(iters):
-        fwd = generator.forward(factors, quantized=False)
-        diff = fwd.weight - unit_target
-        if not np.isfinite(np.sum(diff * diff)):
+        np.matmul(factors.coeff, factors.basis, out=w_cross)
+        np.matmul(factors.mixer, w_cross.reshape(plan.n_cross, -1), out=d_flat)
+        d_flat -= target_flat
+        if not np.isfinite(np.dot(d, d)):
+            factors.validate()  # names a non-finite factor, which makes the loss so
             raise DivergenceError("projection loss became non-finite", iteration=it)
-        grads = generator.backward(factors, fwd, 2.0 * diff)
-        for p in params:
-            p.grad[...] = getattr(grads, p.name)
+        d *= 2.0
+        generator.backward_into(fwd, d_flat, grads)
         opt.step()
         if it >= tail_start:
             opt.lr *= decay

@@ -2,6 +2,8 @@
 
 Everything here is written as plainly as possible (scalar loops, no shared
 code with the package) so a bug in the library cannot hide in its own test.
+The ``*_frozen`` and ``*Frozen`` entries are different: they keep earlier
+versions of package code, which faster rewrites must match bitwise.
 """
 
 import numpy as np
@@ -142,3 +144,79 @@ def dequantize_frozen(codes, scale, bits):
     if n_pos == 0:
         return np.zeros(np.shape(codes), dtype=np.float64)
     return scale * (np.asarray(codes).astype(np.float64) / n_pos)
+
+
+class RAdamFrozen:
+    """The RAdam step as first written: one moment pair per Param, updated
+    Param by Param.  The package's flat update must match it bitwise."""
+
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr, weight_decay=0.0):
+        self.params, self.lr, self.weight_decay = list(params), lr, weight_decay
+        self._step = 0
+        self._m = [np.zeros_like(p.value) for p in self.params]
+        self._v = [np.zeros_like(p.value) for p in self.params]
+
+    def step(self):
+        self._step += 1
+        t = self._step
+        b1, b2 = self.beta1, self.beta2
+        b1_t, b2_t = b1**t, b2**t
+        rho_inf = 2.0 / (1.0 - b2) - 1.0
+        rho_t = rho_inf - 2.0 * t * b2_t / (1.0 - b2_t)
+        rectified = rho_t >= 5.0
+        if rectified:
+            rect = np.sqrt(((rho_t - 4.0) * (rho_t - 2.0) * rho_inf)
+                           / ((rho_inf - 4.0) * (rho_inf - 2.0) * rho_t))
+            step_size = rect * np.sqrt(1.0 - b2_t) / (1.0 - b1_t)
+        else:
+            step_size = 1.0 / (1.0 - b1_t)
+        for p, m, v in zip(self.params, self._m, self._v):
+            g = p.grad
+            assert np.isfinite(g).all()
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            if self.weight_decay:
+                p.value -= self.weight_decay * self.lr * p.value
+            if rectified:
+                p.value -= self.lr * step_size * m / (np.sqrt(v) + self.eps)
+            else:
+                p.value -= self.lr * step_size * m
+
+
+def l2_project_frozen(target, plan, iters):
+    """The stage-1 projection loop as first written: ``generator.forward``
+    and ``generator.backward`` on every step and the per-Param RAdam.
+    ``training.l2_project_init`` must return the same bytes."""
+    from dataclasses import replace
+
+    from weightgen import generator, nn, training
+
+    start, start_residual = training.svd_init(target, plan)
+    norm = float(np.linalg.norm(target))
+    unit_target = target / norm
+    factors, _ = training.svd_init(unit_target, plan)
+    params = [nn.Param(name, value) for name, value in factors.stored()]
+    opt = RAdamFrozen(params, lr=training._PROJECT_LR)
+    tail_start = iters // 2
+    decay = (training._PROJECT_END_LR / training._PROJECT_LR) ** (
+        1.0 / max(iters - tail_start, 1))
+    for it in range(iters):
+        fwd = generator.forward(factors, quantized=False)
+        diff = fwd.weight - unit_target
+        assert np.isfinite(np.sum(diff * diff)), it
+        grads = generator.backward(factors, fwd, 2.0 * diff)
+        for p in params:
+            p.grad[...] = getattr(grads, p.name)
+        opt.step()
+        if it >= tail_start:
+            opt.lr *= decay
+    root = norm ** (1.0 / 3.0)
+    factors = replace(factors, **{n: t * root for n, t in factors.stored()})
+    residual = training._residual(factors, target)
+    if residual < start_residual:
+        return factors, residual
+    return start, start_residual

@@ -163,6 +163,21 @@ def test_backward_matches_finite_differences():
             assert rel_err(got, want) < 1e-7, field
 
 
+def test_backward_into_writes_the_backward_gradients_into_given_arrays():
+    rng = np.random.default_rng(11)
+    for p in (generator.plan_layer(6, 4, 3, 2, 3), generator.plan_layer(6, 4, 3, 2, 6),
+              generator.plan_layer(6, 1, 3, 1, 3), generator.plan_layer(3, 1, 1, 1, 3)):
+        f = generator.init_random(p, rng)
+        fwd = generator.forward(f, quantized=False)
+        r = rng.standard_normal((p.c_out, p.c_in, p.k, p.k))
+        want = generator.backward(f, fwd, r)
+        out = {name: np.full_like(t, np.nan) for name, t in f.stored()}
+        got = generator.backward_into(fwd, r.reshape(p.c_out, -1), out)
+        for name in out:
+            assert getattr(got, name) is out[name]
+            assert np.array_equal(out[name], getattr(want, name)), name
+
+
 def test_backward_ste_passes_in_range_gradients():
     rng = np.random.default_rng(9)
     p = generator.plan_layer(6, 4, 3, 2, 3)

@@ -108,3 +108,44 @@ def test_bitwise_deterministic_across_runs():
         return p.value.tobytes()
 
     assert run() == run()
+
+
+def test_multi_param_step_matches_the_scalar_oracle_and_the_per_param_update():
+    # mixed shapes, decoupled weight decay, 12 steps across the rectification
+    # boundary (step 6); the flat update must equal the per-Param one bitwise
+    from oracles import RAdamFrozen
+
+    rng = np.random.default_rng(4)
+    shapes = [(3,), (2, 5), (4, 1, 3), (1,)]
+    x0 = [rng.standard_normal(s) for s in shapes]
+    grads = [[rng.standard_normal(s) for s in shapes] for _ in range(12)]
+    params = [Param(f"p{i}", x.copy()) for i, x in enumerate(x0)]
+    frozen = [Param(f"p{i}", x.copy()) for i, x in enumerate(x0)]
+    opt = RAdam(params, lr=0.05, weight_decay=5e-4)
+    ref = RAdamFrozen(frozen, lr=0.05, weight_decay=5e-4)
+    for step in grads:
+        for p, q, g in zip(params, frozen, step):
+            p.grad[...] = g
+            q.grad[...] = g
+        opt.step()
+        ref.step()
+    for i, (p, q) in enumerate(zip(params, frozen)):
+        assert p.value.tobytes() == q.value.tobytes()
+        for j in np.ndindex(shapes[i]):
+            want = radam_scalar_oracle([step[i][j] for step in grads], lr=0.05, wd=5e-4,
+                                       x0=x0[i][j])
+            assert p.value[j] == pytest.approx(want, rel=1e-13)
+
+
+def test_nonfinite_gradient_raises_before_anything_is_written():
+    a, b = Param("a", np.ones(1)), Param("b", np.ones(2))
+    opt = RAdam([a, b], lr=0.1)
+    a.grad[...] = 1.0
+    b.grad[...] = [1.0, np.nan]
+    with pytest.raises(NonFiniteError, match="gradient of b is non-finite at step 1"):
+        opt.step()
+    assert a.value[0] == 1.0 and b.value.tolist() == [1.0, 1.0]
+    assert opt._step == 0 and not opt._m.any() and not opt._v.any()
+    b.grad[...] = 1.0
+    opt.step()  # the failed step left no trace: this is step 1
+    assert a.value[0] == pytest.approx(0.9, rel=1e-12)

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from weightgen import generator, nn, training
-from weightgen.errors import ConfigError, QuantRangeError, ShapeError
+from weightgen.errors import (ConfigError, DivergenceError, NonFiniteError, QuantRangeError,
+                             ShapeError)
 
-from oracles import finite_difference, rel_err
+from oracles import finite_difference, l2_project_frozen, rel_err
 
 
 def kd_oracle(s, t, y, T, beta):
@@ -264,6 +265,40 @@ def test_l2_project_random_start_needs_rng_and_shape_checked():
     plan = generator.plan_layer(8, 6, 3, 2, 4)
     with pytest.raises(ShapeError):
         training.l2_project_init(np.zeros((2, 2, 3, 3)), plan)
+
+
+@pytest.mark.parametrize("shape", [(8, 6, 3, 2, 4), (16, 8, 3, 1, 6), (32, 32, 5, 2, 8)])
+def test_stage1_fit_is_bitwise_the_per_step_generator_loop(shape):
+    # a planted target plus noise, so the fit moves off the SVD start
+    plan = generator.plan_layer(*shape)
+    rng = np.random.default_rng(5)
+    target = generator.generate(generator.init_random(plan, rng), quantized=False)
+    target += 0.1 * target.std() * rng.standard_normal(target.shape)
+    want, want_residual = l2_project_frozen(target, plan, iters=300)
+    factors, residual = training.l2_project_init(target, plan, iters=300)
+    assert residual == want_residual < training.svd_init(target, plan)[1]
+    for name, value in want.stored():
+        assert getattr(factors, name).tobytes() == value.tobytes(), name
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the products of the poisoned factor
+def test_stage1_loop_names_a_non_finite_factor_and_a_diverged_loss(monkeypatch):
+    plan = generator.plan_layer(8, 6, 3, 2, 4)
+    target = np.random.default_rng(6).standard_normal((8, 6, 3, 3))
+    real_step = training.RAdam.step
+
+    def poisoned_step(self, value):
+        real_step(self)
+        if self._step == 3:
+            self.params[1].value[0, 0, 0] = value
+
+    monkeypatch.setattr(training.RAdam, "step", lambda self: poisoned_step(self, np.inf))
+    with pytest.raises(NonFiniteError, match="coeff contains non-finite"):
+        training.l2_project_init(target, plan, iters=10)
+    monkeypatch.setattr(training.RAdam, "step", lambda self: poisoned_step(self, 1e200))
+    with pytest.raises(DivergenceError) as err:
+        training.l2_project_init(target, plan, iters=10)
+    assert err.value.iteration == 3
 
 
 def synthetic_blobs(n, channels=2, size=8, seed=0):

@@ -9,8 +9,11 @@ path, its grouped conv's row-patch matrix), a training batch norm
 its normalized input, and ReLU its own output.  An inference
 (``train=False``) conv or batch norm caches only a reference to its input
 and recomputes those matrices, or its normalized input, if backward is
-called; eval batch norm is one scale and shift per channel.
-``Sequential`` chains the layers and collects parameters.
+called; eval batch norm is one scale and shift per channel.  Each layer
+keeps that activation-sized state under ``_cache``.
+``Sequential`` chains the layers and collects parameters.  In its
+cache-free mode, which ``training.predict`` runs, it drops each layer's
+``_cache`` as soon as the layer returns, so inference keeps no activations.
 
 A generated conv never forms its C_out kernels.  Per output pixel, its
 im2col path, a conv with its n_cross basis kernels and then the mixer as a
@@ -48,12 +51,13 @@ tokens end the string, so a network's output is (n, classes).
 
 from __future__ import annotations
 
+import contextlib
 import re
 
 import numpy as np
 
 from . import generator, tensor
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, WeightgenError
 from .quantize import fake_quantize
 
 
@@ -70,6 +74,12 @@ class Param:
 
 
 class Layer:
+    """Per-forward state that backward reads and that is as large as an
+    activation lives under ``_cache``, which ``Sequential`` can release with
+    one assignment."""
+
+    _cache = None
+
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         raise NotImplementedError
 
@@ -100,16 +110,24 @@ class _Conv(Layer):
 
     def forward(self, x, train=False):
         x = tensor.as_tensor4d(x, "conv input")
+        out, self._cache = self._im2col_conv(x, train)
+        return out
+
+    def _im2col_conv(self, x, train):
+        """The conv of x with ``_kernel()`` and the (x, cols, weight) cache
+        that ``_im2col_backward`` reads, cols None after an inference one."""
         weight = self._kernel()
         if train:
             out, cols = tensor.conv2d(x, weight, self.stride, self.pad)
         else:
             out, cols = tensor.conv2d_forward(x, weight, self.stride, self.pad), None
-        self._cache = (x, cols, weight)
-        return out
+        return out, (x, cols, weight)
 
     def backward(self, grad):
-        x, cols, weight = self._cache
+        return self._im2col_backward(grad, self._cache)
+
+    def _im2col_backward(self, grad, cache):
+        x, cols, weight = cache
         if cols is None:
             cols = tensor.im2col(x, weight.shape[2], self.stride, self.pad)
         d_weight, d_x = tensor.conv2d_backward(
@@ -128,7 +146,6 @@ class Conv2d(_Conv):
         self.stride, self.pad = stride, pad
         w = rng.standard_normal((c_out, c_in, k, k)) * np.sqrt(2.0 / (c_in * k * k))
         self.weight = Param("weight", w)
-        self._cache = None
 
     def _kernel(self):
         return self.weight.value
@@ -157,6 +174,8 @@ class GeneratedConv2d(_Conv):
     A training forward on the grouped path caches the grouped conv's
     row-patch matrix; an inference forward runs all three steps per bounded
     sample block (``tensor.in_sample_blocks``) and caches only its input.
+    With a mixer, the cache also holds the basis-kernel output z, which the
+    mixer gradient reads (recomputed after a grouped inference forward).
     """
 
     def __init__(self, factors: generator.TwoLevelFactors, stride: int = 1,
@@ -168,7 +187,7 @@ class GeneratedConv2d(_Conv):
         p = factors.plan
         self.c_in, self.c_out, self.k = p.c_in, p.c_out, p.k
         self._params = {name: Param(name, value) for name, value in factors.stored()}
-        self._cache = self._gen = self._z = None
+        self._gen = None
         self._on_grouped = False
 
     def _kernel(self):
@@ -221,7 +240,7 @@ class GeneratedConv2d(_Conv):
         self._gen = generator.forward(self.factors, quantized=self.quantized)
         self._on_grouped = self._grouped(x.shape)
         if not self._on_grouped:
-            z = super().forward(x, train)
+            z, conv = self._im2col_conv(x, train)
         else:
             # the coeff as the (n_cross*n_basis, C_in) matrix of a 1x1 conv,
             # the basis as (n_cross, n_basis, k, k) grouped-conv kernels
@@ -229,29 +248,29 @@ class GeneratedConv2d(_Conv):
             a = self._gen.q_coeff.transpose(0, 2, 1).reshape(-1, p.c_in).astype(x.dtype)
             kernels = self._gen.q_basis.reshape(p.n_cross, p.n_basis, p.k, p.k).astype(x.dtype)
             if not train:
-                self._cache, self._z = (x, None, a, kernels), None
+                self._cache = ((x, None, a, kernels), None)
                 sample_bytes = tensor.row_patch_bytes(
                     (a.shape[0], *x.shape[1:]), self.k, self.stride, self.pad, x.itemsize)
                 return tensor.in_sample_blocks(
                     lambda xb: self._mix(self._basis_conv(xb, a, kernels)[0]), x, sample_bytes)
             z, rows = self._basis_conv(x, a, kernels)
-            self._cache = (x, rows, a, kernels)
-        self._z = z if self._gen.q_mixer is not None else None
+            conv = (x, rows, a, kernels)
+        self._cache = (conv, z if self._gen.q_mixer is not None else None)
         return self._mix(z)
 
     def backward(self, grad):
+        conv, z = self._cache
         if self._on_grouped:
-            x, rows, a, kernels = self._cache
+            x, rows, a, kernels = conv
             if rows is None:  # an inference forward kept only its input
-                self._z, rows = self._basis_conv(x, a, kernels)
+                z, rows = self._basis_conv(x, a, kernels)
         mixer = self._gen.q_mixer
         if mixer is not None:
             g = grad.reshape(self.c_out, -1)
-            z2d = self._z.reshape(self._z.shape[0], -1)
-            self._params["mixer"].grad += g @ z2d.T
-            grad = (mixer.astype(g.dtype, copy=False).T @ g).reshape(self._z.shape)
+            self._params["mixer"].grad += g @ z.reshape(z.shape[0], -1).T
+            grad = (mixer.astype(g.dtype, copy=False).T @ g).reshape(z.shape)
         if not self._on_grouped:
-            return super().backward(grad)
+            return self._im2col_backward(grad, conv)
         p = self.factors.plan
         d_kernels, d_u = tensor.grouped_conv_backward(
             grad, rows, kernels, (a.shape[0], *x.shape[1:]), self.stride, self.pad)
@@ -274,7 +293,6 @@ class BatchNorm2d(Layer):
         self.beta = Param("beta", np.zeros(channels))
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
-        self._cache = None
 
     def forward(self, x, train=False):
         x = tensor.as_tensor4d(x, "batch norm input")
@@ -335,11 +353,11 @@ class BatchNorm2d(Layer):
 
 class ReLU(Layer):
     def forward(self, x, train=False):
-        self._out = np.maximum(tensor.as_float(x), 0.0)
-        return self._out
+        self._cache = np.maximum(tensor.as_float(x), 0.0)
+        return self._cache
 
     def backward(self, grad):
-        return grad * (self._out > 0)
+        return grad * (self._cache > 0)
 
 
 class AdaptiveAvgPool2d(Layer):
@@ -399,12 +417,12 @@ class Linear(Layer):
         self.bias = Param("bias", np.zeros(d_out))
 
     def forward(self, x, train=False):
-        self._x = x = tensor.as_float(x)
+        self._cache = x = tensor.as_float(x)
         w, b = (p.value.astype(x.dtype, copy=False) for p in (self.weight, self.bias))
         return x @ w.T + b
 
     def backward(self, grad):
-        self.weight.grad += grad.T @ self._x
+        self.weight.grad += grad.T @ self._cache
         self.bias.grad += grad.sum(axis=0)
         return grad @ self.weight.value.astype(grad.dtype, copy=False)
 
@@ -435,23 +453,48 @@ class Sequential(Layer):
     """Layers in a chain.  Takes an (n, C, H, W) batch and transposes it to
     (C, H, W, n) once on entry; backward transposes d_x back on exit.  A
     float32 batch runs in float32, any other in float64; backward casts the
-    incoming gradient (kd_loss's is float64) to the forward's dtype."""
+    incoming gradient (kd_loss's is float64) to the forward's dtype.
+
+    Every forward keeps each layer's backward cache, except inside
+    ``_cache_free()``, where each layer's ``_cache`` is dropped as soon as
+    the layer returns its output: a batch then holds at most one layer's
+    input, output and block temporaries, and the model holds no activation
+    once the forward returns.  ``training.predict`` runs its batches so;
+    backward after such a forward raises a WeightgenError."""
+
+    _keeps_caches, _released = True, False
 
     def __init__(self, layers: list[Layer]):
         self.layers = layers
         self._dtype = np.float64
+
+    @contextlib.contextmanager
+    def _cache_free(self):
+        """Forwards inside keep no layer's cache; on exit they keep them again."""
+        self._keeps_caches = False
+        try:
+            yield
+        finally:
+            self._keeps_caches = True
 
     def forward(self, x, train=False):
         x = tensor.as_float(x)
         if x.ndim != 4:
             raise ShapeError(f"network input must be 4-D (n, c, h, w), got shape {x.shape}")
         self._dtype = x.dtype
+        self._released = not self._keeps_caches
         x = x.transpose(1, 2, 3, 0)
         for layer in self.layers:
             x = layer.forward(x, train=train)
+            if self._released:
+                layer._cache = None
         return x
 
     def backward(self, grad):
+        if self._released:
+            raise WeightgenError(
+                "backward after a cache-free forward: training.predict keeps no layer's "
+                "activations; run forward outside it first")
         grad = np.asarray(grad, dtype=self._dtype)
         for layer in reversed(self.layers):
             grad = layer.backward(grad)

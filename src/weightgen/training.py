@@ -218,18 +218,21 @@ def l2_project_init(target: np.ndarray, plan: generator.GenPlan, iters: int = 30
     w_cross, d = fwd.w_cross, np.empty(unit_target.size)
     d_flat, target_flat = d.reshape(plan.c_out, -1), unit_target.reshape(plan.c_out, -1)
     grads = {p.name: p.grad for p in params}
-    for it in range(iters):
-        np.matmul(factors.coeff, factors.basis, out=w_cross)
-        np.matmul(factors.mixer, w_cross.reshape(plan.n_cross, -1), out=d_flat)
-        d_flat -= target_flat
-        if not np.isfinite(np.dot(d, d)):
-            factors.validate()  # names a non-finite factor, which makes the loss so
-            raise DivergenceError("projection loss became non-finite", iteration=it)
-        d *= 2.0
-        generator.backward_into(fwd, d_flat, grads)
-        opt.step()
-        if it >= tail_start:
-            opt.lr *= decay
+    # a non-finite factor surfaces as the typed errors below, not as a
+    # RuntimeWarning from the products it poisons first
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(iters):
+            np.matmul(factors.coeff, factors.basis, out=w_cross)
+            np.matmul(factors.mixer, w_cross.reshape(plan.n_cross, -1), out=d_flat)
+            d_flat -= target_flat
+            if not np.isfinite(np.dot(d, d)):
+                factors.validate()  # names a non-finite factor, which makes the loss so
+                raise DivergenceError("projection loss became non-finite", iteration=it)
+            d *= 2.0
+            generator.backward_into(fwd, d_flat, grads)
+            opt.step()
+            if it >= tail_start:
+                opt.lr *= decay
     root = norm ** (1.0 / 3.0)
     factors = replace(factors, **{n: t * root for n, t in factors.stored()})
     residual = _residual(factors, target)
@@ -349,16 +352,21 @@ def batches(n: int, batch_size: int, seed: int | None = None, epoch: int = 0):
 
 def predict(model: nn.Sequential, x: np.ndarray, batch_size: int) -> np.ndarray:
     """Eval-mode logits of every sample of x, in sample order, computed in
-    consecutive batches of batch_size."""
+    consecutive batches of batch_size.  The forwards keep no activations
+    (``nn.Sequential._cache_free``): each layer's backward cache is dropped
+    as soon as the layer returns, so a batch holds at most one layer's input,
+    output and block temporaries, and the model holds none on return."""
     if x.shape[0] == 0:
         raise ShapeError("predict needs at least one sample")
-    return np.concatenate([model.forward(x[idx], train=False)
-                           for idx in batches(x.shape[0], batch_size)])
+    with model._cache_free():
+        return np.concatenate([model.forward(x[idx], train=False)
+                               for idx in batches(x.shape[0], batch_size)])
 
 
 def evaluate(model: nn.Sequential, x: np.ndarray, y: np.ndarray,
              batch_size: int = 256) -> float:
-    """Fraction of samples whose top logit is their label."""
+    """Fraction of samples whose top logit is their label, from ``predict``'s
+    logits: evaluating keeps no activations."""
     if y.shape != x.shape[:1]:
         raise ShapeError(f"labels shape {y.shape} does not match inputs {x.shape}")
     hits = predict(model, x, batch_size).argmax(axis=1) == y

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from weightgen import generator, nn, training
 from weightgen.errors import (ConfigError, DivergenceError, NonFiniteError, QuantRangeError,
-                             ShapeError)
+                             ShapeError, WeightgenError)
 
 from oracles import finite_difference, l2_project_frozen, rel_err
 
@@ -301,6 +302,27 @@ def test_stage1_loop_names_a_non_finite_factor_and_a_diverged_loss(monkeypatch):
     assert err.value.iteration == 3
 
 
+def test_stage1_loop_raises_its_typed_errors_without_a_runtime_warning(monkeypatch):
+    # the poisoned steps of the test above, with every RuntimeWarning an error
+    plan = generator.plan_layer(8, 6, 3, 2, 4)
+    target = np.random.default_rng(6).standard_normal((8, 6, 3, 3))
+    real_step = training.RAdam.step
+
+    def poisoned_step(self, value):
+        real_step(self)
+        if self._step == 3:
+            self.params[1].value[0, 0, 0] = value
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        monkeypatch.setattr(training.RAdam, "step", lambda self: poisoned_step(self, np.inf))
+        with pytest.raises(NonFiniteError, match="coeff contains non-finite"):
+            training.l2_project_init(target, plan, iters=10)
+        monkeypatch.setattr(training.RAdam, "step", lambda self: poisoned_step(self, 1e200))
+        with pytest.raises(DivergenceError):
+            training.l2_project_init(target, plan, iters=10)
+
+
 def synthetic_blobs(n, channels=2, size=8, seed=0):
     """Linearly separable two-class image set: class selects which half of
     the image carries the bright blob."""
@@ -558,6 +580,79 @@ def test_evaluate_and_predict_check_their_inputs():
     with pytest.raises(ShapeError, match="at least one sample"):
         training.predict(model, x[:0], 8)
     assert training.evaluate(model, x, y, 5) == training.evaluate(model, x, y, 16)
+
+
+def test_predict_keeps_no_activations():
+    """predict drops each layer's cache as the layer returns: nothing is left
+    on the model, and its traced peak over two float32 batches of 256 on the
+    default arch is below that of the same batches run through cache-keeping
+    eval forwards by nearly all that those forwards keep alive."""
+    model = training.build_model(training.TrainConfig())
+    x = np.random.default_rng(30).standard_normal((512, 1, 28, 28)).astype(np.float32)
+
+    def traced(fn):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = fn()
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return out, after - before - out.nbytes, peak - before
+
+    logits, left, free_peak = traced(lambda: training.predict(model, x, 256))
+    assert all(layer._cache is None for layer in model.layers)
+    kept_logits, kept, keep_peak = traced(lambda: np.concatenate(
+        [model.forward(x[idx], train=False) for idx in training.batches(512, 256)]))
+    assert kept_logits.tobytes() == logits.tobytes()
+    assert kept > 10 * 2**20  # a batch's conv, batch-norm and ReLU activations
+    assert left < kept // 100
+    assert free_peak < keep_peak - 0.8 * kept
+
+
+def _small_generated_model():
+    # layers 1 and 2 generated with a mixer, on the grouped and the im2col path
+    return nn.build_network("C16K3S1-C6K3S1-C6K3S1-AvgPool2-FC3", 2, 10,
+                            np.random.default_rng(31), generated=(1, 2), n_basis=2, n_cross=3)
+
+
+def _eval_grads(model, x, r):
+    model.zero_grad()
+    model.forward(x, train=False)
+    model.backward(r)
+    return [p.grad.tobytes() for p in model.params()]
+
+
+def test_eval_forward_keeps_its_caches_after_predict_returns_or_raises(monkeypatch):
+    x, _ = synthetic_blobs(8, size=10, seed=32)
+    r = np.random.default_rng(33).standard_normal((8, 3))
+    want = _eval_grads(_small_generated_model(), x, r)
+    grouped, im2col = _small_generated_model().generated_layers()
+    assert grouped._grouped((16, 8, 8, 8)) and not im2col._grouped((6, 6, 6, 8))
+
+    model = _small_generated_model()
+    training.predict(model, x, 3)
+    with pytest.raises(WeightgenError, match="backward after a cache-free forward"):
+        model.backward(r)
+    assert _eval_grads(model, x, r) == want
+
+    model = _small_generated_model()
+    real = model.layers[4].forward
+    calls = []
+
+    def fails_on_the_second_batch(x, train=False):
+        calls.append(None)
+        if len(calls) == 2:
+            raise ShapeError("injected")
+        return real(x, train=train)
+
+    monkeypatch.setattr(model.layers[4], "forward", fails_on_the_second_batch)
+    with pytest.raises(ShapeError, match="injected"):
+        training.predict(model, x, 3)
+    monkeypatch.undo()
+    with pytest.raises(WeightgenError, match="backward after a cache-free forward"):
+        model.backward(r)
+    assert _eval_grads(model, x, r) == want
 
 
 def test_checkpoint_with_retired_config_field_loads(tmp_path):

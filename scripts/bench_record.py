@@ -21,7 +21,11 @@ medians and interquartile ranges and the pairs the second set wins, loses
 and ties.  The second set's gain counts only when it wins at least nine
 tenths of the pairs and its median beats the first's by more than the
 first's IQR; a loss by the same rule reads "worse", anything else
-"unresolved".  It also prints, per workload and set, the distinct digests,
+"unresolved".  Each metric that the repo's ``BENCHMARK.json`` lists as
+end to end also reads ``within_bound``: whether the second set's median is
+worse than the first's by no more than that metric's ``bound`` times the
+first's median, the rule a change that claims no gain is held to; other
+metrics read None.  It also prints, per workload and set, the distinct digests,
 the failed and attempted operations summed over the runs and whether every
 run was correct; no metric reads "gain" when the second set has an incorrect
 run or fails a larger share of its operations than the first.  The
@@ -39,8 +43,19 @@ import subprocess
 import sys
 
 
+BENCHMARK = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                         "BENCHMARK.json")
+
+
 class RecordError(Exception):
     """A run could not be recorded."""
+
+
+def end_to_end_bounds() -> dict:
+    """Metric name -> its no-regression bound, a fraction of the base median,
+    for every end-to-end metric of the repo's BENCHMARK.json."""
+    with open(BENCHMARK) as fh:
+        return {m["name"]: m["bound"] for m in json.load(fh)["end_to_end"]}
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
@@ -122,6 +137,7 @@ def _failed_share(check: dict) -> float:
 def compare(doc: dict, base: str, new: str) -> dict:
     """The paired comparison of set new against set base, per workload and metric."""
     out = {}
+    bounds = end_to_end_bounds()
     for workload, checks in run_checks(doc, base, new).items():
         b_entry, n_entry = doc["sets"][base][workload], doc["sets"][new][workload]
         b_chk, n_chk = checks[base], checks[new]
@@ -141,15 +157,22 @@ def compare(doc: dict, base: str, new: str) -> dict:
                 verdict = "worse"
             else:
                 verdict = "unresolved"
+            bound = bounds.get(name)
             rows[name] = {
                 "unit": b_sum["unit"], "pairs": len(pairs), "wins": wins, "losses": losses,
                 "base": {k: b_sum[k] for k in ("median", "q1", "q3")},
                 "new": {k: n_sum[k] for k in ("median", "q1", "q3")},
                 "change_pct": 100.0 * diff / b_sum["median"],
                 "clears_base_iqr": abs(diff) > iqr, "verdict": verdict,
+                "bound": bound,
+                "within_bound": None if bound is None else diff <= bound * b_sum["median"],
             }
         out[workload] = rows
     return out
+
+
+def _yes_no(flag) -> str:
+    return "-" if flag is None else "yes" if flag else "no"
 
 
 def print_comparison(result: dict, checks: dict, base: str, new: str) -> None:
@@ -164,8 +187,8 @@ def print_comparison(result: dict, checks: dict, base: str, new: str) -> None:
             print(f"{workload:8} {name:12} {b['median']:9.4g} [{b['q1']:.4g}, {b['q3']:.4g}]"
                   f" -> {n['median']:9.4g} [{n['q1']:.4g}, {n['q3']:.4g}] {r['unit']:3}"
                   f" {r['change_pct']:+6.1f}%  {r['wins']}/{r['losses']} of {r['pairs']}"
-                  f"  clears {base} IQR: {'yes' if r['clears_base_iqr'] else 'no'}"
-                  f"  {r['verdict']}")
+                  f"  clears {base} IQR: {_yes_no(r['clears_base_iqr'])}"
+                  f"  {r['verdict']}  within bound: {_yes_no(r['within_bound'])}")
 
 
 def save(doc: dict, path: str) -> None:

@@ -28,7 +28,7 @@ import struct
 import numpy as np
 
 from .dataio import atomic_write
-from .errors import FactorFileError
+from .errors import FactorFileError, WeightgenError
 from .generator import FACTOR_NAMES, TwoLevelFactors, plan_layer
 
 MAGIC = b"ISGW"
@@ -68,7 +68,7 @@ def factors_from_bytes(data: bytes) -> TwoLevelFactors:
         raise FactorFileError(f"unknown payload kind {kind}")
     try:
         plan = plan_layer(c_out, c_in, k, n_basis, n_cross, q_basis, q_coeff, q_mixer)
-    except Exception as exc:
+    except WeightgenError as exc:
         raise FactorFileError(f"invalid header fields: {exc}") from exc
     want_flags = (1 if plan.intra_active else 0) | (2 if plan.cross_active else 0)
     if flags != want_flags:
@@ -100,7 +100,7 @@ def factors_from_bytes(data: bytes) -> TwoLevelFactors:
     factors = TwoLevelFactors(plan=plan, **loaded)
     try:
         factors.validate()
-    except Exception as exc:
+    except WeightgenError as exc:
         raise FactorFileError(f"loaded factors are invalid: {exc}") from exc
     return factors
 

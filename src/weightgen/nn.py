@@ -3,17 +3,17 @@
 Only what the experiments need: conv (dense or generated), batch norm,
 ReLU, adaptive average pooling, flatten, linear, and an optional
 activation fake-quantizer.  A layer never writes its input, and on
-forward it makes only the arrays it returns or its backward needs: a
-training conv caches its im2col matrix (a generated conv on its grouped
-path, its grouped conv's row-patch matrix), a training batch norm
-its normalized input, and ReLU its own output.  An inference
-(``train=False``) conv or batch norm caches only a reference to its input
-and recomputes those matrices, or its normalized input, if backward is
-called; eval batch norm is one scale and shift per channel.  Each layer
-keeps that activation-sized state under ``_cache``.
-``Sequential`` chains the layers and collects parameters.  In its
-cache-free mode, which ``training.predict`` runs, it drops each layer's
-``_cache`` as soon as the layer returns, so inference keeps no activations.
+forward it makes only the arrays it returns or its backward needs.
+
+One contract covers every layer: a training (``train=True``) forward keeps
+the backward state, and backward is defined only after one.  A training
+conv caches its im2col matrix (a generated conv on its grouped path, its
+grouped conv's row-patch matrix), a training batch norm its normalized
+input, and ReLU its own output, each under ``_cache``.  An inference
+(``train=False``) forward keeps nothing: a conv lowers in bounded blocks,
+batch norm is one scale and shift per channel, and ``Sequential`` drops
+each layer's ``_cache`` as soon as the layer returns, so inference holds no
+activations once it returns and a backward after it raises.
 
 A generated conv never forms its C_out kernels.  Per output pixel, its
 im2col path, a conv with its n_cross basis kernels and then the mixer as a
@@ -51,7 +51,6 @@ tokens end the string, so a network's output is (n, classes).
 
 from __future__ import annotations
 
-import contextlib
 import re
 
 import numpy as np
@@ -74,9 +73,9 @@ class Param:
 
 
 class Layer:
-    """Per-forward state that backward reads and that is as large as an
-    activation lives under ``_cache``, which ``Sequential`` can release with
-    one assignment."""
+    """A training forward keeps what backward reads, as large as an
+    activation, under ``_cache``; backward is defined only after a training
+    forward, and ``Sequential`` drops ``_cache`` after an inference one."""
 
     _cache = None
 
@@ -98,8 +97,7 @@ class _Conv(Layer):
 
     A training forward caches the im2col matrix for backward.  An inference
     forward lowers in bounded blocks (``tensor.conv2d_forward``) and caches
-    only the input, so backward after it re-lowers the input: memory is
-    traded for recomputation on a path that rarely runs backward.
+    nothing: backward is defined only after a training forward.
     """
 
     def _kernel(self) -> np.ndarray:
@@ -115,12 +113,11 @@ class _Conv(Layer):
 
     def _im2col_conv(self, x, train):
         """The conv of x with ``_kernel()`` and the (x, cols, weight) cache
-        that ``_im2col_backward`` reads, cols None after an inference one."""
+        that ``_im2col_backward`` reads, None after an inference one."""
         weight = self._kernel()
-        if train:
-            out, cols = tensor.conv2d(x, weight, self.stride, self.pad)
-        else:
-            out, cols = tensor.conv2d_forward(x, weight, self.stride, self.pad), None
+        if not train:
+            return tensor.conv2d_forward(x, weight, self.stride, self.pad), None
+        out, cols = tensor.conv2d(x, weight, self.stride, self.pad)
         return out, (x, cols, weight)
 
     def backward(self, grad):
@@ -128,8 +125,6 @@ class _Conv(Layer):
 
     def _im2col_backward(self, grad, cache):
         x, cols, weight = cache
-        if cols is None:
-            cols = tensor.im2col(x, weight.shape[2], self.stride, self.pad)
         d_weight, d_x = tensor.conv2d_backward(
             grad, cols, weight, x.shape, self.stride, self.pad
         )
@@ -172,10 +167,10 @@ class GeneratedConv2d(_Conv):
     grouped path when ``_grouped`` says it costs less for the input's shape.
 
     A training forward on the grouped path caches the grouped conv's
-    row-patch matrix; an inference forward runs all three steps per bounded
-    sample block (``tensor.in_sample_blocks``) and caches only its input.
-    With a mixer, the cache also holds the basis-kernel output z, which the
-    mixer gradient reads (recomputed after a grouped inference forward).
+    row-patch matrix and, with a mixer, the basis-kernel output z, which the
+    mixer gradient reads.  An inference forward caches nothing; on the
+    grouped path it runs all three steps per bounded sample block
+    (``tensor.in_sample_blocks``).
     """
 
     def __init__(self, factors: generator.TwoLevelFactors, stride: int = 1,
@@ -248,22 +243,20 @@ class GeneratedConv2d(_Conv):
             a = self._gen.q_coeff.transpose(0, 2, 1).reshape(-1, p.c_in).astype(x.dtype)
             kernels = self._gen.q_basis.reshape(p.n_cross, p.n_basis, p.k, p.k).astype(x.dtype)
             if not train:
-                self._cache = ((x, None, a, kernels), None)
+                self._cache = None
                 sample_bytes = tensor.row_patch_bytes(
                     (a.shape[0], *x.shape[1:]), self.k, self.stride, self.pad, x.itemsize)
                 return tensor.in_sample_blocks(
                     lambda xb: self._mix(self._basis_conv(xb, a, kernels)[0]), x, sample_bytes)
             z, rows = self._basis_conv(x, a, kernels)
             conv = (x, rows, a, kernels)
-        self._cache = (conv, z if self._gen.q_mixer is not None else None)
+        self._cache = (conv, z if self._gen.q_mixer is not None else None) if train else None
         return self._mix(z)
 
     def backward(self, grad):
         conv, z = self._cache
         if self._on_grouped:
             x, rows, a, kernels = conv
-            if rows is None:  # an inference forward kept only its input
-                z, rows = self._basis_conv(x, a, kernels)
         mixer = self._gen.q_mixer
         if mixer is not None:
             g = grad.reshape(self.c_out, -1)
@@ -314,37 +307,28 @@ class BatchNorm2d(Layer):
             xhat *= inv_std[:, None]
             out = xhat * self.gamma.value.astype(dt)[:, None]
             out += self.beta.value.astype(dt)[:, None]
-            self._cache = (True, xhat, None, inv_std)
+            self._cache = (xhat, inv_std)
         else:
             mu = self.running_mean
             inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
             scale = self.gamma.value * inv_std
             out = x2d * scale.astype(dt)[:, None]
             out += (self.beta.value - mu * scale).astype(dt)[:, None]
-            self._cache = (False, x2d, mu.astype(dt), inv_std.astype(dt))
+            self._cache = None
         return out.reshape(x.shape)
 
     def backward(self, grad):
-        train, cached, mu, inv_std = self._cache
-        if train:
-            xhat = cached
-        else:  # an eval forward keeps only its input; xhat is needed for d_gamma
-            xhat = cached - mu[:, None]
-            xhat *= inv_std[:, None]
+        xhat, inv_std = self._cache
         g = grad.reshape(xhat.shape)
         g_sum = g.sum(axis=1)
         g_xhat = np.einsum("ij,ij->i", g, xhat)
         self.beta.grad += g_sum
         self.gamma.grad += g_xhat
-        scale = self.gamma.value.astype(inv_std.dtype) * inv_std
-        if train:  # the batch statistics depend on x too
-            m = g.shape[1]
-            d_x = xhat * (-g_xhat / m)[:, None]
-            d_x += g
-            d_x -= (g_sum / m)[:, None]
-            d_x *= scale[:, None]
-        else:
-            d_x = g * scale[:, None]
+        m = g.shape[1]  # the batch statistics depend on x too
+        d_x = xhat * (-g_xhat / m)[:, None]
+        d_x += g
+        d_x -= (g_sum / m)[:, None]
+        d_x *= (self.gamma.value.astype(inv_std.dtype) * inv_std)[:, None]
         return d_x.reshape(grad.shape)
 
     def params(self):
@@ -417,7 +401,13 @@ class Linear(Layer):
         self.bias = Param("bias", np.zeros(d_out))
 
     def forward(self, x, train=False):
-        self._cache = x = tensor.as_float(x)
+        x = tensor.as_float(x)
+        if x.shape[1] != self.weight.value.shape[1]:
+            raise ShapeError(
+                f"weight expects {self.weight.value.shape[1]} input features, input has "
+                f"{x.shape[1]} (input {x.shape})"
+            )
+        self._cache = x
         w, b = (p.value.astype(x.dtype, copy=False) for p in (self.weight, self.bias))
         return x @ w.T + b
 
@@ -455,46 +445,38 @@ class Sequential(Layer):
     float32 batch runs in float32, any other in float64; backward casts the
     incoming gradient (kd_loss's is float64) to the forward's dtype.
 
-    Every forward keeps each layer's backward cache, except inside
-    ``_cache_free()``, where each layer's ``_cache`` is dropped as soon as
-    the layer returns its output: a batch then holds at most one layer's
-    input, output and block temporaries, and the model holds no activation
-    once the forward returns.  ``training.predict`` runs its batches so;
-    backward after such a forward raises a WeightgenError."""
+    Backward is defined only after a training forward that returned.  An
+    inference forward drops each layer's ``_cache`` as soon as the layer
+    returns its output: a batch then holds at most one layer's input, output
+    and block temporaries, and the model holds no activation once the
+    forward returns.  Backward after an inference forward, or after a
+    forward that raised, raises a WeightgenError."""
 
-    _keeps_caches, _released = True, False
+    _trained = False
 
     def __init__(self, layers: list[Layer]):
         self.layers = layers
         self._dtype = np.float64
 
-    @contextlib.contextmanager
-    def _cache_free(self):
-        """Forwards inside keep no layer's cache; on exit they keep them again."""
-        self._keeps_caches = False
-        try:
-            yield
-        finally:
-            self._keeps_caches = True
-
     def forward(self, x, train=False):
+        self._trained = False
         x = tensor.as_float(x)
         if x.ndim != 4:
             raise ShapeError(f"network input must be 4-D (n, c, h, w), got shape {x.shape}")
         self._dtype = x.dtype
-        self._released = not self._keeps_caches
         x = x.transpose(1, 2, 3, 0)
         for layer in self.layers:
             x = layer.forward(x, train=train)
-            if self._released:
+            if not train:
                 layer._cache = None
+        self._trained = train
         return x
 
     def backward(self, grad):
-        if self._released:
+        if not self._trained:
             raise WeightgenError(
-                "backward after a cache-free forward: training.predict keeps no layer's "
-                "activations; run forward outside it first")
+                "backward needs a training forward first: the last forward was an "
+                "inference (train=False) one or raised, and keeps no backward state")
         grad = np.asarray(grad, dtype=self._dtype)
         for layer in reversed(self.layers):
             grad = layer.backward(grad)

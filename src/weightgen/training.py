@@ -352,21 +352,20 @@ def batches(n: int, batch_size: int, seed: int | None = None, epoch: int = 0):
 
 def predict(model: nn.Sequential, x: np.ndarray, batch_size: int) -> np.ndarray:
     """Eval-mode logits of every sample of x, in sample order, computed in
-    consecutive batches of batch_size.  The forwards keep no activations
-    (``nn.Sequential._cache_free``): each layer's backward cache is dropped
-    as soon as the layer returns, so a batch holds at most one layer's input,
-    output and block temporaries, and the model holds none on return."""
+    consecutive batches of batch_size.  Each is an inference forward, which
+    keeps no activations: a batch holds at most one layer's input, output and
+    block temporaries, the model holds none on return, and a backward after
+    predict raises until a training forward runs."""
     if x.shape[0] == 0:
         raise ShapeError("predict needs at least one sample")
-    with model._cache_free():
-        return np.concatenate([model.forward(x[idx], train=False)
-                               for idx in batches(x.shape[0], batch_size)])
+    return np.concatenate([model.forward(x[idx], train=False)
+                           for idx in batches(x.shape[0], batch_size)])
 
 
 def evaluate(model: nn.Sequential, x: np.ndarray, y: np.ndarray,
              batch_size: int = 256) -> float:
     """Fraction of samples whose top logit is their label, from ``predict``'s
-    logits: evaluating keeps no activations."""
+    logits: its inference forwards keep no activations and no backward state."""
     if y.shape != x.shape[:1]:
         raise ShapeError(f"labels shape {y.shape} does not match inputs {x.shape}")
     hits = predict(model, x, batch_size).argmax(axis=1) == y

@@ -148,7 +148,7 @@ def _check_conv_backward(rng):
 
     for param in layer.params():
         param.zero_grad()
-    layer.forward(x)
+    layer.forward(x, train=True)
     dx = layer.backward(upstream)
     assert rel_err(finite_difference(loss, layer.weight.value), layer.weight.grad) < TOL_GRAD
     assert rel_err(finite_difference(loss, x), dx) < TOL_GRAD

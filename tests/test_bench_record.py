@@ -10,13 +10,13 @@ bench_record = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_record)
 
 
-def _doc(base_values, new_values):
+def _doc(base_values, new_values, metric="op_s"):
     doc = {}
     env = {"git_commit": "c"}
     for label, values in (("parent", base_values), ("change", new_values)):
         for v in values:
             run = {"correct": True, "attempted": 1, "failed": 0, "digest": None,
-                   "metrics": {"op_s": v}, "units": {"op_s": "s"}, "env": env}
+                   "metrics": {metric: v}, "units": {metric: "s"}, "env": env}
             bench_record.record(doc, label, "w", {}, run)
     return doc
 
@@ -75,3 +75,27 @@ def test_compare_reads_correctness_failures_and_digests(tmp_path, capsys):
     stored = json.load(open(path))
     assert stored["run_checks"]["change vs parent"]["w"]["parent"]["failed"] == 1
     assert stored["comparisons"]["change vs parent"]["w"]["op_s"]["verdict"] == "gain"
+
+
+def test_compare_applies_the_no_regression_bound(tmp_path, capsys):
+    bound = bench_record.end_to_end_bounds()["op_s"]
+    base = [10.0, 11.0, 10.5, 10.2, 10.8, 10.1, 10.9, 10.4, 10.6, 10.3]
+    # worse on every pair and beyond the parent's IQR, yet inside the bound
+    row = bench_record.compare(_doc(base, [v * (1 + bound / 2) for v in base]),
+                               "parent", "change")["w"]["op_s"]
+    assert row["verdict"] == "worse" and row["bound"] == bound and row["within_bound"]
+    # a median worse by more than bound times the parent's is out of bound
+    worse = [v * (1 + 2 * bound) for v in base]
+    row = bench_record.compare(_doc(base, worse), "parent", "change")["w"]["op_s"]
+    assert row["within_bound"] is False
+    # a metric that BENCHMARK.json does not list as end to end has no bound
+    row = bench_record.compare(_doc(base, worse, "nn.bn.fwd_ms"),
+                               "parent", "change")["w"]["nn.bn.fwd_ms"]
+    assert row["bound"] is None and row["within_bound"] is None
+
+    path = os.path.join(tmp_path, "bench.json")
+    bench_record.save(_doc(base, worse), path)
+    assert bench_record.main(["--compare", "parent", "change", "--out", path]) == 0
+    assert "within bound: no" in capsys.readouterr().out
+    stored = json.load(open(path))
+    assert stored["comparisons"]["change vs parent"]["w"]["op_s"]["within_bound"] is False

@@ -20,7 +20,7 @@ def test_conv2d_backward_matches_finite_differences():
     x = rng.standard_normal((3, 7, 7, 2))
     r = rng.standard_normal(layer.forward(x).shape)
 
-    out = layer.forward(x)
+    layer.forward(x, train=True)
     layer.weight.zero_grad()
     dx = layer.backward(r)
 
@@ -44,7 +44,7 @@ def test_generated_conv_backward_matches_finite_differences():
         x = rng.standard_normal((3, 6, 6, 2))
         r = rng.standard_normal(layer.forward(x).shape)
 
-        layer.forward(x)
+        layer.forward(x, train=True)
         for p in layer.params():
             p.zero_grad()
         dx = layer.backward(r)
@@ -75,6 +75,8 @@ def test_generated_conv_matches_dense_conv_of_generated_kernel(plan_args, train)
     x = rng.standard_normal((3, 7, 7, 3))
     out = layer.forward(x, train=train)
     assert rel_err(out, dense.forward(x, train=train)) < 1e-12
+    if not train:
+        return  # backward is defined only after a training forward
 
     r = rng.standard_normal(out.shape)
     assert rel_err(layer.backward(r), dense.backward(r)) < 1e-12
@@ -185,39 +187,6 @@ def test_batchnorm_backward_matches_finite_differences():
                    finite_difference(loss_beta, layer.beta.value.copy())) < 1e-7
 
 
-def test_batchnorm_eval_backward_matches_finite_differences():
-    rng = np.random.default_rng(15)
-    layer = nn.BatchNorm2d(3)
-    layer.gamma.value = rng.uniform(0.5, 1.5, 3)
-    layer.beta.value = rng.standard_normal(3)
-    layer.running_mean = rng.standard_normal(3)
-    layer.running_var = rng.uniform(0.5, 2.0, 3)
-    x = rng.standard_normal((3, 5, 5, 4))
-    r = rng.standard_normal(x.shape)
-
-    layer.forward(x, train=False)
-    layer.gamma.zero_grad()
-    layer.beta.zero_grad()
-    dx = layer.backward(r)
-
-    want_dx = finite_difference(lambda t: _loss_through(layer, t, r, train=False), x.copy())
-    assert rel_err(dx, want_dx) < 1e-7
-
-    def loss_gamma(g):
-        layer.gamma.value = g
-        return _loss_through(layer, x, r, train=False)
-
-    assert rel_err(layer.gamma.grad,
-                   finite_difference(loss_gamma, layer.gamma.value.copy())) < 1e-7
-
-    def loss_beta(b):
-        layer.beta.value = b
-        return _loss_through(layer, x, r, train=False)
-
-    assert rel_err(layer.beta.grad,
-                   finite_difference(loss_beta, layer.beta.value.copy())) < 1e-7
-
-
 def test_batchnorm_and_relu_never_write_their_input():
     rng = np.random.default_rng(16)
     bn = nn.BatchNorm2d(2)
@@ -230,11 +199,12 @@ def test_batchnorm_and_relu_never_write_their_input():
             x = rng.standard_normal((2, 4, 4, 3))
             x_before = x.tobytes()
             out = layer.forward(x, train=train)
-            grad = rng.standard_normal(out.shape)
-            grad_before = grad.tobytes()
-            layer.backward(grad)
+            if train:  # backward is defined only after a training forward
+                grad = rng.standard_normal(out.shape)
+                grad_before = grad.tobytes()
+                layer.backward(grad)
+                assert grad.tobytes() == grad_before, type(layer).__name__
             assert x.tobytes() == x_before, (type(layer).__name__, train)
-            assert grad.tobytes() == grad_before, (type(layer).__name__, train)
     # As a network's first layer, batch norm sees the caller's own array: a
     # one-sample batch stays C-contiguous through Sequential's transpose.
     net = nn.Sequential([bn, nn.ReLU(), nn.Flatten(), nn.Linear(32, 3, rng=rng)])
@@ -242,7 +212,9 @@ def test_batchnorm_and_relu_never_write_their_input():
         for train in (True, False):
             x = rng.standard_normal((n, 2, 4, 4))
             x_before = x.tobytes()
-            net.backward(rng.standard_normal(net.forward(x, train=train).shape))
+            out = net.forward(x, train=train)
+            if train:
+                net.backward(rng.standard_normal(out.shape))
             assert x.tobytes() == x_before, (n, train)
 
 
@@ -480,6 +452,20 @@ def test_plan_network_gives_the_built_plans_and_errors():
             nn.plan_network(arch, 1, 8, (), 2, 2, 4, 4, 4)
 
 
+def test_backward_after_a_forward_that_raised_part_way_is_a_typed_error():
+    net = nn.build_network("C4K3S1-FC3", 2, 8, np.random.default_rng(36))
+    rng = np.random.default_rng(37)
+    net.forward(rng.standard_normal((4, 2, 8, 8)), train=True)
+    # the conv, batch norm and ReLU caches are fresh, the linear layer's stale
+    with pytest.raises(ShapeError):
+        net.forward(rng.standard_normal((4, 2, 9, 9)), train=True)
+    with pytest.raises(WeightgenError, match="backward needs a training forward"):
+        net.backward(np.ones((4, 3)))
+    x = rng.standard_normal((4, 2, 8, 8))
+    net.forward(x, train=True)
+    assert net.backward(np.ones((4, 3))).shape == x.shape
+
+
 # ---------------------------------------------------------------------------
 # activation dtype: float32 batches run in float32, everything else in float64
 
@@ -507,15 +493,16 @@ def test_float32_batch_stays_float32_while_state_stays_float64(train):
             setattr(layer, method, record)
     opt = RAdam(net.params(), lr=1e-3)
     logits = net.forward(_default_batch(np.float32), train=train)
-    net.zero_grad()
-    d_x = net.backward(np.ones(logits.shape))  # a float64 gradient, as kd_loss gives
-    assert len(seen) == 2 * len(net.layers)
+    if train:  # backward is defined only after a training forward
+        net.zero_grad()
+        d_x = net.backward(np.ones(logits.shape))  # a float64 gradient, as kd_loss gives
+        assert d_x.dtype == np.float32
+        opt.step()
+        assert all(m.dtype == np.float64 for m in opt._m + opt._v)
+    assert len(seen) == (2 if train else 1) * len(net.layers)
     assert [name for name, dt in seen if dt != np.float32] == []
-    assert d_x.dtype == np.float32
-    opt.step()
     for name, p in net.named_params():
         assert p.value.dtype == p.grad.dtype == np.float64, name
-    assert all(m.dtype == np.float64 for m in opt._m + opt._v)
     for layer in net.layers:
         if isinstance(layer, nn.BatchNorm2d):
             assert layer.running_mean.dtype == layer.running_var.dtype == np.float64
@@ -530,10 +517,13 @@ def test_float32_and_float64_runs_agree(generated, train):
     for dtype in (np.float64, np.float32):
         net = _default_net(generated=generated)
         logits = net.forward(x.astype(dtype), train=train)
-        net.zero_grad()
-        net.backward(r)
         assert logits.dtype == dtype
-        runs.append((logits, {name: p.grad.copy() for name, p in net.named_params()}))
+        grads = {}
+        if train:  # backward is defined only after a training forward
+            net.zero_grad()
+            net.backward(r)
+            grads = {name: p.grad.copy() for name, p in net.named_params()}
+        runs.append((logits, grads))
     (want, want_grads), (got, got_grads) = runs
     assert rel_err(got, want) <= 1e-4
     for name, grad in want_grads.items():
@@ -548,7 +538,8 @@ def test_other_input_dtypes_run_the_float64_path(dtype):
         got = got_net.forward(x, train=train)
         want = want_net.forward(x.astype(np.float64), train=train)
         assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
-        assert got_net.backward(np.ones(got.shape)).dtype == np.float64
+        if train:  # backward is defined only after a training forward
+            assert got_net.backward(np.ones(got.shape)).dtype == np.float64
 
 
 # C_in=16 and k=5 make the grouped path the cheaper one for the intra-active
@@ -570,12 +561,15 @@ def test_float32_generated_layer_matches_float64(plan_args, train):
         layer = nn.GeneratedConv2d(factors, stride=2, pad=1)
         out = layer.forward(x.astype(dtype), train=train)
         assert layer._on_grouped == factors.plan.intra_active
-        d_x = layer.backward(r.astype(dtype))
-        assert out.dtype == d_x.dtype == dtype
-        runs.append((out, d_x, {p.name: p.grad for p in layer.params()}))
-    (want, want_dx, want_grads), (got, got_dx, got_grads) = runs
+        assert out.dtype == dtype
+        grads = {}
+        if train:  # backward is defined only after a training forward
+            d_x = layer.backward(r.astype(dtype))
+            assert d_x.dtype == dtype
+            grads = {"d_x": d_x, **{p.name: p.grad for p in layer.params()}}
+        runs.append((out, grads))
+    (want, want_grads), (got, got_grads) = runs
     assert rel_err(got, want) < 1e-5
-    assert rel_err(got_dx, want_dx) < 1e-5
     for name, grad in want_grads.items():
         assert rel_err(got_grads[name], grad) < 1e-5, name
 

@@ -25,12 +25,12 @@ first's IQR; a loss by the same rule reads "worse", anything else
 end to end also reads ``within_bound``: whether the second set's median is
 worse than the first's by no more than that metric's ``bound`` times the
 first's median, the rule a change that claims no gain is held to; other
-metrics read None.  It also prints, per workload and set, the distinct digests,
-the failed and attempted operations summed over the runs and whether every
-run was correct; no metric reads "gain" when the second set has an incorrect
-run or fails a larger share of its operations than the first.  The
-comparison is also stored in the file, under ``comparisons`` and
-``run_checks``.
+metrics read None.  It also prints, per workload and set, the distinct
+digests, the failed and attempted operations summed over the runs and
+whether every run was correct; no metric reads "gain" when the second
+set has an incorrect run or fails a larger share of its operations than
+the first.  The comparison is also stored in the file, under
+``comparisons`` and ``run_checks``.
 """
 
 from __future__ import annotations

@@ -25,9 +25,8 @@ import sys
 from typing import NamedTuple
 
 from . import costmodel, dataio, explorer, factorfile, generator, nn, training
+from .dataio import DATA_ENV_VAR
 from .errors import ConfigError, WeightgenError
-
-DATA_ENV_VAR = "WEIGHTGEN_DATA"
 
 
 class Setting(NamedTuple):
@@ -230,7 +229,7 @@ def _require_out(merged: dict) -> str:
 
 
 def _load_datasets(merged: dict):
-    root = dataio.resolve_data_root(merged.get("data"), env_var=DATA_ENV_VAR)
+    root = dataio.resolve_data_root(merged.get("data"))
     train_ds = dataio.load_fashion_split(root, "train")
     test_ds = dataio.load_fashion_split(root, "test")
     n_train, n_test = merged.get("limit_train"), merged.get("limit_test")

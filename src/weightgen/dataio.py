@@ -27,6 +27,9 @@ from .errors import (
     IdxTruncatedError,
 )
 
+# The environment variable naming the dataset root when no --data is given.
+DATA_ENV_VAR = "WEIGHTGEN_DATA"
+
 IMAGE_MAGIC = 2051
 LABEL_MAGIC = 2049
 NUM_CLASSES = 10
@@ -151,12 +154,12 @@ def atomic_write(path, data: bytes) -> None:
         raise
 
 
-def resolve_data_root(explicit: str | None, env_var: str = "WEIGHTGEN_DATA") -> str:
+def resolve_data_root(explicit: str | None) -> str:
     """Pick the dataset directory from a flag or the environment."""
-    root = explicit if explicit is not None else os.environ.get(env_var)
+    root = explicit if explicit is not None else os.environ.get(DATA_ENV_VAR)
     if not root:
         raise ConfigError(
-            f"no dataset root: pass --data or set ${env_var} to the IDX directory"
+            f"no dataset root: pass --data or set ${DATA_ENV_VAR} to the IDX directory"
         )
     if not os.path.isdir(root):
         raise ConfigError(f"dataset root {root!r} is not a directory")

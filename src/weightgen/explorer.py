@@ -56,9 +56,6 @@ class ExplorationPoint:
     runtime: float
     heuristic_preferred: bool
 
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 @dataclasses.dataclass(frozen=True)
 class SkippedSetting:
@@ -70,9 +67,6 @@ class SkippedSetting:
     q_coeff: int
     q_mixer: int
     reason: str
-
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -270,13 +264,12 @@ def write_grid_csv(points: list[ExplorationPoint], path: str) -> None:
     dataio.atomic_write(path, buf.getvalue().encode())
 
 
-def write_grid_json(result: GridResult, path: str, front: list[ExplorationPoint] | None = None) -> None:
+def write_grid_json(result: GridResult, path: str, front: list[ExplorationPoint]) -> None:
     payload = {
-        "points": [p.as_dict() for p in result.points],
-        "skipped": [s.as_dict() for s in result.skipped],
+        "points": [dataclasses.asdict(p) for p in result.points],
+        "skipped": [dataclasses.asdict(s) for s in result.skipped],
+        "pareto_front": [dataclasses.asdict(p) for p in front],
     }
-    if front is not None:
-        payload["pareto_front"] = [p.as_dict() for p in front]
     dataio.atomic_write(path, (json.dumps(payload, indent=2) + "\n").encode())
 
 

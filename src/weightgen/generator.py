@@ -43,10 +43,8 @@ import numpy as np
 
 from .errors import NonFiniteError, ShapeError
 from .quantize import (
-    DistinctValueBound,
     check_bits,
     check_count,
-    distinct_value_bound,
     fake_quantize,
     quantize_codes,  # not called here; perfbench's tracer test looks its wrapper up in this module
 )
@@ -304,12 +302,3 @@ def memory_ratio(plan: GenPlan, dense_bits: int = 16) -> float:
         return 1.0
     return memory_bits(plan) / (dense_param_count(plan) * dense_bits)
 
-
-def layer_value_bound(plan: GenPlan) -> DistinctValueBound:
-    """Distinct-value bound for this layer's generated weights."""
-    p = plan
-    if p.cross_active:
-        return distinct_value_bound(
-            p.q_basis, p.q_coeff, p.n_basis, q_mixer=p.q_mixer, n_cross=p.n_cross
-        )
-    return distinct_value_bound(p.q_basis, p.q_coeff, p.n_basis)

@@ -89,51 +89,14 @@ class Layer:
         return []
 
 
-class _Conv(Layer):
-    """Convolution without bias (batch norm follows it everywhere here).
+class Conv2d(Layer):
+    """Dense convolution without bias (batch norm follows it everywhere
+    here), with a He-initialized weight tensor.
 
-    Subclasses say where the kernel tensor comes from (``_kernel``) and
-    where its gradient goes (``_take_grad``).
-
-    A training forward caches the im2col matrix for backward.  An inference
-    forward lowers in bounded blocks (``tensor.conv2d_forward``) and caches
-    nothing: backward is defined only after a training forward.
+    A training forward caches the input's shape and its im2col matrix for
+    backward.  An inference forward lowers in bounded blocks
+    (``tensor.conv2d_forward``) and caches nothing.
     """
-
-    def _kernel(self) -> np.ndarray:
-        raise NotImplementedError
-
-    def _take_grad(self, d_weight: np.ndarray) -> None:
-        raise NotImplementedError
-
-    def forward(self, x, train=False):
-        x = tensor.as_tensor4d(x, "conv input")
-        out, self._cache = self._im2col_conv(x, train)
-        return out
-
-    def _im2col_conv(self, x, train):
-        """The conv of x with ``_kernel()`` and the (x, cols, weight) cache
-        that ``_im2col_backward`` reads, None after an inference one."""
-        weight = self._kernel()
-        if not train:
-            return tensor.conv2d_forward(x, weight, self.stride, self.pad), None
-        out, cols = tensor.conv2d(x, weight, self.stride, self.pad)
-        return out, (x, cols, weight)
-
-    def backward(self, grad):
-        return self._im2col_backward(grad, self._cache)
-
-    def _im2col_backward(self, grad, cache):
-        x, cols, weight = cache
-        d_weight, d_x = tensor.conv2d_backward(
-            grad, cols, weight, x.shape, self.stride, self.pad
-        )
-        self._take_grad(d_weight)
-        return d_x
-
-
-class Conv2d(_Conv):
-    """Dense convolution with a He-initialized weight tensor."""
 
     def __init__(self, c_in: int, c_out: int, k: int, stride: int = 1,
                  pad: int = 0, *, rng: np.random.Generator):
@@ -142,18 +105,29 @@ class Conv2d(_Conv):
         w = rng.standard_normal((c_out, c_in, k, k)) * np.sqrt(2.0 / (c_in * k * k))
         self.weight = Param("weight", w)
 
-    def _kernel(self):
-        return self.weight.value
+    def forward(self, x, train=False):
+        x = tensor.as_tensor4d(x, "conv input")
+        if not train:
+            self._cache = None
+            return tensor.conv2d_forward(x, self.weight.value, self.stride, self.pad)
+        out, cols = tensor.conv2d(x, self.weight.value, self.stride, self.pad)
+        self._cache = (x.shape, cols)
+        return out
 
-    def _take_grad(self, d_weight):
+    def backward(self, grad):
+        x_shape, cols = self._cache
+        d_weight, d_x = tensor.conv2d_backward(
+            grad, cols, self.weight.value, x_shape, self.stride, self.pad)
         self.weight.grad += d_weight
+        return d_x
 
     def params(self):
         return [self.weight]
 
 
-class GeneratedConv2d(_Conv):
-    """Convolution whose kernels are generated from two-level factors.
+class GeneratedConv2d(Layer):
+    """Convolution without bias whose kernels are generated from two-level
+    factors.
 
     The C_out dense kernels are never formed.  On the im2col path the layer
     convolves with its n_cross quantized basis kernels and the mixer mixes
@@ -166,11 +140,12 @@ class GeneratedConv2d(_Conv):
     sums them into one channel; the mixer follows.  Each forward takes the
     grouped path when ``_grouped`` says it costs less for the input's shape.
 
-    A training forward on the grouped path caches the grouped conv's
-    row-patch matrix and, with a mixer, the basis-kernel output z, which the
-    mixer gradient reads.  An inference forward caches nothing; on the
-    grouped path it runs all three steps per bounded sample block
-    (``tensor.in_sample_blocks``).
+    A training forward caches its im2col matrix, or on the grouped path its
+    grouped conv's row-patch matrix, and with a mixer the basis-kernel
+    output z, which the mixer gradient reads.  An inference forward caches
+    nothing and runs in bounded sample blocks: ``tensor.conv2d_forward`` on
+    the im2col path, all three steps per block (``tensor.in_sample_blocks``)
+    on the grouped path.
     """
 
     def __init__(self, factors: generator.TwoLevelFactors, stride: int = 1,
@@ -184,16 +159,6 @@ class GeneratedConv2d(_Conv):
         self._params = {name: Param(name, value) for name, value in factors.stored()}
         self._gen = None
         self._on_grouped = False
-
-    def _kernel(self):
-        return self._gen.w_cross.reshape(-1, self.c_in, self.k, self.k)
-
-    def _take_grad(self, d_w_cross):
-        d_basis, d_coeff = generator.intra_backward(
-            self._gen, d_w_cross.reshape(self._gen.w_cross.shape))
-        if d_basis is not None:
-            self._params["basis"].grad += d_basis
-        self._params["coeff"].grad += d_coeff
 
     def _grouped(self, x_shape) -> bool:
         """Whether a forward on an x_shape input takes the grouped path.  It
@@ -235,7 +200,12 @@ class GeneratedConv2d(_Conv):
         self._gen = generator.forward(self.factors, quantized=self.quantized)
         self._on_grouped = self._grouped(x.shape)
         if not self._on_grouped:
-            z, conv = self._im2col_conv(x, train)
+            w_cross = self._gen.w_cross.reshape(-1, self.c_in, self.k, self.k)
+            if not train:
+                self._cache = None
+                return self._mix(tensor.conv2d_forward(x, w_cross, self.stride, self.pad))
+            z, cols = tensor.conv2d(x, w_cross, self.stride, self.pad)
+            conv = (x.shape, cols, w_cross)
         else:
             # the coeff as the (n_cross*n_basis, C_in) matrix of a 1x1 conv,
             # the basis as (n_cross, n_basis, k, k) grouped-conv kernels
@@ -250,20 +220,27 @@ class GeneratedConv2d(_Conv):
                     lambda xb: self._mix(self._basis_conv(xb, a, kernels)[0]), x, sample_bytes)
             z, rows = self._basis_conv(x, a, kernels)
             conv = (x, rows, a, kernels)
-        self._cache = (conv, z if self._gen.q_mixer is not None else None) if train else None
+        self._cache = (conv, z if self._gen.q_mixer is not None else None)
         return self._mix(z)
 
     def backward(self, grad):
         conv, z = self._cache
-        if self._on_grouped:
-            x, rows, a, kernels = conv
         mixer = self._gen.q_mixer
         if mixer is not None:
             g = grad.reshape(self.c_out, -1)
             self._params["mixer"].grad += g @ z.reshape(z.shape[0], -1).T
             grad = (mixer.astype(g.dtype, copy=False).T @ g).reshape(z.shape)
         if not self._on_grouped:
-            return self._im2col_backward(grad, conv)
+            x_shape, cols, w_cross = conv
+            d_w_cross, d_x = tensor.conv2d_backward(
+                grad, cols, w_cross, x_shape, self.stride, self.pad)
+            d_basis, d_coeff = generator.intra_backward(
+                self._gen, d_w_cross.reshape(self._gen.w_cross.shape))
+            if d_basis is not None:
+                self._params["basis"].grad += d_basis
+            self._params["coeff"].grad += d_coeff
+            return d_x
+        x, rows, a, kernels = conv
         p = self.factors.plan
         d_kernels, d_u = tensor.grouped_conv_backward(
             grad, rows, kernels, (a.shape[0], *x.shape[1:]), self.stride, self.pad)
@@ -495,9 +472,9 @@ class Sequential(Layer):
     def generated_layers(self) -> list[GeneratedConv2d]:
         return [l for l in self.layers if isinstance(l, GeneratedConv2d)]
 
-    def conv_layers(self) -> list[_Conv]:
+    def conv_layers(self) -> list[Conv2d | GeneratedConv2d]:
         """Dense and generated conv layers, in order."""
-        return [l for l in self.layers if isinstance(l, _Conv)]
+        return [l for l in self.layers if isinstance(l, (Conv2d, GeneratedConv2d))]
 
     def zero_grad(self) -> None:
         for p in self.params():

@@ -51,11 +51,6 @@ def check_count(name: str, value) -> None:
         raise CardinalityError(f"{name} must be a positive int, got {value!r}")
 
 
-def grid_levels(bits: int) -> int:
-    """Total grid levels, 2**bits - 1 (positives, negatives, and zero)."""
-    return 2 * positive_levels(bits) + 1
-
-
 def _code_buffer(m, bits: int):
     """(codes, scale, n_pos): m's codes as a float64 buffer of whole numbers
     in [-n_pos, n_pos] (a negative zero code is 0), and its scale."""

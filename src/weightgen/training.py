@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import dataio, generator, nn, tensor
-from .errors import ConfigError, DivergenceError, ShapeError
+from .errors import ConfigError, DivergenceError, NonFiniteError, ShapeError
 from .optim import RAdam
 from .quantize import check_bits
 
@@ -401,7 +401,7 @@ def initialize_from_teacher(model: nn.Sequential, teacher: nn.Sequential,
     linear layers pair up in order, so a student's ActQuant layers are
     passed over; a teacher layer holding other arrays raises a ConfigError
     naming the student layer.  Returns the generated layers' residuals."""
-    kinds = (nn._Conv, nn.BatchNorm2d, nn.Linear)
+    kinds = (nn.Conv2d, nn.GeneratedConv2d, nn.BatchNorm2d, nn.Linear)
     student = [(i, layer) for i, layer in enumerate(model.layers) if isinstance(layer, kinds)]
     dense = [layer for layer in teacher.layers if isinstance(layer, kinds)]
     if len(student) != len(dense):
@@ -560,12 +560,21 @@ def _entry(arrays: dict, key: str) -> np.ndarray:
 
 
 def _restore(arrays: dict, key: str, target: np.ndarray) -> None:
+    """Copy entry key into target.  Only a real floating or integer array of
+    target's shape with finite values is taken: a string array would be
+    parsed, a complex one lose its imaginary part, and a bool one or a NaN
+    run as numbers."""
     value = _entry(arrays, key)
+    if value.dtype.kind not in "fiu":
+        raise ConfigError(f"checkpoint entry {key} has dtype {value.dtype}, "
+                          f"model expects real numbers")
     if value.shape != target.shape:
         raise ShapeError(
             f"checkpoint entry {key} has shape {value.shape}, "
             f"model expects {target.shape}"
         )
+    if not np.isfinite(value).all():
+        raise NonFiniteError(f"checkpoint entry {key} has non-finite values")
     target[...] = value
 
 
@@ -616,4 +625,6 @@ def load_checkpoint(path):
         if isinstance(layer, nn.BatchNorm2d):
             _restore(arrays, f"b/{i}.running_mean", layer.running_mean)
             _restore(arrays, f"b/{i}.running_var", layer.running_var)
+            if (layer.running_var < 0).any():
+                raise ConfigError(f"checkpoint entry b/{i}.running_var has a negative variance")
     return model, cfg, epoch

@@ -4,16 +4,19 @@ Fixed-seed truncations and single-bit flips of a checkpoint, an ``.isgw``
 container and both files of an IDX pair must either
 load (a flip can land where no reader looks, or change a stored value) or
 raise a ``WeightgenError`` subclass; a truncated file must always raise.
+A well-formed checkpoint whose entries hold what the model cannot run must
+raise a typed error naming the entry.
 """
 
 import os
+import re
 import struct
 
 import numpy as np
 import pytest
 
 from weightgen import dataio, factorfile, generator, training
-from weightgen.errors import WeightgenError
+from weightgen.errors import ConfigError, NonFiniteError, WeightgenError
 
 CASES = 240
 
@@ -83,3 +86,32 @@ def test_damaged_artifacts_raise_only_typed_errors(tmp_path, make):
         except WeightgenError:
             continue
         assert not truncated, f"case {case}: a truncated file loaded"
+
+
+def _mutations(key, value):
+    """(mutated entry, error it must raise): each well-formed array that
+    holds what the model cannot run."""
+    yield value.astype(str), ConfigError  # numeric strings
+    yield value + 1j, ConfigError
+    yield value > 0, ConfigError
+    for bad in (np.nan, np.inf):
+        mutated = value.copy()
+        mutated.flat[0] = bad
+        yield mutated, NonFiniteError
+    if key.endswith(".running_var"):
+        yield -value, ConfigError
+
+
+def test_checkpoint_entries_the_model_cannot_run_are_named(tmp_path):
+    _checkpoint(tmp_path)
+    with np.load(tmp_path / "ckpt.npz") as z:
+        arrays = {k: z[k] for k in z.files}
+    entries = [k for k in arrays if k != "meta"]
+    assert any(k.startswith("p/") for k in entries)
+    assert any(k.endswith(".running_var") for k in entries)
+    path = tmp_path / "mutated.npz"
+    for key in entries:
+        for mutated, error in _mutations(key, arrays[key]):
+            np.savez(path, **dict(arrays, **{key: mutated}))
+            with pytest.raises(error, match=re.escape(key)):
+                training.load_checkpoint(path)

@@ -107,10 +107,10 @@ def test_quantized_factors_live_on_their_grids():
     p = generator.plan_layer(16, 8, 3, 2, 6, q_basis=2, q_coeff=3, q_mixer=4)
     f = generator.init_random(p, rng)
     fwd = generator.forward(f)
-    assert np.unique(fwd.q_basis).size <= quantize.grid_levels(2)
+    assert np.unique(fwd.q_basis).size <= 2 * quantize.positive_levels(2) + 1
     # coeff and mixer grids are per-tensor, not per-slice
-    assert np.unique(fwd.q_coeff).size <= quantize.grid_levels(3)
-    assert np.unique(fwd.q_mixer).size <= quantize.grid_levels(4)
+    assert np.unique(fwd.q_coeff).size <= 2 * quantize.positive_levels(3) + 1
+    assert np.unique(fwd.q_mixer).size <= 2 * quantize.positive_levels(4) + 1
 
 
 @pytest.mark.parametrize("q_basis,q_coeff,n_basis", [(2, 2, 2), (3, 2, 3), (4, 4, 2)])
@@ -206,12 +206,3 @@ def test_factor_validation_errors():
     fwd = generator.forward(f)
     with pytest.raises(ShapeError):
         generator.backward(f, fwd, np.zeros((1, 2, 3, 3)))
-
-
-def test_layer_value_bound_uses_effective_cardinalities():
-    p = generator.plan_layer(128, 128, 3, 2, 40, 4, 4, 4)
-    b = generator.layer_value_bound(p)
-    assert b.coeff_count == 15 * 15 * 2 + 1
-    assert b.weight_bits == pytest.approx(4 + (4 + 4 + 1) + np.log2(40))
-    p2 = generator.plan_layer(8, 4, 3, 2, 8)  # cross skipped
-    assert generator.layer_value_bound(p2).weight_bits is None

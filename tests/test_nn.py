@@ -498,7 +498,7 @@ def test_float32_batch_stays_float32_while_state_stays_float64(train):
         d_x = net.backward(np.ones(logits.shape))  # a float64 gradient, as kd_loss gives
         assert d_x.dtype == np.float32
         opt.step()
-        assert all(m.dtype == np.float64 for m in opt._m + opt._v)
+        assert opt._m.dtype == opt._v.dtype == np.float64
     assert len(seen) == (2 if train else 1) * len(net.layers)
     assert [name for name, dt in seen if dt != np.float32] == []
     for name, p in net.named_params():

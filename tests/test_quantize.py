@@ -13,7 +13,7 @@ def test_level_count_and_grid_membership(bits):
     m = rng.standard_normal(500) * 3.0
     q = quantize.fake_quantize(m, bits)
     levels = np.unique(q)
-    assert levels.size <= quantize.grid_levels(bits)
+    assert levels.size <= 2 * quantize.positive_levels(bits) + 1
     codes, scale = quantize.quantize_codes(m, bits)
     n_pos = quantize.positive_levels(bits)
     if n_pos:

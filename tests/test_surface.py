@@ -14,7 +14,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 # Definitions kept without a caller, each with its reason.
 UNCALLED = {
     "quantize.dequantize": "the reference fake_quantize is compared against bit for bit",
-    "factorfile.load_factors": "its fate follows the one-factor-file decision (ROADMAP item 6)",
+    "factorfile.load_factors": "kept until .isgw either becomes the deployment format or goes",
     "quantize.distinct_value_bound": "acceptance criterion 5's formula",
 }
 

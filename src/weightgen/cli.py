@@ -2,16 +2,18 @@
 cost reporting, and checkpoint analysis.
 
 Every run resolves its configuration from three layers (built-in
-defaults, then a JSON config file, then explicit flags), writes the
-resolved configuration next to its artifacts as config.json, and either
-completes its whole artifact set or removes the files it already wrote.
+defaults, then a JSON config file, then explicit flags) and writes its
+files through one artifact set: the command's artifacts, then the
+resolved configuration as config.json, last.  If the run fails midway,
+every file of the set is removed, so a config.json marks a complete set.
 The snapshot holds every setting the command used, defaults included, so
 re-running any command from its own snapshot reproduces the outputs.
 
 Each setting is declared once, in SETTINGS.  Its type is the annotation
 of the TrainConfig or DeviceParams field of that name, or the run-level
-annotation its entry gives; both its flag and its config check follow
-that annotation.
+annotation its entry gives; its flag, its parsing and its check all
+follow that annotation, and every value is parsed and checked before a
+command runs, also those the command does not use.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ class Setting(NamedTuple):
     flag: str | None               # None: a config key with no flag
     commands: tuple[str, ...]      # subcommands that take the flag
     help: str
-    annotation: str | None = None  # run-level keys only; "list" marks a grid list
+    annotation: str | None = None  # run-level keys only; "list" marks bit triples
 
 
 _ALL = ("train", "init", "explore", "cost", "analyze")
@@ -71,8 +73,10 @@ SETTINGS = (
     Setting("verbose", "--verbose", _FIT, "print one line per epoch", "bool"),
     Setting("layer", "--layer", ("init",), "conv layer index (default 0)", "int"),
     Setting("q_weight", "--q-weight", ("init", "cost"), "dense weight bitwidth (default 16)", "int"),
-    Setting("bi_list", "--bi-list", ("explore",), "comma list of B_i values", "list"),
-    Setting("bc_list", "--bc-list", ("explore",), "comma list of B_c values", "list"),
+    Setting("bi_list", "--bi-list", ("explore",), "comma list of B_i values",
+            "tuple[int, ...]"),
+    Setting("bc_list", "--bc-list", ("explore",), "comma list of B_c values",
+            "tuple[int, ...]"),
     Setting("bit_settings", "--bits-list", ("explore",),
             "semicolon list of q_b,q_u,q_v triples", "list"),
     Setting("c_out", "--co", ("cost",), "output channels", "int"),
@@ -94,8 +98,8 @@ CONFIG_TYPES = {
     **{f.name: f.type for f in dataclasses.fields(costmodel.DeviceParams)},
     **_RUN_TYPES,
 }
-# Annotation -> argparse type.  Other flags keep their string: a comma
-# list that its parser splits, or a string setting.
+# Annotation -> argparse type.  Other flags keep their string: a list that
+# _parse splits, or a string setting.
 _FLAG_TYPES = {"int": int, "int | None": int, "float": float}
 # The layer that cost reports on by default.
 _COST_LAYER = {"c_out": 128, "c_in": 128, "k": 3, "n_basis": 2, "n_cross": 40,
@@ -104,12 +108,12 @@ _COST_LAYER = {"c_out": 128, "c_in": 128, "k": 3, "n_basis": 2, "n_cross": 40,
 
 def _load_config_file(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file {path!r} does not exist")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path!r} is not valid JSON: {exc}")
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError alike
+        raise ConfigError(f"config file {path!r} is not valid UTF-8 JSON: {exc}")
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {path!r} must hold a JSON object")
     # A retired key is dropped; a null run-level key leaves the setting unset.
@@ -121,97 +125,87 @@ def _load_config_file(path: str) -> dict:
     return doc
 
 
-def _parse_generated(value):
-    """Split the --generated flag's comma string into layer indices; a
-    config value is passed through for TrainConfig to check."""
-    if value is None:
-        return ()
-    if not isinstance(value, str):
-        return value
-    try:
-        return tuple(int(v) for v in value.split(",") if v != "")
-    except ValueError:
-        raise ConfigError(f"generated must be a comma list of layer indices, got {value!r}")
-
-
-def _parse_int_list(value, field: str) -> list[int]:
+def _parse_ints(key: str, value) -> tuple[int, ...]:
     """A comma string's items go through int(); a JSON list must hold
     integers already."""
     if isinstance(value, str):
         try:
             value = [int(v) for v in value.split(",") if v != ""]
         except ValueError:
-            raise ConfigError(f"{field} must be a comma list of integers, got {value!r}")
-    training.check_field(field, "tuple[int, ...]", value)
-    if not value:
-        raise ConfigError(f"{field} must be nonempty")
-    return list(value)
+            raise ConfigError(
+                f"config field {key!r} must be a comma list of integers, got {value!r}"
+            )
+    training.check_field(key, "tuple[int, ...]", value)
+    return tuple(value)
 
 
-def _parse_bit_settings(value) -> list[tuple[int, int, int]] | None:
+def _parse_bit_settings(value) -> tuple[tuple[int, int, int], ...]:
     """Semicolon-separated q_b,q_u,q_v triples, e.g. '4,4,8;8,8,8'."""
-    if value is None:
-        return None
     if isinstance(value, str):
         value = [v for v in value.split(";") if v != ""]
     if not isinstance(value, list) or not value:
-        raise ConfigError(f"bit_settings must be a nonempty list of triples, got {value!r}")
-    out = []
+        raise ConfigError(
+            f"config field 'bit_settings' must be a nonempty list of triples, got {value!r}"
+        )
+    triples = []
     for item in value:
-        triple = _parse_int_list(item, "bit_settings")
+        triple = _parse_ints("bit_settings", item)
         if len(triple) != 3:
             raise ConfigError(
-                f"bit_settings entries must be q_b,q_u,q_v triples, got {item!r}"
+                f"config field 'bit_settings' must hold q_b,q_u,q_v triples, got {item!r}"
             )
-        out.append(tuple(triple))
-    return out
+        triples.append(triple)
+    return tuple(triples)
+
+
+def _parse(key: str, value):
+    """value as its setting's annotation asks, or a ConfigError naming key."""
+    annotation = CONFIG_TYPES[key]
+    if annotation == "list":
+        return _parse_bit_settings(value)
+    if annotation == "tuple[int, ...]":
+        return _parse_ints(key, value)
+    training.check_field(key, annotation, value)
+    return value
 
 
 def _resolve(ns: argparse.Namespace) -> dict:
-    """Merge the config file and flags into one settings dict; each command
-    adds its own defaults."""
+    """Merge the config file and flags into one settings dict, every value
+    parsed and checked; each command adds its own defaults."""
     merged = _load_config_file(ns.config) if ns.config else {}
     for key, value in vars(ns).items():
         if key not in ("config", "func", "command") and value is not None:
             merged[key] = value
-    if "generated" in merged:
-        merged["generated"] = _parse_generated(merged["generated"])
-    # Every value is checked, also those the command does not use; the
-    # grid-list parsers check their own.
-    for key, value in merged.items():
-        if CONFIG_TYPES[key] != "list":
-            training.check_field(key, CONFIG_TYPES[key], value)
+    merged = {key: _parse(key, value) for key, value in merged.items()}
     merged.pop("command", None)
     return merged
 
 
 def _build(cls, merged: dict):
-    """A TrainConfig or DeviceParams from the settings named by its fields."""
+    """A TrainConfig or DeviceParams from the settings named by its fields;
+    the defaults it fills in are written back into merged."""
     names = {f.name for f in dataclasses.fields(cls)}
-    return cls(**{k: v for k, v in merged.items() if k in names})
-
-
-def _write_json(out_dir: str, name: str, doc, artifacts) -> None:
-    """Write doc as indented JSON to out_dir/name and record the file."""
-    path = os.path.join(out_dir, name)
-    dataio.atomic_write(path, (json.dumps(doc, indent=2) + "\n").encode())
-    artifacts.append(path)
-
-
-def _snapshot(merged: dict, command: str, out_dir: str, artifacts) -> None:
-    """Write the resolved settings next to the artifacts, reloadably."""
-    doc = {"command": command, **dict(sorted(merged.items()))}
-    _write_json(out_dir, "config.json", doc, artifacts)
+    obj = cls(**{k: v for k, v in merged.items() if k in names})
+    merged.update(dataclasses.asdict(obj))
+    return obj
 
 
 @contextlib.contextmanager
-def _artifact_set(out: str):
-    """Make the output directory, then record written files; remove them all
-    if the run fails midway."""
+def _artifact_set(out: str, merged: dict, command: str):
+    """Make the output directory and yield artifact(name), which records and
+    returns out/name; then write the resolved settings, reloadably, to
+    config.json.  If the run fails midway, every recorded file is removed."""
     os.makedirs(out, exist_ok=True)
     written: list[str] = []
+
+    def artifact(name: str) -> str:
+        written.append(os.path.join(out, name))
+        return written[-1]
+
     try:
-        yield written
+        yield artifact
+        dataio.write_json(artifact("config.json"),
+                          {"command": command, **dict(sorted(merged.items()))})
     except BaseException:
         for path in written:
             with contextlib.suppress(OSError):
@@ -248,7 +242,6 @@ def _load_teacher(merged: dict):
 def cmd_train(ns: argparse.Namespace) -> int:
     merged = _resolve(ns)
     cfg = _build(training.TrainConfig, merged)
-    merged.update(dataclasses.asdict(cfg))
     out = _require_out(merged)
     train_x, train_y, test_x, test_y = _load_datasets(merged)
     teacher = _load_teacher(merged)
@@ -256,16 +249,9 @@ def cmd_train(ns: argparse.Namespace) -> int:
         cfg, train_x, train_y, test_x, test_y,
         teacher=teacher, verbose=merged.get("verbose", False),
     )
-    with _artifact_set(out) as artifacts:
-        metrics_path = os.path.join(out, "metrics.csv")
-        training.write_metrics(metrics_path, result.metrics)
-        artifacts.append(metrics_path)
-        ckpt_path = os.path.join(out, "checkpoint.npz")
-        training.save_checkpoint(
-            ckpt_path, result.model, cfg, epoch=cfg.epochs
-        )
-        artifacts.append(ckpt_path)
-        _snapshot(merged, "train", out, artifacts)
+    with _artifact_set(out, merged, "train") as artifact:
+        training.write_metrics(artifact("metrics.csv"), result.metrics)
+        training.save_checkpoint(artifact("checkpoint.npz"), result.model, cfg, epoch=cfg.epochs)
     final = result.metrics[-1]
     print(
         f"trained {cfg.epochs} epochs: train_acc={final['train_acc']:.4f} "
@@ -281,12 +267,10 @@ def cmd_train(ns: argparse.Namespace) -> int:
 def cmd_init(ns: argparse.Namespace) -> int:
     merged = {"layer": 0, "q_weight": 16, **_resolve(ns)}
     cfg = _build(training.TrainConfig, merged)
-    merged.update(dataclasses.asdict(cfg))
     out = _require_out(merged)
-    teacher_path = merged.get("teacher")
-    if not teacher_path:
+    model = _load_teacher(merged)
+    if model is None:
         raise ConfigError("missing teacher: pass --teacher with a checkpoint path")
-    model, _, _ = training.load_checkpoint(teacher_path)
     convs = model.conv_layers()
     index = merged["layer"]
     if not 0 <= index < len(convs):
@@ -306,11 +290,9 @@ def cmd_init(ns: argparse.Namespace) -> int:
     )
     _, svd_residual = training.svd_init(target, plan)
     factors, l2_residual = training.l2_project_init(target, plan, iters=cfg.init_iters)
-    with _artifact_set(out) as artifacts:
-        factors_path = os.path.join(out, "factors.isgw")
-        factorfile.save_factors(factors_path, factors)
-        artifacts.append(factors_path)
-        report = {
+    with _artifact_set(out, merged, "init") as artifact:
+        factorfile.save_factors(artifact("factors.isgw"), factors)
+        dataio.write_json(artifact("init_report.json"), {
             "layer_index": index,
             "c_out": c_out,
             "c_in": c_in,
@@ -324,9 +306,7 @@ def cmd_init(ns: argparse.Namespace) -> int:
             "chosen": "l2" if l2_residual < svd_residual else "svd",
             "r": generator.param_ratio(plan),
             "r_m": generator.memory_ratio(plan, merged["q_weight"]),
-        }
-        _write_json(out, "init_report.json", report, artifacts)
-        _snapshot(merged, "init", out, artifacts)
+        })
     print(
         f"layer {index} ({c_out}x{c_in}x{k}x{k}) -> "
         f"l2 residual {l2_residual:.3e}, svd residual {svd_residual:.3e}"
@@ -338,12 +318,9 @@ def cmd_init(ns: argparse.Namespace) -> int:
 def cmd_explore(ns: argparse.Namespace) -> int:
     merged = _resolve(ns)
     cfg = _build(training.TrainConfig, merged)
-    merged.update(dataclasses.asdict(cfg))
-    bit_settings = merged["bit_settings"] = _parse_bit_settings(merged.get("bit_settings"))
-    for key in ("bi_list", "bc_list"):
-        if key not in merged:
-            raise ConfigError("missing grid: pass --bi-list and --bc-list")
-        merged[key] = _parse_int_list(merged[key], key)
+    bit_settings = merged.setdefault("bit_settings", None)
+    if "bi_list" not in merged or "bc_list" not in merged:
+        raise ConfigError("missing grid: pass --bi-list and --bc-list")
     out = _require_out(merged)
     train_x, train_y, test_x, test_y = _load_datasets(merged)
     teacher = _load_teacher(merged)
@@ -353,14 +330,9 @@ def cmd_explore(ns: argparse.Namespace) -> int:
         teacher=teacher, verbose=merged.get("verbose", False),
     )
     front = explorer.pareto_front(list(result.points)) if result.points else []
-    with _artifact_set(out) as artifacts:
-        csv_path = os.path.join(out, "grid.csv")
-        explorer.write_grid_csv(list(result.points), csv_path)
-        artifacts.append(csv_path)
-        json_path = os.path.join(out, "grid.json")
-        explorer.write_grid_json(result, json_path, front=front)
-        artifacts.append(json_path)
-        _snapshot(merged, "explore", out, artifacts)
+    with _artifact_set(out, merged, "explore") as artifact:
+        explorer.write_grid_csv(list(result.points), artifact("grid.csv"))
+        explorer.write_grid_json(result, artifact("grid.json"), front=front)
     print(f"explored {len(result.points)} settings, skipped {len(result.skipped)}")
     for point in front:
         mark = " *" if point.heuristic_preferred else ""
@@ -375,7 +347,6 @@ def cmd_explore(ns: argparse.Namespace) -> int:
 def cmd_cost(ns: argparse.Namespace) -> int:
     merged = {**_COST_LAYER, "q_weight": 16, **_resolve(ns)}
     dev = _build(costmodel.DeviceParams, merged)
-    merged.update(dataclasses.asdict(dev))
     plan = generator.plan_layer(**{key: merged[key] for key in _COST_LAYER})
     report = costmodel.speedup_report([plan], q_weight=merged["q_weight"], dev=dev)
     layer = report.layers[0]
@@ -390,9 +361,8 @@ def cmd_cost(ns: argparse.Namespace) -> int:
         print("  warning: generation latency exceeds the load time it saves")
     out = merged.get("out")
     if out:
-        with _artifact_set(out) as artifacts:
-            _write_json(out, "cost.json", report.as_dict(), artifacts)
-            _snapshot(merged, "cost", out, artifacts)
+        with _artifact_set(out, merged, "cost") as artifact:
+            dataio.write_json(artifact("cost.json"), dataclasses.asdict(report))
         print(f"artifacts in {out}")
     return 0
 
@@ -412,9 +382,8 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
               f"cross={row['cross']:.4f} intra={intra_text}")
     out = merged.get("out")
     if out:
-        with _artifact_set(out) as artifacts:
-            _write_json(out, "correlations.json", rows, artifacts)
-            _snapshot(merged, "analyze", out, artifacts)
+        with _artifact_set(out, merged, "analyze") as artifact:
+            dataio.write_json(artifact("correlations.json"), rows)
         print(f"artifacts in {out}")
     return 0
 

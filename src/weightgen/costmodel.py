@@ -16,6 +16,7 @@ bare vacuum-speed formula would undercount it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from . import generator
@@ -27,7 +28,7 @@ LIGHT_SPEED = 2.998e8  # m/s
 
 @dataclass(frozen=True)
 class DeviceParams:
-    """Hardware constants of the cost model; all strictly positive."""
+    """Hardware constants of the cost model; all strictly positive and finite."""
 
     dac_latency: float = 400e-12       # 10 Gb/s DAC
     mod_latency: float = 50e-12
@@ -40,9 +41,10 @@ class DeviceParams:
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                    or not value > 0:
+                    or not 0 < value < math.inf:
                 raise ConfigError(
-                    f"device parameter {f.name} must be a positive number, got {value!r}"
+                    f"device parameter {f.name} must be a positive finite number, "
+                    f"got {value!r}"
                 )
 
 
@@ -99,13 +101,6 @@ class CostReport:
     layers: tuple[LayerCost, ...]
     total_gen_latency: float
     total_load_saved: float
-
-    def as_dict(self) -> dict:
-        return {
-            "layers": [vars(l) for l in self.layers],
-            "total_gen_latency": self.total_gen_latency,
-            "total_load_saved": self.total_load_saved,
-        }
 
 
 def speedup_report(plans: list[generator.GenPlan], q_weight: int = 16,

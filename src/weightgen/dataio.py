@@ -1,4 +1,4 @@
-"""IDX dataset loading and serialization, and the package's atomic write.
+"""IDX dataset loading and serialization, and the package's atomic writes.
 
 The IDX binary layout is parsed exactly: all integers are big-endian
 32-bit, images carry magic 2051 with (count, rows, cols) dimensions and
@@ -8,12 +8,14 @@ in float32; serialization rounds x*255 and restores the exact original
 bytes, so load -> save -> load is bitwise stable.
 
 Every file the package writes goes through ``atomic_write``, so a file
-appears under its final name only when complete.
+appears under its final name only when complete; ``write_json`` is the one
+writer of the package's JSON artifacts.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import os
 import struct
 import tempfile
@@ -152,6 +154,11 @@ def atomic_write(path, data: bytes) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_json(path, doc) -> None:
+    """Write doc to path as indented JSON with a final newline, atomically."""
+    atomic_write(path, (json.dumps(doc, indent=2) + "\n").encode())
 
 
 def resolve_data_root(explicit: str | None) -> str:

@@ -12,7 +12,6 @@ import csv
 import dataclasses
 import io
 import itertools
-import json
 import math
 import time
 
@@ -265,12 +264,11 @@ def write_grid_csv(points: list[ExplorationPoint], path: str) -> None:
 
 
 def write_grid_json(result: GridResult, path: str, front: list[ExplorationPoint]) -> None:
-    payload = {
+    dataio.write_json(path, {
         "points": [dataclasses.asdict(p) for p in result.points],
         "skipped": [dataclasses.asdict(s) for s in result.skipped],
         "pareto_front": [dataclasses.asdict(p) for p in front],
-    }
-    dataio.atomic_write(path, (json.dumps(payload, indent=2) + "\n").encode())
+    })
 
 
 def layer_correlations(model: nn.Sequential) -> list[dict]:

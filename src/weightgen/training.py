@@ -31,6 +31,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -248,11 +249,13 @@ def _is_int(value) -> bool:
 INIT_METHODS = ("l2", "svd", "random")
 
 # Annotation -> (value check, what the error asks for).  Float fields take
-# ints, which hand-written JSON configs use for whole numbers.
+# ints, which hand-written JSON configs use for whole numbers, but neither
+# NaN nor an infinity, which JSON cannot write back.
 _FIELD_CHECKS = {
     "str": (lambda v: isinstance(v, str), "a string"),
     "int": (_is_int, "an integer"),
-    "float": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "float": (lambda v: _is_int(v) or (isinstance(v, float) and math.isfinite(v)),
+              "a finite number"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
     "int | None": (lambda v: v is None or _is_int(v), "an integer or null"),
     "tuple[int, ...]": (
@@ -262,9 +265,9 @@ _FIELD_CHECKS = {
 }
 
 
-# Config key -> (range check, what the error asks for); a NaN fails every
-# check.  n_basis, n_cross and the three factor widths are plan_layer's to
-# check, so that grid_search can skip a point whose plan cannot be built.
+# Config key -> (range check, what the error asks for).  n_basis, n_cross
+# and the three factor widths are plan_layer's to check, so that
+# grid_search can skip a point whose plan cannot be built.
 _FIELD_RANGES = {
     **dict.fromkeys(("in_channels", "in_size", "epochs", "batch_size", "eval_train_samples",
                      "limit_train", "limit_test", "q_weight"), (lambda v: v >= 1, "at least 1")),
@@ -273,6 +276,7 @@ _FIELD_RANGES = {
                     (lambda v: v >= 0, "non-negative")),
     "beta": (lambda v: 0 <= v <= 1, "in [0, 1]"),
     "init": (lambda v: v in INIT_METHODS, f"one of {INIT_METHODS}"),
+    **dict.fromkeys(("bi_list", "bc_list"), (lambda v: len(v) > 0, "nonempty")),
 }
 
 

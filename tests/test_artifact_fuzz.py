@@ -5,9 +5,12 @@ container and both files of an IDX pair must either
 load (a flip can land where no reader looks, or change a stored value) or
 raise a ``WeightgenError`` subclass; a truncated file must always raise.
 A well-formed checkpoint whose entries hold what the model cannot run must
-raise a typed error naming the entry.
+raise a typed error naming the entry, and a ``--config`` file whose field
+holds a value of the wrong type, NaN or an infinity must stop every command
+with a message naming the field.
 """
 
+import json
 import os
 import re
 import struct
@@ -15,7 +18,7 @@ import struct
 import numpy as np
 import pytest
 
-from weightgen import dataio, factorfile, generator, training
+from weightgen import cli, dataio, factorfile, generator, training
 from weightgen.errors import ConfigError, NonFiniteError, WeightgenError
 
 CASES = 240
@@ -115,3 +118,44 @@ def test_checkpoint_entries_the_model_cannot_run_are_named(tmp_path):
             np.savez(path, **dict(arrays, **{key: mutated}))
             with pytest.raises(error, match=re.escape(key)):
                 training.load_checkpoint(path)
+
+
+# Annotation -> a JSON value of another type.
+_WRONG_TYPE = {
+    "str": 5, "int": "5", "float": "0.5", "bool": 1, "int | None": 8.0,
+    "tuple[int, ...]": [1.5], "list": [[4.5, 4, 8]],
+}
+_COMMANDS = ("train", "init", "explore", "cost", "analyze")
+
+
+def _run_rejected(capsys, argv, name):
+    """Run the CLI on argv; it must exit 2 naming name, with no traceback."""
+    assert cli.main(argv) == 2, argv
+    captured = capsys.readouterr()
+    assert name in captured.err and "Traceback" not in captured.err, captured.err
+    assert captured.out == ""
+
+
+def test_config_fields_of_the_wrong_kind_stop_every_command(tmp_path, capsys):
+    cfg_path = os.path.join(tmp_path, "config.json")
+    out = os.path.join(tmp_path, "o")
+    for key, annotation in cli.CONFIG_TYPES.items():
+        for value in (_WRONG_TYPE[annotation], float("nan"), float("inf"), float("-inf")):
+            with open(cfg_path, "w") as fh:
+                json.dump({"out": out, key: value}, fh)
+            for command in _COMMANDS:
+                _run_rejected(capsys, [command, "--config", cfg_path], repr(key))
+                assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+
+@pytest.mark.parametrize("data", [
+    b"\xff\xfe{}", b'{"epochs": "\xe9"}', b"[]", b"5", b'"out"', b"null",
+], ids=["utf16-bom", "latin1", "list", "number", "string", "null"])
+def test_config_files_that_are_not_utf8_objects_are_named(tmp_path, capsys, data):
+    cfg_path = os.path.join(tmp_path, "config.json")
+    out = os.path.join(tmp_path, "o")
+    with open(cfg_path, "wb") as fh:
+        fh.write(data)
+    for command in _COMMANDS:
+        _run_rejected(capsys, [command, "--config", cfg_path, "--out", out], cfg_path)
+        assert not os.path.exists(out)

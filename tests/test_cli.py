@@ -487,3 +487,17 @@ def test_rejected_inputs_leave_no_out_directory(tmp_path, capsys):
     assert cli.main(["explore", "--data", os.path.join(tmp_path, "nowhere"),
                      "--bi-list", "2", "--bc-list", "4", "--out", out]) == 2
     assert not os.path.exists(out)
+
+
+def test_failure_midway_rolls_back_the_artifact_set(tmp_path, capsys, monkeypatch):
+    root = _fake_fashion_root(tmp_path)
+    out = os.path.join(tmp_path, "o")
+
+    def failing_save(path, *args, **kwargs):
+        assert os.path.exists(os.path.join(out, "metrics.csv"))
+        raise OSError(f"no space left to write {path}")
+
+    monkeypatch.setattr(training, "save_checkpoint", failing_save)
+    assert cli.main(["train", "--data", root, *_TRAIN_FLAGS, "--out", out]) == 2
+    assert "no space left" in capsys.readouterr().err
+    assert os.listdir(out) == []

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -48,7 +50,8 @@ def test_device_params_must_be_positive():
         costmodel.DeviceParams(sram_bandwidth=-1.0)
 
 
-@pytest.mark.parametrize("value", ["x", True, None, float("nan"), float("-inf")])
+@pytest.mark.parametrize("value", ["x", True, None, float("nan"), float("-inf"),
+                                   float("inf")])
 def test_device_params_reject_non_numbers_by_name(value):
     with pytest.raises(ConfigError, match="dac_latency"):
         costmodel.DeviceParams(dac_latency=value)
@@ -117,4 +120,5 @@ def test_speedup_report_empty_and_additive():
     double = costmodel.speedup_report([plan, plan])
     assert double.total_gen_latency == 2 * single.total_gen_latency
     assert double.total_load_saved == 2 * single.total_load_saved
-    assert double.as_dict()["layers"][0] == double.as_dict()["layers"][1]
+    layers = dataclasses.asdict(double)["layers"]
+    assert layers[0] == layers[1]

@@ -842,6 +842,7 @@ def test_stage1_alone_agrees_with_the_teacher(seed):
     ("batch_size", 0), ("lr", 0), ("lr", float("nan")), ("lr_decay", -1),
     ("lr_decay", 0.0), ("weight_decay", -5), ("ortho_weight", -0.1),
     ("temperature", 0), ("beta", 2), ("beta", -0.5), ("init_iters", -1), ("init", "pca"),
+    ("temperature", float("inf")), ("lr", float("-inf")),
 ])
 def test_train_config_rejects_out_of_range_values(field, value):
     with pytest.raises(ConfigError, match=f"config field {field!r} must be"):

@@ -194,7 +194,9 @@ def _build(cls, merged: dict):
 def _artifact_set(out: str, merged: dict, command: str):
     """Make the output directory and yield artifact(name), which records and
     returns out/name; then write the resolved settings, reloadably, to
-    config.json.  If the run fails midway, every recorded file is removed."""
+    config.json.  If the run fails midway, every recorded file is removed,
+    and so is the directory if this call made it and nothing else is in it."""
+    made = not os.path.isdir(out)
     os.makedirs(out, exist_ok=True)
     written: list[str] = []
 
@@ -210,6 +212,9 @@ def _artifact_set(out: str, merged: dict, command: str):
         for path in written:
             with contextlib.suppress(OSError):
                 os.unlink(path)
+        if made:
+            with contextlib.suppress(OSError):  # not empty: kept
+                os.rmdir(out)
         raise
 
 

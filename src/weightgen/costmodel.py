@@ -108,7 +108,8 @@ def speedup_report(plans: list[generator.GenPlan], q_weight: int = 16,
     """Per-layer and total generation cost versus weight-load saving.
 
     A layer whose generation latency meets or exceeds its saving is
-    flagged as a net loss.
+    flagged as a net loss.  Settings that make a total non-finite raise a
+    ConfigError naming them.
     """
     layers = []
     for plan in plans:
@@ -126,8 +127,17 @@ def speedup_report(plans: list[generator.GenPlan], q_weight: int = 16,
             dac_reduction=1.0 - r,
             net_loss=gen >= saved,
         ))
-    return CostReport(
+    report = CostReport(
         layers=tuple(layers),
         total_gen_latency=sum(l.gen_latency for l in layers),
         total_load_saved=sum(l.load_saved for l in layers),
     )
+    # finite settings can still overflow a latency (a tiny bandwidth does),
+    # and a non-finite layer makes its total non-finite
+    gen_settings = [f.name for f in fields(dev) if f.name != "sram_bandwidth"]
+    for total, what, settings in ((report.total_gen_latency, "generation latency", gen_settings),
+                                  (report.total_load_saved, "load saving", ["sram_bandwidth"])):
+        if not math.isfinite(total):
+            named = ", ".join(f"{name}={getattr(dev, name)!r}" for name in settings)
+            raise ConfigError(f"device settings {named} give a non-finite total {what}")
+    return report

@@ -27,6 +27,7 @@ from .errors import (
     IdxCountMismatchError,
     IdxMagicError,
     IdxTruncatedError,
+    NonFiniteError,
 )
 
 # The environment variable naming the dataset root when no --data is given.
@@ -157,8 +158,14 @@ def atomic_write(path, data: bytes) -> None:
 
 
 def write_json(path, doc) -> None:
-    """Write doc to path as indented JSON with a final newline, atomically."""
-    atomic_write(path, (json.dumps(doc, indent=2) + "\n").encode())
+    """Write doc to path as indented JSON with a final newline, atomically.
+    A NaN or an infinity, which JSON cannot hold, raises a NonFiniteError
+    naming path, and nothing is written."""
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteError(f"cannot write {path}: {exc}") from exc
+    atomic_write(path, (text + "\n").encode())
 
 
 def resolve_data_root(explicit: str | None) -> str:

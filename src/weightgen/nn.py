@@ -9,7 +9,13 @@ One contract covers every layer: a training (``train=True``) forward keeps
 the backward state, and backward is defined only after one.  A training
 conv caches its im2col matrix (a generated conv on its grouped path, its
 grouped conv's row-patch matrix), a training batch norm its normalized
-input, and ReLU its own output, each under ``_cache``.  An inference
+input, and ReLU its own output, each under ``_cache``.  Backward consumes
+that state: a conv drops its patch matrix once it has the weight gradient,
+before it makes the input gradient's matrix of the same size, batch norm
+forms its input gradient in its normalized-input buffer, and
+``Sequential`` drops each layer's ``_cache`` as soon as the layer's
+backward returns.  So backward runs once per training forward, and a model
+holds no activations after a training step.  An inference
 (``train=False``) forward keeps nothing: a conv lowers in bounded blocks,
 batch norm is one scale and shift per channel, and ``Sequential`` drops
 each layer's ``_cache`` as soon as the layer returns, so inference holds no
@@ -75,7 +81,8 @@ class Param:
 class Layer:
     """A training forward keeps what backward reads, as large as an
     activation, under ``_cache``; backward is defined only after a training
-    forward, and ``Sequential`` drops ``_cache`` after an inference one."""
+    forward and consumes that state, and ``Sequential`` drops ``_cache``
+    after each layer's backward and after an inference forward."""
 
     _cache = None
 
@@ -116,10 +123,10 @@ class Conv2d(Layer):
 
     def backward(self, grad):
         x_shape, cols = self._cache
-        d_weight, d_x = tensor.conv2d_backward(
-            grad, cols, self.weight.value, x_shape, self.stride, self.pad)
-        self.weight.grad += d_weight
-        return d_x
+        self._cache = None
+        self.weight.grad += tensor.conv2d_weight_grad(grad, cols, self.weight.value.shape)
+        del cols  # freed before d_x's matrix of the same size is made
+        return tensor.conv2d_input_grad(grad, self.weight.value, x_shape, self.stride, self.pad)
 
     def params(self):
         return [self.weight]
@@ -225,6 +232,7 @@ class GeneratedConv2d(Layer):
 
     def backward(self, grad):
         conv, z = self._cache
+        self._cache = None
         mixer = self._gen.q_mixer
         if mixer is not None:
             g = grad.reshape(self.c_out, -1)
@@ -232,18 +240,23 @@ class GeneratedConv2d(Layer):
             grad = (mixer.astype(g.dtype, copy=False).T @ g).reshape(z.shape)
         if not self._on_grouped:
             x_shape, cols, w_cross = conv
-            d_w_cross, d_x = tensor.conv2d_backward(
-                grad, cols, w_cross, x_shape, self.stride, self.pad)
+            del conv
+            d_w_cross = tensor.conv2d_weight_grad(grad, cols, w_cross.shape)
+            del cols  # freed before d_x's matrix of the same size is made
             d_basis, d_coeff = generator.intra_backward(
                 self._gen, d_w_cross.reshape(self._gen.w_cross.shape))
             if d_basis is not None:
                 self._params["basis"].grad += d_basis
             self._params["coeff"].grad += d_coeff
-            return d_x
+            return tensor.conv2d_input_grad(grad, w_cross, x_shape, self.stride, self.pad)
         x, rows, a, kernels = conv
+        del conv
         p = self.factors.plan
-        d_kernels, d_u = tensor.grouped_conv_backward(
-            grad, rows, kernels, (a.shape[0], *x.shape[1:]), self.stride, self.pad)
+        u_shape = (a.shape[0], *x.shape[1:])
+        d_kernels = tensor.grouped_conv_kernel_grad(
+            grad, rows, kernels.shape, u_shape, self.stride, self.pad)
+        del rows  # freed before d_u's row-patch matrix is made
+        d_u = tensor.grouped_conv_input_grad(grad, kernels, u_shape, self.stride, self.pad)
         d_u = d_u.reshape(a.shape[0], -1)
         d_a = d_u @ x.reshape(self.c_in, -1).T
         self._params["basis"].grad += d_kernels.reshape(p.n_cross, p.n_basis, p.kk)
@@ -296,13 +309,15 @@ class BatchNorm2d(Layer):
 
     def backward(self, grad):
         xhat, inv_std = self._cache
+        self._cache = None
         g = grad.reshape(xhat.shape)
         g_sum = g.sum(axis=1)
         g_xhat = np.einsum("ij,ij->i", g, xhat)
         self.beta.grad += g_sum
         self.gamma.grad += g_xhat
         m = g.shape[1]  # the batch statistics depend on x too
-        d_x = xhat * (-g_xhat / m)[:, None]
+        d_x = xhat  # formed in xhat's buffer, which nothing else holds
+        d_x *= (-g_xhat / m)[:, None]
         d_x += g
         d_x -= (g_sum / m)[:, None]
         d_x *= (self.gamma.value.astype(inv_std.dtype) * inv_std)[:, None]
@@ -422,12 +437,15 @@ class Sequential(Layer):
     float32 batch runs in float32, any other in float64; backward casts the
     incoming gradient (kd_loss's is float64) to the forward's dtype.
 
-    Backward is defined only after a training forward that returned.  An
-    inference forward drops each layer's ``_cache`` as soon as the layer
-    returns its output: a batch then holds at most one layer's input, output
-    and block temporaries, and the model holds no activation once the
-    forward returns.  Backward after an inference forward, or after a
-    forward that raised, raises a WeightgenError."""
+    Backward is defined only after a training forward that returned, and
+    runs once per such forward: it drops each layer's ``_cache`` as soon as
+    the layer's backward returns, so the model holds no activation after a
+    step.  An inference forward drops each layer's ``_cache`` as soon as the
+    layer returns its output: a batch then holds at most one layer's input,
+    output and block temporaries, and the model holds no activation once the
+    forward returns.  Backward after an inference forward, after a forward
+    that raised, or after a backward, even one that raised, raises a
+    WeightgenError."""
 
     _trained = False
 
@@ -453,10 +471,13 @@ class Sequential(Layer):
         if not self._trained:
             raise WeightgenError(
                 "backward needs a training forward first: the last forward was an "
-                "inference (train=False) one or raised, and keeps no backward state")
+                "inference (train=False) one or raised, or its backward has run, and "
+                "keeps no backward state")
+        self._trained = False
         grad = np.asarray(grad, dtype=self._dtype)
         for layer in reversed(self.layers):
             grad = layer.backward(grad)
+            layer._cache = None
         return grad.transpose(3, 0, 1, 2)
 
     def params(self):

@@ -149,7 +149,7 @@ def conv2d(x, weight, stride: int = 1, pad: int = 0):
     (C_out, C_in, k, k) weight.
 
     Returns (output, cols): the GEMM result as the (C_out, H_out, W_out, n)
-    output, and x's im2col patch matrix, which conv2d_backward needs.
+    output, and x's im2col patch matrix, which conv2d_weight_grad needs.
     """
     x, w, (h_out, w_out) = _conv_args(x, weight, stride, pad)
     cols = im2col(x, w.shape[2], stride, pad)
@@ -191,18 +191,21 @@ def conv2d_forward(x, weight, stride: int = 1, pad: int = 0) -> np.ndarray:
     return in_sample_blocks(lambda xb: conv2d(xb, w, stride, pad)[0], x, sample_bytes)
 
 
-def conv2d_backward(grad, cols, weight, x_shape, stride: int = 1, pad: int = 0):
-    """Gradients of conv2d given the output gradient and the forward's cols.
+def conv2d_weight_grad(grad, cols, weight_shape) -> np.ndarray:
+    """d_weight of conv2d, shaped weight_shape, given the output gradient
+    and the forward's cols; computed in cols' dtype when grad has it."""
+    g_mat = grad.reshape(weight_shape[0], -1)
+    # cols @ g_mat.T has the same dot products, and OpenBLAS runs it faster.
+    return matmul(cols, g_mat.T).T.reshape(weight_shape)
 
-    Returns (d_weight, d_x), shaped like weight and like the input, both
-    computed in cols' dtype when grad has it.
-    """
+
+def conv2d_input_grad(grad, weight, x_shape, stride: int = 1, pad: int = 0) -> np.ndarray:
+    """d_x of conv2d, shaped x_shape, given the output gradient; computed in
+    grad's dtype.  It needs no cols, so a caller can free them first."""
     c_out, k = weight.shape[0], weight.shape[2]
     g_mat = grad.reshape(c_out, -1)
-    # cols @ g_mat.T has the same dot products, and OpenBLAS runs it faster.
-    d_weight = matmul(cols, g_mat.T).T.reshape(weight.shape)
-    d_cols = matmul(weight.reshape(c_out, -1).astype(cols.dtype, copy=False).T, g_mat)
-    return d_weight, col2im(d_cols, x_shape, k, stride, pad)
+    d_cols = matmul(weight.reshape(c_out, -1).astype(g_mat.dtype, copy=False).T, g_mat)
+    return col2im(d_cols, x_shape, k, stride, pad)
 
 
 def _row_patch_dims(h: int, w: int, k: int, stride: int, pad: int):
@@ -284,7 +287,7 @@ def grouped_conv(u, kernels, stride: int = 1, pad: int = 0):
     holds kernels[g]'s rows on shifted diagonals, with the group's rows of
     row_patches(u).  Returns (output, rows): the (G, H_out, W_out, n) output
     and the (G, B*k*H_used, W_out*n) row-patch matrix that
-    grouped_conv_backward needs.
+    grouped_conv_kernel_grad needs.
     """
     u, kern, (h_used, h_out, w_out) = _grouped_args(u, kernels, stride, pad)
     g, k = kern.shape[0], kern.shape[2]
@@ -293,24 +296,35 @@ def grouped_conv(u, kernels, stride: int = 1, pad: int = 0):
     return out.reshape(g, h_out, w_out, u.shape[3]), rows
 
 
-def grouped_conv_backward(grad, rows, kernels, u_shape, stride: int = 1, pad: int = 0):
-    """Gradients of grouped_conv given the output gradient and the forward's
-    rows.  Returns (d_kernels, d_u), shaped like kernels and like the input,
-    both computed in rows' dtype when grad has it."""
-    c, h, w, n = u_shape
-    kern = np.asarray(kernels).astype(rows.dtype, copy=False)
-    g, b, k, _ = kern.shape
+def grouped_conv_kernel_grad(grad, rows, kernel_shape, u_shape, stride: int = 1,
+                             pad: int = 0) -> np.ndarray:
+    """d_kernels of grouped_conv, shaped kernel_shape, given the output
+    gradient and the forward's rows; computed in rows' dtype when grad has it."""
+    _, h, w, n = u_shape
+    g, b, k, _ = kernel_shape
     h_used, h_out, w_out = _row_patch_dims(h, w, k, stride, pad)
     g_mat = grad.reshape(g, h_out, w_out * n)
     d_band = np.matmul(g_mat, rows.transpose(0, 2, 1)).reshape(g, h_out, b, k, h_used)
-    d_kernels = _diagonals(d_band, stride).sum(axis=1).transpose(0, 1, 3, 2)
+    return _diagonals(d_band, stride).sum(axis=1).transpose(0, 1, 3, 2)
+
+
+def grouped_conv_input_grad(grad, kernels, u_shape, stride: int = 1,
+                            pad: int = 0) -> np.ndarray:
+    """d_u of grouped_conv, shaped u_shape, given the output gradient;
+    computed in grad's dtype.  It needs no rows, so a caller can free them
+    first."""
+    c, h, w, n = u_shape
+    kern = np.asarray(kernels).astype(grad.dtype, copy=False)
+    g, b, k, _ = kern.shape
+    h_used, h_out, w_out = _row_patch_dims(h, w, k, stride, pad)
+    g_mat = grad.reshape(g, h_out, w_out * n)
     banded = _banded(kern, h_out, h_used, stride)
     d_rows = np.matmul(banded.transpose(0, 2, 1), g_mat).reshape(c, k, h_used, w_out, n)
     # the adjoint of row_patches: k shifted adds, one per kernel column
     up = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=d_rows.dtype)
     for j in range(k):
         up[:, :h_used, j : j + stride * w_out : stride] += d_rows[:, j]
-    return d_kernels, up[:, pad : pad + h, pad : pad + w]
+    return up[:, pad : pad + h, pad : pad + w]
 
 
 def _check_finite(m: np.ndarray, what: str) -> None:

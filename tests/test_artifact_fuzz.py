@@ -4,10 +4,11 @@ Fixed-seed truncations and single-bit flips of a checkpoint, an ``.isgw``
 container and both files of an IDX pair must either
 load (a flip can land where no reader looks, or change a stored value) or
 raise a ``WeightgenError`` subclass; a truncated file must always raise.
-A well-formed checkpoint whose entries hold what the model cannot run must
-raise a typed error naming the entry, and a ``--config`` file whose field
-holds a value of the wrong type, NaN or an infinity must stop every command
-with a message naming the field.
+A well-formed checkpoint whose entries hold what the model cannot run, are
+reshaped or are missing must raise a typed error naming the entry, while an
+extra entry loads and leaves the model as written; a ``--config`` file
+whose field holds a value of the wrong type, NaN or an infinity must stop
+every command with a message naming the field.
 """
 
 import json
@@ -18,8 +19,8 @@ import struct
 import numpy as np
 import pytest
 
-from weightgen import cli, dataio, factorfile, generator, training
-from weightgen.errors import ConfigError, NonFiniteError, WeightgenError
+from weightgen import cli, dataio, factorfile, generator, nn, training
+from weightgen.errors import ConfigError, NonFiniteError, ShapeError, WeightgenError
 
 CASES = 240
 
@@ -105,8 +106,16 @@ def _mutations(key, value):
         yield -value, ConfigError
 
 
+def _state(model) -> list[bytes]:
+    """Every parameter and running statistic of model, as bytes in order."""
+    return [p.value.tobytes() for p in model.params()] + [
+        stat.tobytes() for layer in model.layers if isinstance(layer, nn.BatchNorm2d)
+        for stat in (layer.running_mean, layer.running_var)]
+
+
 def test_checkpoint_entries_the_model_cannot_run_are_named(tmp_path):
     _checkpoint(tmp_path)
+    want_model, want_cfg, want_epoch = training.load_checkpoint(tmp_path / "ckpt.npz")
     with np.load(tmp_path / "ckpt.npz") as z:
         arrays = {k: z[k] for k in z.files}
     entries = [k for k in arrays if k != "meta"]
@@ -114,10 +123,20 @@ def test_checkpoint_entries_the_model_cannot_run_are_named(tmp_path):
     assert any(k.endswith(".running_var") for k in entries)
     path = tmp_path / "mutated.npz"
     for key in entries:
-        for mutated, error in _mutations(key, arrays[key]):
+        value = arrays[key]
+        reshaped = value.reshape(-1) if value.ndim > 1 else value.reshape(1, -1)
+        for mutated, error in [*_mutations(key, value), (reshaped, ShapeError)]:
             np.savez(path, **dict(arrays, **{key: mutated}))
             with pytest.raises(error, match=re.escape(key)):
                 training.load_checkpoint(path)
+        np.savez(path, **{k: a for k, a in arrays.items() if k != key})
+        with pytest.raises(ConfigError, match=re.escape(repr(key))):
+            training.load_checkpoint(path)
+        # an entry the model does not need is ignored
+        np.savez(path, **arrays, **{f"x/{key}": -value})
+        model, cfg, epoch = training.load_checkpoint(path)
+        assert (cfg, epoch) == (want_cfg, want_epoch)
+        assert _state(model) == _state(want_model), key
 
 
 # Annotation -> a JSON value of another type.

@@ -56,6 +56,18 @@ def test_cost_reports_reference_numbers(tmp_path, capsys):
     assert snapshot["command"] == "cost"
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--sram-bandwidth", "1e-320"], "sram_bandwidth"),
+    (["--dac-latency", "1e308", "--mod-latency", "1e308"], "dac_latency"),
+])
+def test_cost_settings_that_overflow_exit_2_naming_the_setting(tmp_path, capsys, flags, named):
+    out = os.path.join(tmp_path, "cost")
+    assert cli.main(["cost", *flags, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert named in captured.err and "non-finite" in captured.err
+    assert captured.out == "" and not os.path.exists(out)
+
+
 def test_train_twice_gives_bitwise_identical_metrics(tmp_path):
     root = _fake_fashion_root(tmp_path)
     out_a = os.path.join(tmp_path, "a")
@@ -500,4 +512,8 @@ def test_failure_midway_rolls_back_the_artifact_set(tmp_path, capsys, monkeypatc
     monkeypatch.setattr(training, "save_checkpoint", failing_save)
     assert cli.main(["train", "--data", root, *_TRAIN_FLAGS, "--out", out]) == 2
     assert "no space left" in capsys.readouterr().err
-    assert os.listdir(out) == []
+    assert not os.path.exists(out)  # the run made it, and the roll-back emptied it
+    os.makedirs(out)
+    assert cli.main(["train", "--data", root, *_TRAIN_FLAGS, "--out", out]) == 2
+    assert "no space left" in capsys.readouterr().err
+    assert os.listdir(out) == []  # a directory that was there before the run stays

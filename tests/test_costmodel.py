@@ -122,3 +122,18 @@ def test_speedup_report_empty_and_additive():
     assert double.total_load_saved == 2 * single.total_load_saved
     layers = dataclasses.asdict(double)["layers"]
     assert layers[0] == layers[1]
+
+
+@pytest.mark.parametrize("settings, named", [
+    ({"sram_bandwidth": 1e-320}, "sram_bandwidth"),
+    ({"dac_latency": 1e308, "mod_latency": 1e308}, "mod_latency"),
+])
+def test_settings_that_give_a_non_finite_latency_are_named(settings, named):
+    plan = generator.plan_layer(128, 128, 3, 2, 40, 4, 4, 4)
+    with pytest.raises(ConfigError, match=f"{named}=.*non-finite"):
+        costmodel.speedup_report([plan], dev=costmodel.DeviceParams(**settings))
+    # each layer is finite here, their sum is not
+    big = costmodel.DeviceParams(dac_latency=1e308)
+    assert costmodel.speedup_report([plan], dev=big).total_gen_latency < float("inf")
+    with pytest.raises(ConfigError, match="dac_latency=1e\\+308.*non-finite total generation"):
+        costmodel.speedup_report([plan, plan], dev=big)

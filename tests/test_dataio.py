@@ -14,6 +14,7 @@ from weightgen.errors import (
     IdxCountMismatchError,
     IdxMagicError,
     IdxTruncatedError,
+    NonFiniteError,
 )
 
 
@@ -151,6 +152,16 @@ def test_interrupted_save_leaves_no_file(tmp_path, monkeypatch):
     with pytest.raises(_Interrupted):
         dataio.save_idx(ds, img, lbl)
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_write_json_refuses_what_json_cannot_hold(tmp_path, bad):
+    path = os.path.join(tmp_path, "doc.json")
+    with pytest.raises(NonFiniteError, match="doc.json"):
+        dataio.write_json(path, {"layers": [{"load_saved": bad}]})
+    assert os.listdir(tmp_path) == []
+    dataio.write_json(path, {"load_saved": 1e308})
+    assert open(path).read() == '{\n  "load_saved": 1e+308\n}\n'
 
 
 def test_imports_only_errors_from_the_package():

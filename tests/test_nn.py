@@ -466,6 +466,52 @@ def test_backward_after_a_forward_that_raised_part_way_is_a_typed_error():
     assert net.backward(np.ones((4, 3))).shape == x.shape
 
 
+def test_backward_releases_each_layer_state_and_runs_once_per_training_forward(
+        monkeypatch):
+    net = _default_net(generated=(1,))
+    rng = np.random.default_rng(38)
+    x, r = rng.random((4, 1, 28, 28)), rng.standard_normal((4, 10))
+    net.forward(x, train=True)
+    assert all(layer._cache is not None for layer in net.conv_layers())
+    d_x = net.backward(r)
+    assert d_x.shape == x.shape
+    assert [type(l).__name__ for l in net.layers if l._cache is not None] == []
+    with pytest.raises(WeightgenError, match="backward needs a training forward"):
+        net.backward(r)
+    # a backward that raises part way leaves no backward to resume
+    net.forward(x, train=True)
+    with monkeypatch.context() as m:
+        m.setattr(net.layers[3], "backward", lambda grad: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            net.backward(r)
+    with pytest.raises(WeightgenError, match="backward needs a training forward"):
+        net.backward(r)
+    net.forward(x, train=True)
+    assert net.backward(r).tobytes() == d_x.tobytes()
+
+
+def test_backward_frees_a_conv_patch_matrix_before_it_makes_its_input_gradient():
+    """On the default dense arch at batch 64 in float32, backward's traced
+    peak above what the training forward keeps stays below one layer-1 im2col
+    matrix (800 x 4096, 13.1 MB): each layer's state goes as its backward
+    consumes it, so layer 1's cols are gone before its d_cols are made."""
+    net = _default_net(generated=())
+    x = _default_batch(np.float32, n=64)
+    r = np.random.default_rng(39).standard_normal((64, 10))
+    cols_bytes = 32 * 5 * 5 * 8 * 8 * 64 * 4
+    tracemalloc.start()
+    try:
+        net.forward(x, train=True)
+        kept = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        net.backward(r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kept > cols_bytes  # layer 1's cols are part of the forward's state
+    assert peak - kept < cols_bytes
+
+
 # ---------------------------------------------------------------------------
 # activation dtype: float32 batches run in float32, everything else in float64
 

@@ -162,7 +162,8 @@ def test_generated_layer_sized_d_weight_matches_nested_loops():
     wt = rng.standard_normal((12, 32, 5, 5))
     out, cols = tensor.conv2d(_chwn(x), wt)
     grad = rng.standard_normal(_nchw(out).shape)
-    d_w, d_x = tensor.conv2d_backward(_chwn(grad), cols, wt, _chwn(x).shape)
+    d_w = tensor.conv2d_weight_grad(_chwn(grad), cols, wt.shape)
+    d_x = tensor.conv2d_input_grad(_chwn(grad), wt, _chwn(x).shape)
     want_w, want_x = conv2d_backward_naive(x, wt, grad)
     assert d_w.shape == wt.shape
     assert rel_err(d_w, want_w) < 1e-12
@@ -198,7 +199,8 @@ def test_conv2d_backward_matches_nested_loops(stride, pad):
     wt = rng.standard_normal((4, 2, 3, 3))
     out, cols = tensor.conv2d(_chwn(x), wt, stride, pad)
     grad = rng.standard_normal(_nchw(out).shape)
-    d_w, d_x = tensor.conv2d_backward(_chwn(grad), cols, wt, _chwn(x).shape, stride, pad)
+    d_w = tensor.conv2d_weight_grad(_chwn(grad), cols, wt.shape)
+    d_x = tensor.conv2d_input_grad(_chwn(grad), wt, _chwn(x).shape, stride, pad)
     want_w, want_x = conv2d_backward_naive(x, wt, grad, stride, pad)
     assert rel_err(d_w, want_w) < 1e-12
     assert rel_err(_nchw(d_x), want_x) < 1e-12
@@ -213,8 +215,9 @@ def test_float32_conv_runs_in_float32(monkeypatch, stride, pad):
     wt = rng.standard_normal((4, 2, 3, 3))
     grad = rng.standard_normal(_nchw(tensor.conv2d(_chwn(x), wt, stride, pad)[0]).shape)
     out, cols = tensor.conv2d(_chwn(x.astype(np.float32)), wt, stride, pad)
-    d_w, d_x = tensor.conv2d_backward(_chwn(grad.astype(np.float32)), cols, wt,
-                                      _chwn(x).shape, stride, pad)
+    d_w = tensor.conv2d_weight_grad(_chwn(grad.astype(np.float32)), cols, wt.shape)
+    d_x = tensor.conv2d_input_grad(_chwn(grad.astype(np.float32)), wt, _chwn(x).shape,
+                                   stride, pad)
     monkeypatch.setattr(tensor, "_BLOCK_BYTES", cols.nbytes // 3)
     blocked = tensor.conv2d_forward(_chwn(x.astype(np.float32)), wt, stride, pad)
     assert {a.dtype for a in (out, cols, d_w, d_x, blocked)} == {np.dtype(np.float32)}
@@ -307,7 +310,8 @@ def test_grouped_conv_matches_nested_loops_and_is_adjoint(stride, pad):
     assert rel_err(_nchw(out), want) < 1e-12
 
     grad = rng.standard_normal(out.shape)
-    d_kernels, d_u = tensor.grouped_conv_backward(grad, rows, kernels, u.shape, stride, pad)
+    d_kernels = tensor.grouped_conv_kernel_grad(grad, rows, kernels.shape, u.shape, stride, pad)
+    d_u = tensor.grouped_conv_input_grad(grad, kernels, u.shape, stride, pad)
     assert d_kernels.shape == kernels.shape and d_u.shape == u.shape
     # both are adjoints of the bilinear map (u, kernels) -> out
     dot = np.vdot(out, grad)
@@ -322,7 +326,8 @@ def test_grouped_conv_backward_matches_finite_differences(stride, pad):
     kernels = rng.standard_normal((2, 2, 3, 3))
     grad = rng.standard_normal(tensor.grouped_conv(u, kernels, stride, pad)[0].shape)
     rows = tensor.grouped_conv(u, kernels, stride, pad)[1]
-    d_kernels, d_u = tensor.grouped_conv_backward(grad, rows, kernels, u.shape, stride, pad)
+    d_kernels = tensor.grouped_conv_kernel_grad(grad, rows, kernels.shape, u.shape, stride, pad)
+    d_u = tensor.grouped_conv_input_grad(grad, kernels, u.shape, stride, pad)
 
     def loss(u_, kernels_):
         return float(np.sum(tensor.grouped_conv(u_, kernels_, stride, pad)[0] * grad))

@@ -398,6 +398,20 @@ def test_float32_training_is_deterministic_and_checkpoints_float64(tmp_path):
             assert l1.running_var.tobytes() == l2.running_var.tobytes()
 
 
+def test_train_leaves_no_backward_state_on_its_model():
+    x, y = synthetic_blobs(64, seed=12)
+    tx, ty = synthetic_blobs(32, seed=13)
+    cfg = training.TrainConfig(
+        arch="C4K3S1-C4K3S1-AvgPool2-FC2", in_channels=2, in_size=8, epochs=1,
+        batch_size=32, seed=7, eval_train_samples=64, generated=(1,), n_basis=1,
+        n_cross=2, init="random",
+    )
+    model = training.train(cfg, x.astype(np.float32), y, tx.astype(np.float32), ty).model
+    assert [type(l).__name__ for l in model.layers if l._cache is not None] == []
+    with pytest.raises(WeightgenError, match="backward needs a training forward"):
+        model.backward(np.ones((32, 2)))
+
+
 def test_train_student_with_distillation_and_ortho():
     x, y = synthetic_blobs(256, seed=14)
     tx, ty = synthetic_blobs(128, seed=15)

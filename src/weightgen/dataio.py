@@ -157,14 +157,37 @@ def atomic_write(path, data: bytes) -> None:
         raise
 
 
+def _first_non_finite(doc, key: str = ""):
+    """(key path, value) of the first NaN or infinity in doc, in the order
+    json writes it, such as ("points[1].accuracy", nan); None if there is none."""
+    if isinstance(doc, float):
+        return None if np.isfinite(doc) else (key, doc)
+    if isinstance(doc, dict):
+        items = ((f"{key}.{k}" if key else str(k), v) for k, v in doc.items())
+    elif isinstance(doc, (list, tuple)):
+        items = ((f"{key}[{i}]", v) for i, v in enumerate(doc))
+    else:
+        return None
+    for item_key, value in items:
+        found = _first_non_finite(value, item_key)
+        if found is not None:
+            return found
+    return None
+
+
 def write_json(path, doc) -> None:
     """Write doc to path as indented JSON with a final newline, atomically.
     A NaN or an infinity, which JSON cannot hold, raises a NonFiniteError
-    naming path, and nothing is written."""
+    naming path and the key path of the first one, and nothing is written."""
     try:
         text = json.dumps(doc, indent=2, allow_nan=False)
     except ValueError as exc:
-        raise NonFiniteError(f"cannot write {path}: {exc}") from exc
+        found = _first_non_finite(doc)
+        if found is None:
+            raise NonFiniteError(f"cannot write {path}: {exc}") from exc
+        key, value = found
+        raise NonFiniteError(f"cannot write {path}: {key or 'the document'} is {value}, "
+                             f"which JSON cannot hold") from exc
     atomic_write(path, (text + "\n").encode())
 
 

@@ -7,8 +7,8 @@ forward it makes only the arrays it returns or its backward needs.
 
 One contract covers every layer: a training (``train=True``) forward keeps
 the backward state, and backward is defined only after one.  A training
-conv caches its im2col matrix (a generated conv on its grouped path, its
-grouped conv's row-patch matrix), a training batch norm its normalized
+conv caches its im2col matrix (a generated conv on a banded path, its
+row-patch matrix), a training batch norm its normalized
 input, and ReLU its own output, each under ``_cache``.  Backward consumes
 that state: a conv drops its patch matrix once it has the weight gradient,
 before it makes the input gradient's matrix of the same size, batch norm
@@ -21,18 +21,23 @@ batch norm is one scale and shift per channel, and ``Sequential`` drops
 each layer's ``_cache`` as soon as the layer returns, so inference holds no
 activations once it returns and a backward after it raises.
 
-A generated conv never forms its C_out kernels.  Per output pixel, its
-im2col path, a conv with its n_cross basis kernels and then the mixer as a
-1x1 conv, runs n_cross*C_in*k*k + C_out*n_cross multiply-adds against
-C_out*C_in*k*k for a dense conv.  With its intra level active it may
-instead run its grouped path: a 1x1 conv with the coeff factors into
+A generated conv never forms its C_out kernels, and runs one of three
+ways.  Its cross conv, a conv with its n_cross basis kernels followed by
+the mixer as a 1x1 conv, runs n_cross*C_in*k*k + C_out*n_cross
+multiply-adds per output pixel against C_out*C_in*k*k for a dense conv,
+either as an im2col GEMM or as one banded GEMM of n_cross*H_out rows on
+the input's row patches (``tensor.grouped_conv`` with one group), which
+multiplies H_used/k times the nonzero work, H_used = (H_out-1)*stride + k,
+on a patch matrix about k times smaller.  With its intra level active it
+may instead run its grouped path: a 1x1 conv with the coeff factors into
 n_cross*n_basis channels, a grouped k x k conv with the basis kernels, one
 banded GEMM per group (``tensor.grouped_conv``), and the mixer, at
 n_cross*n_basis*(C_in*HW/(H_out*W_out) + k*H_used) + C_out*n_cross
-multiply-adds, H_used = (H_out-1)*stride + k.  Each forward takes the
-grouped path when it runs fewer multiply-adds and caches no larger a
-matrix, which holds for small n_basis only: on layer 1 of the default
-arch up to n_basis = 6.
+multiply-adds.  Each forward takes the grouped path when it runs fewer
+multiply-adds and caches no larger a matrix, which holds for small n_basis
+only: on layer 1 of the default arch up to n_basis = 6.  Off it, the cross
+conv is banded when n_cross*H_used <= 20*k, a bound set from measured
+shapes, and im2col otherwise.
 
 Activations between layers are (C, H, W, n), as a conv's GEMM makes them.
 Only ``Sequential``, on entry and exit, and ``Flatten``, which gives the
@@ -136,23 +141,28 @@ class GeneratedConv2d(Layer):
     """Convolution without bias whose kernels are generated from two-level
     factors.
 
-    The C_out dense kernels are never formed.  On the im2col path the layer
-    convolves with its n_cross quantized basis kernels and the mixer mixes
-    the results into C_out channels as a 1x1 conv; without a mixer the
-    basis-kernel output is the output.  On the grouped path, open only with
-    the intra level active, the basis kernels are not formed either: a 1x1
-    conv with the quantized coeff, laid out as (n_cross*n_basis, C_in),
-    gives u; a grouped conv (``tensor.grouped_conv``) convolves each group
-    of n_basis channels of u with its n_basis quantized basis kernels and
-    sums them into one channel; the mixer follows.  Each forward takes the
-    grouped path when ``_grouped`` says it costs less for the input's shape.
+    The C_out dense kernels are never formed.  Off the grouped path the
+    layer convolves with its n_cross quantized basis kernels, its cross
+    conv, and the mixer mixes the results into C_out channels as a 1x1
+    conv; without a mixer the basis-kernel output is the output.  The cross
+    conv is one banded GEMM on x's row patches, a ``tensor.grouped_conv``
+    with (1, n_cross, C_in, k, k) kernels, where ``_banded`` says that is
+    cheaper for the input's shape, and an im2col GEMM otherwise.  On the
+    grouped path, open only with the intra level active, the basis kernels
+    are not formed either: a 1x1 conv with the quantized coeff, laid out as
+    (n_cross*n_basis, C_in), gives u; a grouped conv with (n_cross, 1,
+    n_basis, k, k) kernels convolves each group of n_basis channels of u
+    with its n_basis quantized basis kernels and sums them into one
+    channel; the mixer follows.  Each forward takes the grouped path when
+    ``_grouped`` says it costs less for the input's shape.
 
-    A training forward caches its im2col matrix, or on the grouped path its
-    grouped conv's row-patch matrix, and with a mixer the basis-kernel
-    output z, which the mixer gradient reads.  An inference forward caches
-    nothing and runs in bounded sample blocks: ``tensor.conv2d_forward`` on
-    the im2col path, all three steps per block (``tensor.in_sample_blocks``)
-    on the grouped path.
+    A training forward caches its im2col or row-patch matrix, on the grouped
+    path also x, and with a mixer the basis-kernel output z, which the mixer
+    gradient reads.  An inference forward caches nothing and runs in
+    bounded sample blocks: ``tensor.conv2d_forward`` on the im2col path, all
+    steps per block (``tensor.in_sample_blocks``) on the banded ones, their
+    blocks sized by the row patches and, on the banded cross conv, also by
+    the padded input and the n_cross and C_out outputs.
     """
 
     def __init__(self, factors: generator.TwoLevelFactors, stride: int = 1,
@@ -165,7 +175,6 @@ class GeneratedConv2d(Layer):
         self.c_in, self.c_out, self.k = p.c_in, p.c_out, p.k
         self._params = {name: Param(name, value) for name, value in factors.stored()}
         self._gen = None
-        self._on_grouped = False
 
     def _grouped(self, x_shape) -> bool:
         """Whether a forward on an x_shape input takes the grouped path.  It
@@ -184,11 +193,32 @@ class GeneratedConv2d(Layer):
         grouped_macs = p.n_cross * p.n_basis * p.c_in * h * w + rows * h_out
         return grouped_macs < p.n_cross * cols and rows <= cols
 
-    def _basis_conv(self, x, a, kernels):
-        """(z, rows): the n_cross basis-kernel channels of x, u = a x
-        convolved group-wise with kernels, and the grouped conv's rows."""
-        u = (a @ x.reshape(self.c_in, -1)).reshape(a.shape[0], *x.shape[1:])
-        return tensor.grouped_conv(u, kernels, self.stride, self.pad)
+    def _banded(self, x_shape) -> bool:
+        """Whether a forward on an x_shape input that is not on the grouped
+        path runs its cross conv as one banded GEMM on the row patches of x
+        rather than by im2col: when n_cross*H_used <= 20*k, H_used =
+        (H_out-1)*stride + k.  The banded GEMM runs H_used/k times the
+        multiply-adds of the im2col one, on a patch matrix about k times
+        smaller, and in one GEMM of n_cross*H_out rows.  Measured forward
+        plus backward in float32 at batch 32 on one BLAS thread, banded won
+        every shape at or below 20 and lost or tied some above it."""
+        _, h, _, _ = x_shape
+        h_out = tensor.conv_output_size(h, self.k, self.stride, self.pad)
+        h_used = (h_out - 1) * self.stride + self.k
+        return self.factors.plan.n_cross * h_used <= 20 * self.k
+
+    def _cross_conv(self, x, a, kernels):
+        """(z, patches): the n_cross basis-kernel channels of x and the patch
+        matrix their kernel gradient needs.  With a coeff matrix a (grouped
+        path) u = a x is convolved group-wise with (n_cross, 1, n_basis, k,
+        k) kernels; otherwise x is convolved with the cross kernels, banded
+        when they are (1, n_cross, C_in, k, k) and by im2col when they are
+        (n_cross, C_in, k, k)."""
+        if a is not None:
+            x = (a @ x.reshape(self.c_in, -1)).reshape(a.shape[0], *x.shape[1:])
+        if kernels.ndim == 5:
+            return tensor.grouped_conv(x, kernels, self.stride, self.pad)
+        return tensor.conv2d(x, kernels, self.stride, self.pad)
 
     def _mix(self, z):
         mixer = self._gen.q_mixer
@@ -196,6 +226,22 @@ class GeneratedConv2d(Layer):
             return z
         mixer = mixer.astype(z.dtype, copy=False)
         return (mixer @ z.reshape(z.shape[0], -1)).reshape(self.c_out, *z.shape[1:])
+
+    def _eval_sample_bytes(self, x, a) -> int:
+        """Bytes per sample of an eval block's row patches and, on the banded
+        cross conv, of its other temporaries: x's padded copy and the n_cross
+        and C_out output channels."""
+        c, h, w, _ = x.shape if a is None else (a.shape[0], *x.shape[1:])
+        k, s, pad = self.k, self.stride, self.pad
+        size = tensor.row_patch_bytes((c, h, w, 1), k, s, pad, x.itemsize)
+        if a is None:
+            channels = self.factors.plan.n_cross
+            channels += self.c_out if self._gen.q_mixer is not None else 0
+            h_out, w_out = (tensor.conv_output_size(d, k, s, pad) for d in (h, w))
+            size += channels * h_out * w_out * x.itemsize
+            if pad:
+                size += c * (h + 2 * pad) * (w + 2 * pad) * x.itemsize
+        return size
 
     def forward(self, x, train=False):
         x = tensor.as_tensor4d(x, "conv input")
@@ -205,29 +251,30 @@ class GeneratedConv2d(Layer):
                 f"(input {x.shape})"
             )
         self._gen = generator.forward(self.factors, quantized=self.quantized)
-        self._on_grouped = self._grouped(x.shape)
-        if not self._on_grouped:
-            w_cross = self._gen.w_cross.reshape(-1, self.c_in, self.k, self.k)
-            if not train:
-                self._cache = None
-                return self._mix(tensor.conv2d_forward(x, w_cross, self.stride, self.pad))
-            z, cols = tensor.conv2d(x, w_cross, self.stride, self.pad)
-            conv = (x.shape, cols, w_cross)
-        else:
+        p = self.factors.plan
+        if self._grouped(x.shape):
             # the coeff as the (n_cross*n_basis, C_in) matrix of a 1x1 conv,
-            # the basis as (n_cross, n_basis, k, k) grouped-conv kernels
-            p = self.factors.plan
+            # the basis as (n_cross, 1, n_basis, k, k) grouped-conv kernels
             a = self._gen.q_coeff.transpose(0, 2, 1).reshape(-1, p.c_in).astype(x.dtype)
-            kernels = self._gen.q_basis.reshape(p.n_cross, p.n_basis, p.k, p.k).astype(x.dtype)
-            if not train:
-                self._cache = None
-                sample_bytes = tensor.row_patch_bytes(
-                    (a.shape[0], *x.shape[1:]), self.k, self.stride, self.pad, x.itemsize)
-                return tensor.in_sample_blocks(
-                    lambda xb: self._mix(self._basis_conv(xb, a, kernels)[0]), x, sample_bytes)
-            z, rows = self._basis_conv(x, a, kernels)
-            conv = (x, rows, a, kernels)
-        self._cache = (conv, z if self._gen.q_mixer is not None else None)
+            kernels = self._gen.q_basis.reshape(p.n_cross, 1, p.n_basis, p.k, p.k)
+        else:
+            a = None
+            kernels = self._gen.w_cross.reshape(-1, p.c_in, p.k, p.k)
+            if self._banded(x.shape):
+                kernels = kernels[None]
+        kernels = kernels.astype(x.dtype, copy=False)
+        if not train:
+            self._cache = None
+            if kernels.ndim == 4:
+                return self._mix(tensor.conv2d_forward(x, kernels, self.stride, self.pad))
+            return tensor.in_sample_blocks(
+                lambda xb: self._mix(self._cross_conv(xb, a, kernels)[0]), x,
+                self._eval_sample_bytes(x, a))
+        z, patches = self._cross_conv(x, a, kernels)
+        # x only on the grouped path, whose coeff gradient reads it
+        coeff = None if a is None else (a, x)
+        self._cache = ((x.shape, patches, kernels, coeff),
+                       z if self._gen.q_mixer is not None else None)
         return self._mix(z)
 
     def backward(self, grad):
@@ -238,25 +285,28 @@ class GeneratedConv2d(Layer):
             g = grad.reshape(self.c_out, -1)
             self._params["mixer"].grad += g @ z.reshape(z.shape[0], -1).T
             grad = (mixer.astype(g.dtype, copy=False).T @ g).reshape(z.shape)
-        if not self._on_grouped:
-            x_shape, cols, w_cross = conv
-            del conv
-            d_w_cross = tensor.conv2d_weight_grad(grad, cols, w_cross.shape)
-            del cols  # freed before d_x's matrix of the same size is made
+        x_shape, patches, kernels, coeff = conv
+        del conv
+        u_shape = x_shape if coeff is None else (coeff[0].shape[0], *x_shape[1:])
+        s, pad = self.stride, self.pad
+        if kernels.ndim == 5:
+            d_kernels = tensor.grouped_conv_kernel_grad(
+                grad, patches, kernels.shape, u_shape, s, pad)
+            del patches  # freed before d_u's patch matrix is made
+            d_u = tensor.grouped_conv_input_grad(grad, kernels, u_shape, s, pad)
+        else:
+            d_kernels = tensor.conv2d_weight_grad(grad, patches, kernels.shape)
+            del patches
+            d_u = tensor.conv2d_input_grad(grad, kernels, u_shape, s, pad)
+        if coeff is None:
             d_basis, d_coeff = generator.intra_backward(
-                self._gen, d_w_cross.reshape(self._gen.w_cross.shape))
+                self._gen, d_kernels.reshape(self._gen.w_cross.shape))
             if d_basis is not None:
                 self._params["basis"].grad += d_basis
             self._params["coeff"].grad += d_coeff
-            return tensor.conv2d_input_grad(grad, w_cross, x_shape, self.stride, self.pad)
-        x, rows, a, kernels = conv
-        del conv
+            return d_u
+        a, x = coeff
         p = self.factors.plan
-        u_shape = (a.shape[0], *x.shape[1:])
-        d_kernels = tensor.grouped_conv_kernel_grad(
-            grad, rows, kernels.shape, u_shape, self.stride, self.pad)
-        del rows  # freed before d_u's row-patch matrix is made
-        d_u = tensor.grouped_conv_input_grad(grad, kernels, u_shape, self.stride, self.pad)
         d_u = d_u.reshape(a.shape[0], -1)
         d_a = d_u @ x.reshape(self.c_in, -1).T
         self._params["basis"].grad += d_kernels.reshape(p.n_cross, p.n_basis, p.kk)
@@ -439,13 +489,13 @@ class Sequential(Layer):
 
     Backward is defined only after a training forward that returned, and
     runs once per such forward: it drops each layer's ``_cache`` as soon as
-    the layer's backward returns, so the model holds no activation after a
-    step.  An inference forward drops each layer's ``_cache`` as soon as the
-    layer returns its output: a batch then holds at most one layer's input,
-    output and block temporaries, and the model holds no activation once the
-    forward returns.  Backward after an inference forward, after a forward
-    that raised, or after a backward, even one that raised, raises a
-    WeightgenError."""
+    the layer's backward returns, and every layer's if a backward raises, so
+    the model holds no activation after a step.  An inference forward drops
+    each layer's ``_cache`` as soon as the layer returns its output: a batch
+    then holds at most one layer's input, output and block temporaries, and
+    the model holds no activation once the forward returns.  Backward after
+    an inference forward, after a forward that raised, or after a backward,
+    even one that raised, raises a WeightgenError."""
 
     _trained = False
 
@@ -474,10 +524,14 @@ class Sequential(Layer):
                 "inference (train=False) one or raised, or its backward has run, and "
                 "keeps no backward state")
         self._trained = False
-        grad = np.asarray(grad, dtype=self._dtype)
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad)
-            layer._cache = None
+        try:
+            grad = np.asarray(grad, dtype=self._dtype)
+            for layer in reversed(self.layers):
+                grad = layer.backward(grad)
+                layer._cache = None
+        finally:  # a backward that raised leaves no state of its own or below it
+            for layer in self.layers:
+                layer._cache = None
         return grad.transpose(3, 0, 1, 2)
 
     def params(self):

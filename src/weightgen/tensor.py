@@ -247,53 +247,56 @@ def row_patches(u, k: int, stride: int = 1, pad: int = 0) -> np.ndarray:
 
 
 def _diagonals(band: np.ndarray, stride: int) -> np.ndarray:
-    """The kernel entries of a (G, H_out, B, k, H_used) banded array, as a
-    (G, H_out, B, k, k) view: [g, o, b, j, i] is band[g, o, b, j, o*stride + i]."""
-    sg, so, sb, sj, sh = band.strides
+    """The kernel entries of a (G, O, H_out, B, k, H_used) banded array, as a
+    (G, O, H_out, B, k, k) view: [g, c, o, b, j, i] is
+    band[g, c, o, b, j, o*stride + i]."""
+    sg, sc, so, sb, sj, sh = band.strides
     return np.lib.stride_tricks.as_strided(
-        band, shape=band.shape[:4] + (band.shape[3],), strides=(sg, so + stride * sh, sb, sj, sh)
-    )
+        band, shape=band.shape[:5] + (band.shape[4],),
+        strides=(sg, sc, so + stride * sh, sb, sj, sh))
 
 
 def _banded(kernels: np.ndarray, h_out: int, h_used: int, stride: int) -> np.ndarray:
-    """The (G, H_out, B*k*H_used) left factors of grouped_conv: row o of group
-    g holds kernels[g]'s rows on the diagonals that start at column o*stride."""
-    g, b, k, _ = kernels.shape
-    band = np.zeros((g, h_out, b, k, h_used), dtype=kernels.dtype)
-    _diagonals(band, stride)[...] = kernels.transpose(0, 1, 3, 2)[:, None]
-    return band.reshape(g, h_out, b * k * h_used)
+    """The (G, O*H_out, B*k*H_used) left factors of grouped_conv: row
+    (c, o) of group g holds kernels[g, c]'s rows on the diagonals that start
+    at column o*stride."""
+    g, o, b, k, _ = kernels.shape
+    band = np.zeros((g, o, h_out, b, k, h_used), dtype=kernels.dtype)
+    _diagonals(band, stride)[...] = kernels.transpose(0, 1, 2, 4, 3)[:, :, None]
+    return band.reshape(g, o * h_out, b * k * h_used)
 
 
 def _grouped_args(u, kernels, stride: int, pad: int):
-    """Checked input and (G, B, k, k) kernels of a grouped_conv call, the
+    """Checked input and (G, O, B, k, k) kernels of a grouped_conv call, the
     kernels cast to the input's dtype, and row_patches' dims."""
     u = as_tensor4d(u, "input")
-    kern = as_tensor4d(kernels, "kernels").astype(u.dtype, copy=False)
-    g, b, k, k2 = kern.shape
-    if k2 != k or g * b != u.shape[0]:
+    kern = as_float(kernels).astype(u.dtype, copy=False)
+    shape = kern.shape
+    if len(shape) != 5 or shape[4] != shape[3] or shape[0] * shape[2] != u.shape[0]:
         raise ShapeError(
-            f"kernels {kern.shape} must be (G, B, k, k) with G*B = {u.shape[0]} "
+            f"kernels {kern.shape} must be (G, O, B, k, k) with G*B = {u.shape[0]} "
             f"input channels"
         )
-    return u, kern, _row_patch_dims(u.shape[1], u.shape[2], k, stride, pad)
+    return u, kern, _row_patch_dims(u.shape[1], u.shape[2], kern.shape[3], stride, pad)
 
 
 def grouped_conv(u, kernels, stride: int = 1, pad: int = 0):
-    """Grouped conv of a (G*B, H, W, n) batch with (G, B, k, k) kernels:
-    output channel g is the sum of input channels g*B .. g*B+B-1, each
-    convolved with its own kernel of kernels[g].
+    """Grouped conv of a (G*B, H, W, n) batch with (G, O, B, k, k) kernels:
+    output channel g*O + c is the sum of input channels g*B .. g*B+B-1,
+    each convolved with its own kernel of kernels[g, c].  O = 1 is a conv
+    with one output per group, G = 1 a dense conv.
 
-    Each group is one GEMM of a banded (H_out, B*k*H_used) matrix, which
+    Each group is one GEMM of a banded (O*H_out, B*k*H_used) matrix, which
     holds kernels[g]'s rows on shifted diagonals, with the group's rows of
-    row_patches(u).  Returns (output, rows): the (G, H_out, W_out, n) output
-    and the (G, B*k*H_used, W_out*n) row-patch matrix that
+    row_patches(u).  Returns (output, rows): the (G*O, H_out, W_out, n)
+    output and the (G, B*k*H_used, W_out*n) row-patch matrix that
     grouped_conv_kernel_grad needs.
     """
     u, kern, (h_used, h_out, w_out) = _grouped_args(u, kernels, stride, pad)
-    g, k = kern.shape[0], kern.shape[2]
+    g, o, _, k, _ = kern.shape
     rows = row_patches(u, k, stride, pad).reshape(g, -1, w_out * u.shape[3])
     out = np.matmul(_banded(kern, h_out, h_used, stride), rows)
-    return out.reshape(g, h_out, w_out, u.shape[3]), rows
+    return out.reshape(g * o, h_out, w_out, u.shape[3]), rows
 
 
 def grouped_conv_kernel_grad(grad, rows, kernel_shape, u_shape, stride: int = 1,
@@ -301,11 +304,11 @@ def grouped_conv_kernel_grad(grad, rows, kernel_shape, u_shape, stride: int = 1,
     """d_kernels of grouped_conv, shaped kernel_shape, given the output
     gradient and the forward's rows; computed in rows' dtype when grad has it."""
     _, h, w, n = u_shape
-    g, b, k, _ = kernel_shape
+    g, o, b, k, _ = kernel_shape
     h_used, h_out, w_out = _row_patch_dims(h, w, k, stride, pad)
-    g_mat = grad.reshape(g, h_out, w_out * n)
-    d_band = np.matmul(g_mat, rows.transpose(0, 2, 1)).reshape(g, h_out, b, k, h_used)
-    return _diagonals(d_band, stride).sum(axis=1).transpose(0, 1, 3, 2)
+    g_mat = grad.reshape(g, o * h_out, w_out * n)
+    d_band = np.matmul(g_mat, rows.transpose(0, 2, 1)).reshape(g, o, h_out, b, k, h_used)
+    return _diagonals(d_band, stride).sum(axis=2).transpose(0, 1, 2, 4, 3)
 
 
 def grouped_conv_input_grad(grad, kernels, u_shape, stride: int = 1,
@@ -315,9 +318,9 @@ def grouped_conv_input_grad(grad, kernels, u_shape, stride: int = 1,
     first."""
     c, h, w, n = u_shape
     kern = np.asarray(kernels).astype(grad.dtype, copy=False)
-    g, b, k, _ = kern.shape
+    g, o, _, k, _ = kern.shape
     h_used, h_out, w_out = _row_patch_dims(h, w, k, stride, pad)
-    g_mat = grad.reshape(g, h_out, w_out * n)
+    g_mat = grad.reshape(g, o * h_out, w_out * n)
     banded = _banded(kern, h_out, h_used, stride)
     d_rows = np.matmul(banded.transpose(0, 2, 1), g_mat).reshape(c, k, h_used, w_out, n)
     # the adjoint of row_patches: k shifted adds, one per kernel column

@@ -160,6 +160,16 @@ def test_write_json_refuses_what_json_cannot_hold(tmp_path, bad):
     with pytest.raises(NonFiniteError, match="doc.json"):
         dataio.write_json(path, {"layers": [{"load_saved": bad}]})
     assert os.listdir(tmp_path) == []
+    # the key path of the first value JSON cannot hold, in the order written
+    doc = {"runtime": 1.0, "points": [{"accuracy": 0.5}, {"n_basis": 2, "accuracy": bad}],
+           "totals": [bad]}
+    with pytest.raises(NonFiniteError, match=rf"points\[1\]\.accuracy is {bad}\b"):
+        dataio.write_json(path, doc)
+    with pytest.raises(NonFiniteError, match=r"totals\[1\] is"):
+        dataio.write_json(path, {"totals": (1.0, bad)})
+    with pytest.raises(NonFiniteError, match="the document is"):
+        dataio.write_json(path, bad)
+    assert os.listdir(tmp_path) == []
     dataio.write_json(path, {"load_saved": 1e308})
     assert open(path).read() == '{\n  "load_saved": 1e+308\n}\n'
 

@@ -490,6 +490,26 @@ def test_backward_releases_each_layer_state_and_runs_once_per_training_forward(
     assert net.backward(r).tobytes() == d_x.tobytes()
 
 
+def test_backward_that_raises_part_way_drops_every_layer_state(monkeypatch):
+    x = _default_batch(np.float32)
+    r = np.random.default_rng(40).standard_normal((8, 10))
+
+    def step_grads(net):
+        net.zero_grad()
+        net.forward(x, train=True)
+        net.backward(r)
+        return [p.grad.tobytes() for p in net.params()]
+
+    net = _default_net(generated=(1, 2))
+    net.forward(x, train=True)
+    with monkeypatch.context() as m:
+        m.setattr(net.layers[3], "backward", lambda grad: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            net.backward(r)
+    assert [i for i, layer in enumerate(net.layers) if layer._cache is not None] == []
+    assert step_grads(net) == step_grads(_default_net(generated=(1, 2)))
+
+
 def test_backward_frees_a_conv_patch_matrix_before_it_makes_its_input_gradient():
     """On the default dense arch at batch 64 in float32, backward's traced
     peak above what the training forward keeps stays below one layer-1 im2col
@@ -606,7 +626,7 @@ def test_float32_generated_layer_matches_float64(plan_args, train):
     for dtype in (np.float64, np.float32):
         layer = nn.GeneratedConv2d(factors, stride=2, pad=1)
         out = layer.forward(x.astype(dtype), train=train)
-        assert layer._on_grouped == factors.plan.intra_active
+        assert layer._grouped(x.shape) == factors.plan.intra_active
         assert out.dtype == dtype
         grads = {}
         if train:  # backward is defined only after a training forward
@@ -653,10 +673,19 @@ def test_generated_conv_takes_the_path_with_fewer_multiply_adds(
     r = rng.standard_normal(want.shape)
     want_dx = dense.backward(r)
     want_grads = generator.backward(factors, fwd, dense.weight.grad)
-    # the path not taken must not run
-    monkeypatch.setattr(tensor, "im2col" if grouped else "grouped_conv", None)
+    # the path not taken must not run: the grouped path convolves n_basis
+    # channels per output, the cross conv, banded at this size, all C_in
+    kernel_shapes = []
+    grouped_conv = tensor.grouped_conv
+
+    def recording_grouped_conv(u, kernels, *args):
+        kernel_shapes.append(kernels.shape)
+        return grouped_conv(u, kernels, *args)
+
+    monkeypatch.setattr(tensor, "grouped_conv", recording_grouped_conv)
+    monkeypatch.setattr(tensor, "im2col", None)
     out = layer.forward(x, train=True)
-    assert layer._on_grouped == grouped
+    assert kernel_shapes == [(3, 1, n_basis, 5, 5) if grouped else (1, 3, 16, 5, 5)]
     assert rel_err(out, want) < 1e-12
     assert rel_err(layer.backward(r), want_dx) < 1e-12
     for p in layer.params():
@@ -672,6 +701,59 @@ def test_layer1_of_the_default_arch_leaves_the_grouped_path_above_n_basis_6():
         factors = generator.init_random(generator.plan_layer(32, 32, 5, n_basis, 12), rng)
         layer = nn.GeneratedConv2d(factors)
         assert layer._grouped(x.shape) == (n_basis <= 6), n_basis
+
+
+@pytest.mark.parametrize("train", [True, False])
+@_PLAN_CLASSES
+def test_banded_cross_conv_matches_the_im2col_one(monkeypatch, plan_args, train):
+    rng = np.random.default_rng(29)
+    factors = generator.init_random(generator.plan_layer(*plan_args), rng)
+    x = rng.standard_normal((16, 9, 9, 4))
+    r = rng.standard_normal((4, 4, 4, 4))
+    monkeypatch.setattr(nn.GeneratedConv2d, "_grouped", lambda self, x_shape: False)
+    runs = []
+    for banded in (False, True):
+        monkeypatch.setattr(nn.GeneratedConv2d, "_banded", lambda self, x_shape: banded)
+        layer = nn.GeneratedConv2d(factors, stride=2, pad=1)
+        with monkeypatch.context() as m:  # the form not taken must not run
+            m.setattr(tensor, "im2col" if banded else "row_patches", None)
+            out = layer.forward(x, train=train)
+            grads = [layer.backward(r)] + [p.grad for p in layer.params()] if train else []
+        runs.append((out, grads))
+    (want, want_grads), (got, got_grads) = runs
+    assert rel_err(got, want) < 1e-12
+    for got_grad, want_grad in zip(got_grads, want_grads, strict=True):
+        assert rel_err(got_grad, want_grad) < 1e-12
+
+
+# (H, C_in, n_cross, k, stride, pad) of measured shapes, the banded cross
+# conv's time over im2col's there (float32, batch 32, forward plus backward,
+# one BLAS thread; ROADMAP's table), and whether the rule picks the banded form
+_CROSS_CONV_TABLE = [
+    ((12, 32, 8, 5, 1, 0), 0.68, True), ((12, 32, 10, 5, 1, 0), 0.74, False),
+    ((12, 32, 12, 5, 1, 0), 0.79, False), ((12, 32, 16, 5, 1, 0), 1.08, False),
+    ((12, 32, 32, 5, 1, 0), 1.26, False), ((8, 32, 8, 5, 1, 0), 0.84, True),
+    ((8, 32, 12, 5, 1, 0), 0.84, True), ((8, 32, 14, 5, 1, 0), 0.83, False),
+    ((8, 32, 16, 5, 1, 0), 0.98, False), ((8, 32, 24, 5, 1, 0), 1.23, False),
+    ((12, 32, 4, 3, 1, 0), 0.77, True), ((12, 32, 8, 3, 1, 0), 1.22, False),
+    ((10, 32, 4, 3, 1, 0), 0.80, True), ((10, 32, 6, 3, 1, 0), 0.84, True),
+    ((16, 32, 6, 5, 1, 0), 0.53, True), ((16, 32, 8, 5, 1, 0), 0.71, False),
+    ((12, 32, 12, 5, 1, 2), 0.79, False), ((28, 1, 2, 5, 2, 0), 0.83, True),
+    ((28, 1, 4, 5, 2, 0), 1.14, False), ((28, 1, 4, 5, 1, 0), 0.80, False),
+]
+
+
+@pytest.mark.parametrize("shape, ratio, banded", _CROSS_CONV_TABLE)
+def test_cross_conv_is_banded_only_where_it_measured_faster(shape, ratio, banded):
+    h, c_in, n_cross, k, stride, pad = shape
+    # n_basis = C_in skips the intra level, so no shape takes the grouped path
+    plan = generator.plan_layer(64, c_in, k, c_in, n_cross)
+    layer = nn.GeneratedConv2d(generator.init_random(plan, np.random.default_rng(30)),
+                               stride=stride, pad=pad)
+    x_shape = (c_in, h, h, 32)
+    assert not layer._grouped(x_shape)
+    assert layer._banded(x_shape) == banded
+    assert ratio < 1 or not banded
 
 
 @pytest.mark.parametrize("n_basis", [2, 16])
@@ -703,3 +785,40 @@ def test_eval_generated_conv_runs_all_three_steps_per_block(monkeypatch):
     out = layer.forward(x, train=False)
     assert blocks == [4, 4, 4]
     assert rel_err(out, want) < 1e-12
+
+
+def test_eval_banded_cross_conv_blocks_bound_every_temporary(monkeypatch):
+    # intra-skipped with a mixer: per sample, the row patches of x and the
+    # n_cross and C_out output channels
+    rng = np.random.default_rng(31)
+    factors = generator.init_random(generator.plan_layer(6, 16, 5, 16, 3), rng)
+    layer = nn.GeneratedConv2d(factors, stride=1, pad=1)
+    x = rng.standard_normal((16, 10, 10, 12))
+    assert layer._banded(x.shape)
+    want = layer.forward(x, train=True)
+    # and x's padded copy, which row_patches makes at pad 1
+    sample_bytes = (tensor.row_patch_bytes(x.shape, 5, 1, 1, 8) + (3 + 6) * 8 * 8 * 8
+                    + 16 * 12 * 12 * 8)
+    # 3 samples per block; counting the row patches alone would give 4
+    monkeypatch.setattr(tensor, "_BLOCK_BYTES", sample_bytes * 3)
+    blocks = []
+    grouped_conv = tensor.grouped_conv
+
+    def counting_grouped_conv(u, *args):
+        blocks.append(u.shape[3])
+        return grouped_conv(u, *args)
+
+    monkeypatch.setattr(tensor, "grouped_conv", counting_grouped_conv)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = layer.forward(x, train=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert blocks == [3, 3, 3, 3]
+    assert rel_err(out, want) < 1e-12
+    # the output, one block's temporaries, the banded kernel matrix and the
+    # generated factors
+    banded_bytes = (3 * 8) * (16 * 5 * 12) * 8
+    assert peak - before <= out.nbytes + sample_bytes * 3 + banded_bytes + 2**14

@@ -290,52 +290,62 @@ def test_frobenius_norm_equals_singular_value_energy():
 
 
 def _block_diagonal(kernels):
-    """The dense (G, G*B, k, k) weight of a grouped conv's (G, B, k, k) kernels."""
-    g, b = kernels.shape[:2]
-    w = np.zeros((g, g * b) + kernels.shape[2:])
+    """The dense (G*O, G*B, k, k) weight of a grouped conv's (G, O, B, k, k)
+    kernels."""
+    g, o, b = kernels.shape[:3]
+    w = np.zeros((g * o, g * b) + kernels.shape[3:])
     for i in range(g):
-        w[i, i * b : (i + 1) * b] = kernels[i]
+        w[i * o : (i + 1) * o, i * b : (i + 1) * b] = kernels[i]
     return w
+
+
+# (G, O, B): one output per group (the grouped path), several per group, and
+# one group (a generated layer's banded cross conv)
+_GROUPINGS = [(3, 1, 2), (3, 2, 2), (1, 4, 3)]
 
 
 @pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("pad", [0, 1, 2])
 def test_grouped_conv_matches_nested_loops_and_is_adjoint(stride, pad):
     rng = np.random.default_rng(10 * stride + pad)
-    g, b, k, n = 3, 2, 3, 2
-    u = rng.standard_normal((g * b, 7, 6, n))
-    kernels = rng.standard_normal((g, b, k, k))
-    out, rows = tensor.grouped_conv(u, kernels, stride, pad)
-    want = conv2d_naive(_nchw(u), _block_diagonal(kernels), stride=stride, pad=pad)
-    assert rel_err(_nchw(out), want) < 1e-12
+    k, n = 3, 2
+    for g, o, b in _GROUPINGS:
+        u = rng.standard_normal((g * b, 7, 6, n))
+        kernels = rng.standard_normal((g, o, b, k, k))
+        out, rows = tensor.grouped_conv(u, kernels, stride, pad)
+        want = conv2d_naive(_nchw(u), _block_diagonal(kernels), stride=stride, pad=pad)
+        assert rel_err(_nchw(out), want) < 1e-12
 
-    grad = rng.standard_normal(out.shape)
-    d_kernels = tensor.grouped_conv_kernel_grad(grad, rows, kernels.shape, u.shape, stride, pad)
-    d_u = tensor.grouped_conv_input_grad(grad, kernels, u.shape, stride, pad)
-    assert d_kernels.shape == kernels.shape and d_u.shape == u.shape
-    # both are adjoints of the bilinear map (u, kernels) -> out
-    dot = np.vdot(out, grad)
-    assert abs(dot - np.vdot(u, d_u)) < 1e-12 * np.abs(out * grad).sum()
-    assert abs(dot - np.vdot(kernels, d_kernels)) < 1e-12 * np.abs(out * grad).sum()
+        grad = rng.standard_normal(out.shape)
+        d_kernels = tensor.grouped_conv_kernel_grad(grad, rows, kernels.shape, u.shape,
+                                                    stride, pad)
+        d_u = tensor.grouped_conv_input_grad(grad, kernels, u.shape, stride, pad)
+        assert d_kernels.shape == kernels.shape and d_u.shape == u.shape
+        # both are adjoints of the bilinear map (u, kernels) -> out
+        dot = np.vdot(out, grad)
+        assert abs(dot - np.vdot(u, d_u)) < 1e-12 * np.abs(out * grad).sum()
+        assert abs(dot - np.vdot(kernels, d_kernels)) < 1e-12 * np.abs(out * grad).sum()
 
 
 @pytest.mark.parametrize("stride,pad", [(1, 0), (2, 1)])
 def test_grouped_conv_backward_matches_finite_differences(stride, pad):
     rng = np.random.default_rng(40 + stride)
-    u = rng.standard_normal((4, 6, 5, 2))
-    kernels = rng.standard_normal((2, 2, 3, 3))
-    grad = rng.standard_normal(tensor.grouped_conv(u, kernels, stride, pad)[0].shape)
-    rows = tensor.grouped_conv(u, kernels, stride, pad)[1]
-    d_kernels = tensor.grouped_conv_kernel_grad(grad, rows, kernels.shape, u.shape, stride, pad)
-    d_u = tensor.grouped_conv_input_grad(grad, kernels, u.shape, stride, pad)
+    for g, o, b in _GROUPINGS:
+        u = rng.standard_normal((g * b, 6, 5, 2))
+        kernels = rng.standard_normal((g, o, b, 3, 3))
+        grad = rng.standard_normal(tensor.grouped_conv(u, kernels, stride, pad)[0].shape)
+        rows = tensor.grouped_conv(u, kernels, stride, pad)[1]
+        d_kernels = tensor.grouped_conv_kernel_grad(grad, rows, kernels.shape, u.shape,
+                                                    stride, pad)
+        d_u = tensor.grouped_conv_input_grad(grad, kernels, u.shape, stride, pad)
 
-    def loss(u_, kernels_):
-        return float(np.sum(tensor.grouped_conv(u_, kernels_, stride, pad)[0] * grad))
+        def loss(u_, kernels_):
+            return float(np.sum(tensor.grouped_conv(u_, kernels_, stride, pad)[0] * grad))
 
-    want_u = finite_difference(lambda t: loss(t, kernels), u.copy())
-    want_kernels = finite_difference(lambda t: loss(u, t), kernels.copy())
-    assert rel_err(d_u, want_u) < 1e-7
-    assert rel_err(d_kernels, want_kernels) < 1e-7
+        want_u = finite_difference(lambda t: loss(t, kernels), u.copy())
+        want_kernels = finite_difference(lambda t: loss(u, t), kernels.copy())
+        assert rel_err(d_u, want_u) < 1e-7, (g, o, b)
+        assert rel_err(d_kernels, want_kernels) < 1e-7, (g, o, b)
 
 
 def test_row_patches_copy_each_input_row_k_times():
@@ -353,6 +363,8 @@ def test_row_patches_copy_each_input_row_k_times():
 
 def test_grouped_conv_rejects_mismatched_kernels():
     with pytest.raises(ShapeError, match="G\\*B"):
-        tensor.grouped_conv(np.zeros((5, 4, 4, 1)), np.zeros((2, 2, 3, 3)))
+        tensor.grouped_conv(np.zeros((5, 4, 4, 1)), np.zeros((2, 1, 2, 3, 3)))
     with pytest.raises(ShapeError):
-        tensor.grouped_conv(np.zeros((4, 4, 4, 1)), np.zeros((2, 2, 3, 2)))
+        tensor.grouped_conv(np.zeros((4, 4, 4, 1)), np.zeros((2, 1, 2, 3, 2)))
+    with pytest.raises(ShapeError):  # the 4-D kernels of a dense conv
+        tensor.grouped_conv(np.zeros((4, 4, 4, 1)), np.zeros((2, 2, 3, 3)))

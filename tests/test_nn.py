@@ -727,19 +727,22 @@ def test_banded_cross_conv_matches_the_im2col_one(monkeypatch, plan_args, train)
 
 
 # (H, C_in, n_cross, k, stride, pad) of measured shapes, the banded cross
-# conv's time over im2col's there (float32, batch 32, forward plus backward,
-# one BLAS thread; ROADMAP's table), and whether the rule picks the banded form
+# conv's time over im2col's there (float32, batch 32 or 64, forward plus
+# backward, one BLAS thread; ROADMAP's table), and whether the rule picks the
+# banded form
 _CROSS_CONV_TABLE = [
     ((12, 32, 8, 5, 1, 0), 0.68, True), ((12, 32, 10, 5, 1, 0), 0.74, False),
-    ((12, 32, 12, 5, 1, 0), 0.79, False), ((12, 32, 16, 5, 1, 0), 1.08, False),
-    ((12, 32, 32, 5, 1, 0), 1.26, False), ((8, 32, 8, 5, 1, 0), 0.84, True),
-    ((8, 32, 12, 5, 1, 0), 0.84, True), ((8, 32, 14, 5, 1, 0), 0.83, False),
-    ((8, 32, 16, 5, 1, 0), 0.98, False), ((8, 32, 24, 5, 1, 0), 1.23, False),
-    ((12, 32, 4, 3, 1, 0), 0.77, True), ((12, 32, 8, 3, 1, 0), 1.22, False),
-    ((10, 32, 4, 3, 1, 0), 0.80, True), ((10, 32, 6, 3, 1, 0), 0.84, True),
-    ((16, 32, 6, 5, 1, 0), 0.53, True), ((16, 32, 8, 5, 1, 0), 0.71, False),
-    ((12, 32, 12, 5, 1, 2), 0.79, False), ((28, 1, 2, 5, 2, 0), 0.83, True),
-    ((28, 1, 4, 5, 2, 0), 1.14, False), ((28, 1, 4, 5, 1, 0), 0.80, False),
+    ((12, 32, 12, 5, 1, 0), 0.80, False), ((12, 32, 16, 5, 1, 0), 1.08, False),
+    ((12, 32, 20, 5, 1, 0), 1.13, False), ((12, 32, 32, 5, 1, 0), 1.26, False),
+    ((8, 32, 8, 5, 1, 0), 0.84, True), ((8, 32, 12, 5, 1, 0), 0.84, True),
+    ((8, 32, 14, 5, 1, 0), 0.83, False), ((8, 32, 16, 5, 1, 0), 0.98, False),
+    ((8, 32, 24, 5, 1, 0), 1.23, False), ((8, 32, 32, 5, 1, 0), 1.03, False),
+    ((12, 32, 4, 3, 1, 0), 0.77, True), ((12, 32, 8, 3, 1, 0), 1.23, False),
+    ((10, 32, 6, 3, 1, 0), 0.84, True), ((16, 32, 6, 5, 1, 0), 0.53, True),
+    ((16, 32, 8, 5, 1, 0), 0.71, False), ((12, 32, 12, 5, 1, 2), 0.79, False),
+    ((28, 1, 2, 5, 2, 0), 0.82, True), ((28, 1, 4, 5, 2, 0), 1.14, False),
+    ((28, 1, 8, 5, 2, 0), 1.39, False), ((28, 1, 4, 5, 1, 0), 0.79, False),
+    ((14, 16, 4, 5, 2, 1), 0.79, True),
 ]
 
 

@@ -635,7 +635,8 @@ def test_linear_input_width_mismatch_is_a_shape_error_naming_both_widths():
 
 
 def _small_generated_model():
-    # layers 1 and 2 generated with a mixer, on the grouped and the im2col path
+    # layers 1 and 2 generated with a mixer, on the grouped path and the
+    # banded cross conv
     return nn.build_network("C16K3S1-C6K3S1-C6K3S1-AvgPool2-FC3", 2, 10,
                             np.random.default_rng(31), generated=(1, 2), n_basis=2, n_cross=3)
 
@@ -651,8 +652,9 @@ def test_backward_after_an_inference_forward_raises_until_a_training_forward(mon
     x, _ = synthetic_blobs(8, size=10, seed=32)
     r = np.random.default_rng(33).standard_normal((8, 3))
     want = _train_grads(_small_generated_model(), x, r)
-    grouped, im2col = _small_generated_model().generated_layers()
-    assert grouped._grouped((16, 8, 8, 8)) and not im2col._grouped((6, 6, 6, 8))
+    grouped, banded = _small_generated_model().generated_layers()
+    assert grouped._grouped((16, 8, 8, 8))
+    assert not banded._grouped((6, 6, 6, 8)) and banded._banded((6, 6, 6, 8))
 
     def predict_that_raises_on_the_second_batch(model):
         real = model.layers[4].forward

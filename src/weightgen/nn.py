@@ -7,8 +7,8 @@ forward it makes only the arrays it returns or its backward needs.
 
 One contract covers every layer: a training (``train=True``) forward keeps
 the backward state, and backward is defined only after one.  A training
-conv caches its im2col matrix (a generated conv on a banded path, its
-row-patch matrix), a training batch norm its normalized
+conv caches its im2col matrix (a generated conv, its row-patch
+matrix), a training batch norm its normalized
 input, and ReLU its own output, each under ``_cache``.  Backward consumes
 that state: a conv drops its patch matrix once it has the weight gradient,
 before it makes the input gradient's matrix of the same size, batch norm
@@ -21,23 +21,21 @@ batch norm is one scale and shift per channel, and ``Sequential`` drops
 each layer's ``_cache`` as soon as the layer returns, so inference holds no
 activations once it returns and a backward after it raises.
 
-A generated conv never forms its C_out kernels, and runs one of three
+A generated conv never forms its C_out kernels, and runs one of two
 ways.  Its cross conv, a conv with its n_cross basis kernels followed by
-the mixer as a 1x1 conv, runs n_cross*C_in*k*k + C_out*n_cross
-multiply-adds per output pixel against C_out*C_in*k*k for a dense conv,
-either as an im2col GEMM or as one banded GEMM of n_cross*H_out rows on
-the input's row patches (``tensor.grouped_conv`` with one group), which
-multiplies H_used/k times the nonzero work, H_used = (H_out-1)*stride + k,
-on a patch matrix about k times smaller.  With its intra level active it
-may instead run its grouped path: a 1x1 conv with the coeff factors into
+the mixer as a 1x1 conv, runs n_cross*C_in*k*k + C_out*n_cross nonzero
+multiply-adds per output pixel against C_out*C_in*k*k for a dense conv.
+It is one banded GEMM of n_cross*H_out rows on the input's row patches
+(``tensor.grouped_conv`` with one group), which multiplies H_used/k times
+the nonzero work, H_used = (H_out-1)*stride + k, on a patch matrix k
+times smaller than im2col's.  With its intra level active it may instead
+run its grouped path: a 1x1 conv with the coeff factors into
 n_cross*n_basis channels, a grouped k x k conv with the basis kernels, one
-banded GEMM per group (``tensor.grouped_conv``), and the mixer, at
+banded GEMM per group, and the mixer, at
 n_cross*n_basis*(C_in*HW/(H_out*W_out) + k*H_used) + C_out*n_cross
 multiply-adds.  Each forward takes the grouped path when it runs fewer
 multiply-adds and caches no larger a matrix, which holds for small n_basis
-only: on layer 1 of the default arch up to n_basis = 6.  Off it, the cross
-conv is banded when n_cross*H_used <= 20*k, a bound set from measured
-shapes, and im2col otherwise.
+only: on layer 1 of the default arch up to n_basis = 6.
 
 Activations between layers are (C, H, W, n), as a conv's GEMM makes them.
 Only ``Sequential``, on entry and exit, and ``Flatten``, which gives the
@@ -146,22 +144,20 @@ class GeneratedConv2d(Layer):
     conv, and the mixer mixes the results into C_out channels as a 1x1
     conv; without a mixer the basis-kernel output is the output.  The cross
     conv is one banded GEMM on x's row patches, a ``tensor.grouped_conv``
-    with (1, n_cross, C_in, k, k) kernels, where ``_banded`` says that is
-    cheaper for the input's shape, and an im2col GEMM otherwise.  On the
-    grouped path, open only with the intra level active, the basis kernels
-    are not formed either: a 1x1 conv with the quantized coeff, laid out as
-    (n_cross*n_basis, C_in), gives u; a grouped conv with (n_cross, 1,
-    n_basis, k, k) kernels convolves each group of n_basis channels of u
-    with its n_basis quantized basis kernels and sums them into one
-    channel; the mixer follows.  Each forward takes the grouped path when
-    ``_grouped`` says it costs less for the input's shape.
+    with (1, n_cross, C_in, k, k) kernels.  On the grouped path, open only
+    with the intra level active, the basis kernels are not formed either: a
+    1x1 conv with the quantized coeff, laid out as (n_cross*n_basis, C_in),
+    gives u; a grouped conv with (n_cross, 1, n_basis, k, k) kernels
+    convolves each group of n_basis channels of u with its n_basis
+    quantized basis kernels and sums them into one channel; the mixer
+    follows.  Each forward takes the grouped path when ``_grouped`` says it
+    costs less for the input's shape.
 
-    A training forward caches its im2col or row-patch matrix, on the grouped
-    path also x, and with a mixer the basis-kernel output z, which the mixer
-    gradient reads.  An inference forward caches nothing and runs in
-    bounded sample blocks: ``tensor.conv2d_forward`` on the im2col path, all
-    steps per block (``tensor.in_sample_blocks``) on the banded ones, their
-    blocks sized by the row patches and, on the banded cross conv, also by
+    A training forward caches its grouped conv's row-patch matrix, on the
+    grouped path also x, and with a mixer the basis-kernel output z, which
+    the mixer gradient reads.  An inference forward caches nothing and runs
+    all its steps per bounded sample block (``tensor.in_sample_blocks``),
+    the blocks sized by the row patches and, off the grouped path, also by
     the padded input and the n_cross and C_out outputs.
     """
 
@@ -179,9 +175,10 @@ class GeneratedConv2d(Layer):
     def _grouped(self, x_shape) -> bool:
         """Whether a forward on an x_shape input takes the grouped path.  It
         needs the intra level, and per sample the 1x1 coeff conv plus the
-        banded grouped conv must run fewer multiply-adds than the im2col conv
-        with the n_cross basis kernels (the mixer's are the same on both
-        paths), and cache a row-patch matrix no larger than its im2col one."""
+        banded grouped conv must run fewer multiply-adds than the cross conv
+        has nonzero ones, n_cross*C_in*k*k per output pixel (the mixer's are
+        the same on both paths), and cache a row-patch matrix no larger than
+        x's im2col one."""
         p = self.factors.plan
         if not p.intra_active:
             return False
@@ -193,32 +190,14 @@ class GeneratedConv2d(Layer):
         grouped_macs = p.n_cross * p.n_basis * p.c_in * h * w + rows * h_out
         return grouped_macs < p.n_cross * cols and rows <= cols
 
-    def _banded(self, x_shape) -> bool:
-        """Whether a forward on an x_shape input that is not on the grouped
-        path runs its cross conv as one banded GEMM on the row patches of x
-        rather than by im2col: when n_cross*H_used <= 20*k, H_used =
-        (H_out-1)*stride + k.  The banded GEMM runs H_used/k times the
-        multiply-adds of the im2col one, on a patch matrix about k times
-        smaller, and in one GEMM of n_cross*H_out rows.  Measured forward
-        plus backward in float32 at batch 32 on one BLAS thread, banded won
-        every shape at or below 20 and lost or tied some above it."""
-        _, h, _, _ = x_shape
-        h_out = tensor.conv_output_size(h, self.k, self.stride, self.pad)
-        h_used = (h_out - 1) * self.stride + self.k
-        return self.factors.plan.n_cross * h_used <= 20 * self.k
-
-    def _cross_conv(self, x, a, kernels):
-        """(z, patches): the n_cross basis-kernel channels of x and the patch
-        matrix their kernel gradient needs.  With a coeff matrix a (grouped
-        path) u = a x is convolved group-wise with (n_cross, 1, n_basis, k,
-        k) kernels; otherwise x is convolved with the cross kernels, banded
-        when they are (1, n_cross, C_in, k, k) and by im2col when they are
-        (n_cross, C_in, k, k)."""
+    def _basis_conv(self, x, a, kernels):
+        """(z, rows): the n_cross basis-kernel channels of x and the grouped
+        conv's rows.  With a coeff matrix a (grouped path), u = a x is
+        convolved group-wise with (n_cross, 1, n_basis, k, k) kernels;
+        otherwise x is convolved with (1, n_cross, C_in, k, k) ones."""
         if a is not None:
             x = (a @ x.reshape(self.c_in, -1)).reshape(a.shape[0], *x.shape[1:])
-        if kernels.ndim == 5:
-            return tensor.grouped_conv(x, kernels, self.stride, self.pad)
-        return tensor.conv2d(x, kernels, self.stride, self.pad)
+        return tensor.grouped_conv(x, kernels, self.stride, self.pad)
 
     def _mix(self, z):
         mixer = self._gen.q_mixer
@@ -228,9 +207,9 @@ class GeneratedConv2d(Layer):
         return (mixer @ z.reshape(z.shape[0], -1)).reshape(self.c_out, *z.shape[1:])
 
     def _eval_sample_bytes(self, x, a) -> int:
-        """Bytes per sample of an eval block's row patches and, on the banded
-        cross conv, of its other temporaries: x's padded copy and the n_cross
-        and C_out output channels."""
+        """Bytes per sample of an eval block's row patches and, off the
+        grouped path, of its other temporaries: x's padded copy and the
+        n_cross and C_out output channels."""
         c, h, w, _ = x.shape if a is None else (a.shape[0], *x.shape[1:])
         k, s, pad = self.k, self.stride, self.pad
         size = tensor.row_patch_bytes((c, h, w, 1), k, s, pad, x.itemsize)
@@ -258,22 +237,19 @@ class GeneratedConv2d(Layer):
             a = self._gen.q_coeff.transpose(0, 2, 1).reshape(-1, p.c_in).astype(x.dtype)
             kernels = self._gen.q_basis.reshape(p.n_cross, 1, p.n_basis, p.k, p.k)
         else:
+            # the cross kernels as one group of n_cross outputs
             a = None
-            kernels = self._gen.w_cross.reshape(-1, p.c_in, p.k, p.k)
-            if self._banded(x.shape):
-                kernels = kernels[None]
-        kernels = kernels.astype(x.dtype, copy=False)
+            kernels = self._gen.w_cross.reshape(1, -1, p.c_in, p.k, p.k)
+        kernels = kernels.astype(x.dtype)
         if not train:
             self._cache = None
-            if kernels.ndim == 4:
-                return self._mix(tensor.conv2d_forward(x, kernels, self.stride, self.pad))
             return tensor.in_sample_blocks(
-                lambda xb: self._mix(self._cross_conv(xb, a, kernels)[0]), x,
+                lambda xb: self._mix(self._basis_conv(xb, a, kernels)[0]), x,
                 self._eval_sample_bytes(x, a))
-        z, patches = self._cross_conv(x, a, kernels)
+        z, rows = self._basis_conv(x, a, kernels)
         # x only on the grouped path, whose coeff gradient reads it
         coeff = None if a is None else (a, x)
-        self._cache = ((x.shape, patches, kernels, coeff),
+        self._cache = ((x.shape, rows, kernels, coeff),
                        z if self._gen.q_mixer is not None else None)
         return self._mix(z)
 
@@ -285,19 +261,13 @@ class GeneratedConv2d(Layer):
             g = grad.reshape(self.c_out, -1)
             self._params["mixer"].grad += g @ z.reshape(z.shape[0], -1).T
             grad = (mixer.astype(g.dtype, copy=False).T @ g).reshape(z.shape)
-        x_shape, patches, kernels, coeff = conv
+        x_shape, rows, kernels, coeff = conv
         del conv
         u_shape = x_shape if coeff is None else (coeff[0].shape[0], *x_shape[1:])
-        s, pad = self.stride, self.pad
-        if kernels.ndim == 5:
-            d_kernels = tensor.grouped_conv_kernel_grad(
-                grad, patches, kernels.shape, u_shape, s, pad)
-            del patches  # freed before d_u's patch matrix is made
-            d_u = tensor.grouped_conv_input_grad(grad, kernels, u_shape, s, pad)
-        else:
-            d_kernels = tensor.conv2d_weight_grad(grad, patches, kernels.shape)
-            del patches
-            d_u = tensor.conv2d_input_grad(grad, kernels, u_shape, s, pad)
+        d_kernels = tensor.grouped_conv_kernel_grad(
+            grad, rows, kernels.shape, u_shape, self.stride, self.pad)
+        del rows  # freed before d_u's row-patch matrix is made
+        d_u = tensor.grouped_conv_input_grad(grad, kernels, u_shape, self.stride, self.pad)
         if coeff is None:
             d_basis, d_coeff = generator.intra_backward(
                 self._gen, d_kernels.reshape(self._gen.w_cross.shape))

@@ -617,16 +617,30 @@ _PLAN_CLASSES = pytest.mark.parametrize(
 
 @pytest.mark.parametrize("train", [True, False])
 @_PLAN_CLASSES
-def test_float32_generated_layer_matches_float64(plan_args, train):
+def test_float32_generated_layer_matches_float64(monkeypatch, plan_args, train):
     rng = np.random.default_rng(23)
     factors = generator.init_random(generator.plan_layer(*plan_args), rng)
     x = rng.standard_normal((16, 9, 9, 4))
     r = rng.standard_normal((4, 4, 4, 4))
+    p = factors.plan
+    # the kernels each forward's grouped conv runs: n_basis channels per
+    # output on the grouped path, all C_in on the cross conv off it
+    want_kernels = ((p.n_cross, 1, p.n_basis, 5, 5) if p.intra_active
+                    else (1, p.n_cross, 16, 5, 5))
+    kernel_shapes = []
+    grouped_conv = tensor.grouped_conv
+
+    def recording_grouped_conv(u, kernels, *args):
+        kernel_shapes.append(kernels.shape)
+        return grouped_conv(u, kernels, *args)
+
+    monkeypatch.setattr(tensor, "grouped_conv", recording_grouped_conv)
     runs = []
     for dtype in (np.float64, np.float32):
         layer = nn.GeneratedConv2d(factors, stride=2, pad=1)
+        kernel_shapes.clear()
         out = layer.forward(x.astype(dtype), train=train)
-        assert layer._grouped(x.shape) == factors.plan.intra_active
+        assert kernel_shapes == [want_kernels]
         assert out.dtype == dtype
         grads = {}
         if train:  # backward is defined only after a training forward
@@ -674,7 +688,7 @@ def test_generated_conv_takes_the_path_with_fewer_multiply_adds(
     want_dx = dense.backward(r)
     want_grads = generator.backward(factors, fwd, dense.weight.grad)
     # the path not taken must not run: the grouped path convolves n_basis
-    # channels per output, the cross conv, banded at this size, all C_in
+    # channels per output, the cross conv all C_in
     kernel_shapes = []
     grouped_conv = tensor.grouped_conv
 
@@ -710,53 +724,22 @@ def test_banded_cross_conv_matches_the_im2col_one(monkeypatch, plan_args, train)
     factors = generator.init_random(generator.plan_layer(*plan_args), rng)
     x = rng.standard_normal((16, 9, 9, 4))
     r = rng.standard_normal((4, 4, 4, 4))
+    # the im2col reference: tensor.conv2d with the generated kernels
+    fwd = generator.forward(factors)
+    dense = nn.Conv2d(16, 4, 5, stride=2, pad=1, rng=rng)
+    dense.weight.value = fwd.weight
+    want = dense.forward(x, train=train)
+    if train:
+        want_dx = dense.backward(r)
+        want_grads = generator.backward(factors, fwd, dense.weight.grad)
     monkeypatch.setattr(nn.GeneratedConv2d, "_grouped", lambda self, x_shape: False)
-    runs = []
-    for banded in (False, True):
-        monkeypatch.setattr(nn.GeneratedConv2d, "_banded", lambda self, x_shape: banded)
-        layer = nn.GeneratedConv2d(factors, stride=2, pad=1)
-        with monkeypatch.context() as m:  # the form not taken must not run
-            m.setattr(tensor, "im2col" if banded else "row_patches", None)
-            out = layer.forward(x, train=train)
-            grads = [layer.backward(r)] + [p.grad for p in layer.params()] if train else []
-        runs.append((out, grads))
-    (want, want_grads), (got, got_grads) = runs
-    assert rel_err(got, want) < 1e-12
-    for got_grad, want_grad in zip(got_grads, want_grads, strict=True):
-        assert rel_err(got_grad, want_grad) < 1e-12
-
-
-# (H, C_in, n_cross, k, stride, pad) of measured shapes, the banded cross
-# conv's time over im2col's there (float32, batch 32 or 64, forward plus
-# backward, one BLAS thread; ROADMAP's table), and whether the rule picks the
-# banded form
-_CROSS_CONV_TABLE = [
-    ((12, 32, 8, 5, 1, 0), 0.68, True), ((12, 32, 10, 5, 1, 0), 0.74, False),
-    ((12, 32, 12, 5, 1, 0), 0.80, False), ((12, 32, 16, 5, 1, 0), 1.08, False),
-    ((12, 32, 20, 5, 1, 0), 1.13, False), ((12, 32, 32, 5, 1, 0), 1.26, False),
-    ((8, 32, 8, 5, 1, 0), 0.84, True), ((8, 32, 12, 5, 1, 0), 0.84, True),
-    ((8, 32, 14, 5, 1, 0), 0.83, False), ((8, 32, 16, 5, 1, 0), 0.98, False),
-    ((8, 32, 24, 5, 1, 0), 1.23, False), ((8, 32, 32, 5, 1, 0), 1.03, False),
-    ((12, 32, 4, 3, 1, 0), 0.77, True), ((12, 32, 8, 3, 1, 0), 1.23, False),
-    ((10, 32, 6, 3, 1, 0), 0.84, True), ((16, 32, 6, 5, 1, 0), 0.53, True),
-    ((16, 32, 8, 5, 1, 0), 0.71, False), ((12, 32, 12, 5, 1, 2), 0.79, False),
-    ((28, 1, 2, 5, 2, 0), 0.82, True), ((28, 1, 4, 5, 2, 0), 1.14, False),
-    ((28, 1, 8, 5, 2, 0), 1.39, False), ((28, 1, 4, 5, 1, 0), 0.79, False),
-    ((14, 16, 4, 5, 2, 1), 0.79, True),
-]
-
-
-@pytest.mark.parametrize("shape, ratio, banded", _CROSS_CONV_TABLE)
-def test_cross_conv_is_banded_only_where_it_measured_faster(shape, ratio, banded):
-    h, c_in, n_cross, k, stride, pad = shape
-    # n_basis = C_in skips the intra level, so no shape takes the grouped path
-    plan = generator.plan_layer(64, c_in, k, c_in, n_cross)
-    layer = nn.GeneratedConv2d(generator.init_random(plan, np.random.default_rng(30)),
-                               stride=stride, pad=pad)
-    x_shape = (c_in, h, h, 32)
-    assert not layer._grouped(x_shape)
-    assert layer._banded(x_shape) == banded
-    assert ratio < 1 or not banded
+    monkeypatch.setattr(tensor, "im2col", None)
+    layer = nn.GeneratedConv2d(factors, stride=2, pad=1)
+    assert rel_err(layer.forward(x, train=train), want) < 1e-12
+    if train:
+        assert rel_err(layer.backward(r), want_dx) < 1e-12
+        for p in layer.params():
+            assert rel_err(p.grad, getattr(want_grads, p.name)) < 1e-12, p.name
 
 
 @pytest.mark.parametrize("n_basis", [2, 16])
@@ -797,7 +780,7 @@ def test_eval_banded_cross_conv_blocks_bound_every_temporary(monkeypatch):
     factors = generator.init_random(generator.plan_layer(6, 16, 5, 16, 3), rng)
     layer = nn.GeneratedConv2d(factors, stride=1, pad=1)
     x = rng.standard_normal((16, 10, 10, 12))
-    assert layer._banded(x.shape)
+    assert not layer._grouped(x.shape)
     want = layer.forward(x, train=True)
     # and x's padded copy, which row_patches makes at pad 1
     sample_bytes = (tensor.row_patch_bytes(x.shape, 5, 1, 1, 8) + (3 + 6) * 8 * 8 * 8

@@ -7,9 +7,9 @@ forward it makes only the arrays it returns or its backward needs.
 
 One contract covers every layer: a training (``train=True``) forward keeps
 the backward state, and backward is defined only after one.  A training
-conv caches its im2col matrix (a generated conv, its row-patch
-matrix), a training batch norm its normalized
-input, and ReLU its own output, each under ``_cache``.  Backward consumes
+conv caches its im2col matrix (a generated conv, its row-patch matrix), a
+training batch norm its normalized input, and ReLU its own output, each
+under ``_cache``.  Backward consumes
 that state: a conv drops its patch matrix once it has the weight gradient,
 before it makes the input gradient's matrix of the same size, batch norm
 forms its input gradient in its normalized-input buffer, and

@@ -653,8 +653,7 @@ def test_backward_after_an_inference_forward_raises_until_a_training_forward(mon
     r = np.random.default_rng(33).standard_normal((8, 3))
     want = _train_grads(_small_generated_model(), x, r)
     grouped, banded = _small_generated_model().generated_layers()
-    assert grouped._grouped((16, 8, 8, 8))
-    assert not banded._grouped((6, 6, 6, 8))
+    assert grouped._grouped((16, 8, 8, 8)) and not banded._grouped((6, 6, 6, 8))
 
     def predict_that_raises_on_the_second_batch(model):
         real = model.layers[4].forward

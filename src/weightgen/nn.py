@@ -8,11 +8,11 @@ forward it makes only the arrays it returns or its backward needs.
 One contract covers every layer: a training (``train=True``) forward keeps
 the backward state, and backward is defined only after one.  A training
 conv caches its im2col matrix (a generated conv, its row-patch matrix), a
-training batch norm its normalized input, and ReLU its own output, each
+training batch norm its centred input, and ReLU its own output, each
 under ``_cache``.  Backward consumes
 that state: a conv drops its patch matrix once it has the weight gradient,
 before it makes the input gradient's matrix of the same size, batch norm
-forms its input gradient in its normalized-input buffer, and
+forms its input gradient in its centred-input buffer, and
 ``Sequential`` drops each layer's ``_cache`` as soon as the layer's
 backward returns.  So backward runs once per training forward, and a model
 holds no activations after a training step.  An inference
@@ -288,6 +288,11 @@ class GeneratedConv2d(Layer):
 
 
 class BatchNorm2d(Layer):
+    """Per-channel batch norm.  A training forward takes its per-channel
+    sums as einsums and caches the centred input and 1/sigma, folded into
+    the output scale and backward's coefficients; backward forms d_x in the
+    centred input's buffer.  Inference is one scale and shift per channel."""
+
     eps, momentum = 1e-5, 0.1
 
     def __init__(self, channels: int):
@@ -307,17 +312,16 @@ class BatchNorm2d(Layer):
         dt = x.dtype
         if train:
             m = x2d.shape[1]
-            mu = x2d.mean(axis=1)
-            xhat = x2d - mu[:, None]
-            var = np.einsum("ij,ij->i", xhat, xhat) / m
+            mu = np.einsum("ij->i", x2d) / m
+            xc = x2d - mu[:, None]
+            var = np.einsum("ij,ij->i", xc, xc) / m
             mom, unbiased = self.momentum, var * (m / max(m - 1, 1))
             self.running_mean = (1 - mom) * self.running_mean + mom * mu
             self.running_var = (1 - mom) * self.running_var + mom * unbiased
             inv_std = 1.0 / np.sqrt(var + self.eps)
-            xhat *= inv_std[:, None]
-            out = xhat * self.gamma.value.astype(dt)[:, None]
+            out = xc * (self.gamma.value * inv_std).astype(dt)[:, None]
             out += self.beta.value.astype(dt)[:, None]
-            self._cache = (xhat, inv_std)
+            self._cache = (xc, inv_std)
         else:
             mu = self.running_mean
             inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
@@ -328,19 +332,19 @@ class BatchNorm2d(Layer):
         return out.reshape(x.shape)
 
     def backward(self, grad):
-        xhat, inv_std = self._cache
+        xc, inv_std = self._cache
         self._cache = None
-        g = grad.reshape(xhat.shape)
-        g_sum = g.sum(axis=1)
-        g_xhat = np.einsum("ij,ij->i", g, xhat)
+        g = grad.reshape(xc.shape)
+        g_sum = np.einsum("ij->i", g)
+        g_xhat = np.einsum("ij,ij->i", g, xc) * inv_std
         self.beta.grad += g_sum
         self.gamma.grad += g_xhat
         m = g.shape[1]  # the batch statistics depend on x too
-        d_x = xhat  # formed in xhat's buffer, which nothing else holds
-        d_x *= (-g_xhat / m)[:, None]
+        d_x = xc  # formed in xc's buffer, which nothing else holds
+        d_x *= (-g_xhat * inv_std / m)[:, None]
         d_x += g
         d_x -= (g_sum / m)[:, None]
-        d_x *= (self.gamma.value.astype(inv_std.dtype) * inv_std)[:, None]
+        d_x *= (self.gamma.value * inv_std).astype(xc.dtype)[:, None]
         return d_x.reshape(grad.shape)
 
     def params(self):
@@ -358,40 +362,32 @@ class ReLU(Layer):
 
 class AdaptiveAvgPool2d(Layer):
     """Average-pool to a fixed (out, out) grid, window i spanning
-    [floor(i*H/out), ceil((i+1)*H/out))."""
+    [floor(i*H/out), ceil((i+1)*H/out)).  Forward and backward are each one
+    batched matmul with the (out*out, H*W) window-average matrix, the
+    Kronecker product of the two axes' ones, which a forward caches."""
 
     def __init__(self, out: int):
         self.out = out
 
-    @staticmethod
-    def _windows(size: int, out: int):
-        return [
-            (int(np.floor(i * size / out)), int(np.ceil((i + 1) * size / out)))
-            for i in range(out)
-        ]
+    def _averages(self, size: int) -> np.ndarray:
+        """The (out, size) matrix whose row i averages window i."""
+        i = np.arange(self.out)[:, None]
+        lo, hi = i * size // self.out, -(-(i + 1) * size // self.out)
+        return ((np.arange(size) >= lo) & (np.arange(size) < hi)) / (hi - lo)
 
     def forward(self, x, train=False):
         x = tensor.as_tensor4d(x, "pool input")
         c, h, w, n = x.shape
         if h < self.out or w < self.out:
             raise ShapeError(f"cannot pool {h}x{w} down to {self.out}x{self.out}")
-        hw = self._windows(h, self.out)
-        ww = self._windows(w, self.out)
-        out = np.empty((c, self.out, self.out, n), dtype=x.dtype)
-        for i, (h0, h1) in enumerate(hw):
-            for j, (w0, w1) in enumerate(ww):
-                out[:, i, j] = x[:, h0:h1, w0:w1].mean(axis=(1, 2))
-        self._cache = (x.shape, hw, ww)
-        return out
+        avg = np.kron(self._averages(h), self._averages(w)).astype(x.dtype)
+        self._cache = (x.shape, avg)
+        return np.matmul(avg, x.reshape(c, h * w, n)).reshape(c, self.out, self.out, n)
 
     def backward(self, grad):
-        x_shape, hw, ww = self._cache
-        dx = np.zeros(x_shape, dtype=grad.dtype)
-        for i, (h0, h1) in enumerate(hw):
-            for j, (w0, w1) in enumerate(ww):
-                area = (h1 - h0) * (w1 - w0)
-                dx[:, h0:h1, w0:w1] += grad[:, i : i + 1, j : j + 1] / area
-        return dx
+        x_shape, avg = self._cache
+        grad = grad.reshape(x_shape[0], -1, x_shape[3])
+        return np.matmul(avg.T, grad).reshape(x_shape)
 
 
 class Flatten(Layer):
@@ -414,6 +410,8 @@ class Linear(Layer):
 
     def forward(self, x, train=False):
         x = tensor.as_float(x)
+        if x.ndim != 2:
+            raise ShapeError(f"linear input must be 2-D (n, features), got shape {x.shape}")
         if x.shape[1] != self.weight.value.shape[1]:
             raise ShapeError(
                 f"weight expects {self.weight.value.shape[1]} input features, input has "

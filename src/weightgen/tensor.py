@@ -16,7 +16,9 @@ Conventions used throughout the package:
   col2im's k*k shifted adds runs over W_out*n contiguous values;
 * row-patch rows are ordered (channel, kernel-col, input row) and columns
   (output-column, sample), so a grouped conv's banded GEMM gives its output
-  in (c, h, w, n) layout with no transpose.
+  in (c, h, w, n) layout with no transpose; its input gradient, one GEMM
+  with the kernel columns in its inner dimension, gives d_u in that layout
+  too, with no scatter-add.
 """
 
 from __future__ import annotations
@@ -315,19 +317,28 @@ def grouped_conv_input_grad(grad, kernels, u_shape, stride: int = 1,
                             pad: int = 0) -> np.ndarray:
     """d_u of grouped_conv, shaped u_shape, given the output gradient;
     computed in grad's dtype.  It needs no rows, so a caller can free them
-    first."""
+    first.  It is the transposed conv along the width (Dumoulin & Visin,
+    arXiv:1603.07285) as one GEMM per group: a (B*H, k*O*H_out) banded
+    matrix, kernel column j in its columns, times a (k*O*H_out, W*n) stack
+    of k copies of the group's gradient, copy j at padded input columns j,
+    j + stride, ...  Input rows and columns that no window reaches get 0."""
     c, h, w, n = u_shape
     kern = np.asarray(kernels).astype(grad.dtype, copy=False)
-    g, o, _, k, _ = kern.shape
-    h_used, h_out, w_out = _row_patch_dims(h, w, k, stride, pad)
-    g_mat = grad.reshape(g, o * h_out, w_out * n)
-    banded = _banded(kern, h_out, h_used, stride)
-    d_rows = np.matmul(banded.transpose(0, 2, 1), g_mat).reshape(c, k, h_used, w_out, n)
-    # the adjoint of row_patches: k shifted adds, one per kernel column
-    up = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=d_rows.dtype)
-    for j in range(k):
-        up[:, :h_used, j : j + stride * w_out : stride] += d_rows[:, j]
-    return up[:, pad : pad + h, pad : pad + w]
+    g, o, b, k, _ = kern.shape
+    _, h_out, w_out = _row_patch_dims(h, w, k, stride, pad)
+    band = np.zeros((g, b, h + 2 * pad, k, o, h_out), dtype=grad.dtype)
+    sg, sb, sh, sj, sc, so = band.strides
+    np.lib.stride_tricks.as_strided(  # [g, b, i, j, c, o] is band[g, b, o*stride + i, j, c, o]
+        band, shape=(g, b, k, k, o, h_out), strides=(sg, sb, sh, sj, sc, so + stride * sh)
+    )[...] = kern.transpose(0, 2, 3, 4, 1)[..., None]
+    band = band[:, :, pad : pad + h].reshape(g, b * h, k * o * h_out)
+    stack = np.zeros((g, k, o * h_out, w + 2 * pad, n), dtype=grad.dtype)
+    sg, sj, sr, sw, sn = stack.strides
+    np.lib.stride_tricks.as_strided(  # [g, j, r, wo] is stack[g, j, r, wo*stride + j]
+        stack, shape=(g, k, o * h_out, w_out, n), strides=(sg, sj + sw, sr, stride * sw, sn)
+    )[...] = grad.reshape(g, 1, o * h_out, w_out, n)
+    stack = stack.reshape(g, k * o * h_out, -1)[:, :, pad * n : (pad + w) * n]
+    return np.matmul(band, stack).reshape(c, h, w, n)
 
 
 def _check_finite(m: np.ndarray, what: str) -> None:

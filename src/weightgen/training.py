@@ -75,6 +75,11 @@ def kd_loss(
         raise ConfigError(f"beta must lie in [0, 1], got {beta}")
     s = np.asarray(student_logits, dtype=np.float64)
     labels = np.asarray(labels)
+    if s.ndim != 2 or 0 in s.shape:
+        raise ShapeError(f"student_logits must be 2-D (n, classes) with positive dims, "
+                         f"got shape {s.shape}")
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ConfigError(f"labels must be integer class indices, got dtype {labels.dtype}")
     n, c = s.shape
     if labels.shape != (n,):
         raise ShapeError(f"labels shape {labels.shape}, expected ({n},)")

@@ -288,6 +288,57 @@ def test_adaptive_avgpool_windows_4_to_3():
     assert rel_err(dx, want) < 1e-7
 
 
+@pytest.mark.parametrize("h,w,out", [(5, 7, 3), (6, 6, 4), (3, 3, 1), (4, 4, 4)])
+def test_adaptive_avgpool_matches_window_means_and_finite_differences(h, w, out):
+    rng = np.random.default_rng(60 + h * w + out)
+    x = rng.standard_normal((3, h, w, 2))
+    pool = nn.AdaptiveAvgPool2d(out)
+    got = pool.forward(x, train=True)
+    assert got.shape == (3, out, out, 2)
+    for i in range(out):
+        h0, h1 = int(np.floor(i * h / out)), int(np.ceil((i + 1) * h / out))
+        for j in range(out):
+            w0, w1 = int(np.floor(j * w / out)), int(np.ceil((j + 1) * w / out))
+            want = x[:, h0:h1, w0:w1].mean(axis=(1, 2))
+            assert rel_err(got[:, i, j], want) < 1e-14, (i, j)
+
+    r = rng.standard_normal(got.shape)
+    dx = pool.backward(r)
+    want_dx = finite_difference(lambda t: _loss_through(pool, t, r), x.copy())
+    assert dx.shape == x.shape
+    assert rel_err(dx, want_dx) < 1e-7
+
+
+def test_float32_training_batchnorm_matches_float64():
+    rng = np.random.default_rng(18)
+    c = 32
+    # per-channel offsets and scales, as a conv's outputs have
+    x = (rng.standard_normal((c, 12, 12, 64)) * rng.uniform(0.5, 2.0, (c, 1, 1, 1))
+         + rng.uniform(-2.0, 2.0, (c, 1, 1, 1))).astype(np.float32)
+    grad = rng.standard_normal(x.shape).astype(np.float32)
+    gamma, beta = rng.uniform(0.5, 1.5, c), rng.standard_normal(c)
+    runs = []
+    for dtype in (np.float32, np.float64):
+        layer = nn.BatchNorm2d(c)
+        layer.gamma.value, layer.beta.value = gamma.copy(), beta.copy()
+        out = layer.forward(x.astype(dtype), train=True)
+        d_x = layer.backward(grad.astype(dtype))
+        assert out.dtype == d_x.dtype == dtype
+        runs.append((out, d_x, layer.gamma.grad, layer.beta.grad, layer.running_mean,
+                     layer.running_var))
+    for name, got, want in zip(("out", "d_x", "d_gamma", "d_beta", "running_mean",
+                                "running_var"), *runs):
+        assert rel_err(got, want) < 1e-5, name
+
+
+def test_linear_rejects_an_input_that_is_not_2d():
+    layer = nn.Linear(6, 4, rng=np.random.default_rng(8))
+    with pytest.raises(ShapeError, match=r"2-D.*\(6,\)"):
+        layer.forward(np.zeros(6))
+    with pytest.raises(ShapeError, match=r"\(2, 1, 6\)"):
+        layer.forward(np.zeros((2, 1, 6)))
+
+
 def test_linear_backward_matches_finite_differences():
     rng = np.random.default_rng(7)
     layer = nn.Linear(6, 4, rng=rng)

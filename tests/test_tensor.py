@@ -348,6 +348,32 @@ def test_grouped_conv_backward_matches_finite_differences(stride, pad):
         assert rel_err(d_kernels, want_kernels) < 1e-7, (g, o, b)
 
 
+@pytest.mark.parametrize("stride", [2, 3])
+def test_grouped_conv_input_grad_matches_nested_loops_where_windows_miss_rows(stride):
+    # An 8x7 input at stride 2 or 3 leaves its last rows or columns out of
+    # every window for some k and pad, where d_u must be zero.
+    rng = np.random.default_rng(100 + stride)
+    n, h, w = 2, 8, 7
+    unreached = 0
+    for pad in range(3):
+        for k in range(1, 6):
+            h_used = (tensor.conv_output_size(h, k, stride, pad) - 1) * stride + k
+            w_used = (tensor.conv_output_size(w, k, stride, pad) - 1) * stride + k
+            unreached += h_used < pad + h or w_used < pad + w
+            for g, o, b in _GROUPINGS:
+                u_shape = (g * b, h, w, n)
+                kernels = rng.standard_normal((g, o, b, k, k))
+                out = tensor.grouped_conv(np.zeros(u_shape), kernels, stride, pad)[0]
+                grad = rng.standard_normal(out.shape)
+                d_u = tensor.grouped_conv_input_grad(grad, kernels, u_shape, stride, pad)
+                _, want = conv2d_backward_naive(np.zeros((n, g * b, h, w)),
+                                                _block_diagonal(kernels), _nchw(grad),
+                                                stride, pad)
+                assert d_u.shape == u_shape
+                assert rel_err(_nchw(d_u), want) < 1e-12, (pad, k, g, o, b)
+    assert unreached >= 5
+
+
 def test_row_patches_copy_each_input_row_k_times():
     x = np.arange(2 * 4 * 5 * 3, dtype=np.float64).reshape(2, 4, 5, 3)
     rows = tensor.row_patches(x, 2)

@@ -67,6 +67,18 @@ def test_kd_loss_without_teacher_is_cross_entropy():
     assert rel_err(grad, want_g) < 1e-7
 
 
+def test_kd_loss_rejects_logits_that_are_not_2d_and_float_labels():
+    rng = np.random.default_rng(4)
+    s = rng.standard_normal((4, 5))
+    y = rng.integers(0, 5, 4)
+    for bad in (s[0], s[:0], s[None]):
+        with pytest.raises(ShapeError, match="student_logits"):
+            training.kd_loss(bad, y[: len(bad)])
+    for bad in (y.astype(np.float64), y.astype(bool)):
+        with pytest.raises(ConfigError, match="labels"):
+            training.kd_loss(s, bad)
+
+
 def test_kd_loss_zero_when_student_equals_teacher_and_pure_kl():
     rng = np.random.default_rng(3)
     s = rng.standard_normal((4, 5))

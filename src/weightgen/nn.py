@@ -120,15 +120,15 @@ class Conv2d(Layer):
         if not train:
             self._cache = None
             return tensor.conv2d_forward(x, self.weight.value, self.stride, self.pad)
-        out, cols = tensor.conv2d(x, self.weight.value, self.stride, self.pad)
-        self._cache = (x.shape, cols)
+        out, rows = tensor.conv2d(x, self.weight.value, self.stride, self.pad)
+        self._cache = (x.shape, rows)
         return out
 
     def backward(self, grad):
-        x_shape, cols = self._cache
+        x_shape, rows = self._cache
         self._cache = None
-        self.weight.grad += tensor.conv2d_weight_grad(grad, cols, self.weight.value.shape)
-        del cols  # freed before d_x's matrix of the same size is made
+        self.weight.grad += tensor.conv2d_weight_grad(grad, rows, self.weight.value.shape)
+        del rows  # freed before d_x's row-patch gradient of the same size is made
         return tensor.conv2d_input_grad(grad, self.weight.value, x_shape, self.stride, self.pad)
 
     def params(self):
@@ -204,7 +204,7 @@ class GeneratedConv2d(Layer):
         if mixer is None:
             return z
         mixer = mixer.astype(z.dtype, copy=False)
-        return (mixer @ z.reshape(z.shape[0], -1)).reshape(self.c_out, *z.shape[1:])
+        return tensor.matmul(mixer, z.reshape(z.shape[0], -1)).reshape(self.c_out, *z.shape[1:])
 
     def _eval_sample_bytes(self, x, a) -> int:
         """Bytes per sample of an eval block's row patches and, off the

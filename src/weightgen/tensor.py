@@ -1,24 +1,28 @@
-"""Dense numerical kernels: im2col and row-patch lowering, convolution,
-grouped convolution, SVD.
+"""Dense numerical kernels: row-patch lowering, convolution, grouped
+convolution, SVD.
 
 Conventions used throughout the package:
 
 * an array is computed in its own dtype if that is float32, and in
-  float64 otherwise (``as_float``): a float32 batch runs every im2col,
-  GEMM and col2im at half the bytes, any other input runs in float64;
+  float64 otherwise (``as_float``): a float32 batch lowers, multiplies
+  and scatters at half the bytes, any other input runs in float64;
 * matrices are 2-D, row-major (C order);
 * activation tensors are 4-D, shaped (c, h, w, n), sample innermost, as a
   conv's GEMM makes them (nn.Sequential takes (n, c, h, w));
-* convolution kernels are 4-D (C_out, C_in, k, k), and their GEMM "matrix
-  view" is the row-major reshape to (C_out, C_in*k*k);
-* im2col rows are ordered (channel, kernel-row, kernel-col), columns are
-  ordered output-row major, output-column, then sample minor, so each of
-  col2im's k*k shifted adds runs over W_out*n contiguous values;
-* row-patch rows are ordered (channel, kernel-col, input row) and columns
-  (output-column, sample), so a grouped conv's banded GEMM gives its output
-  in (c, h, w, n) layout with no transpose; its input gradient, one GEMM
-  with the kernel columns in its inner dimension, gives d_u in that layout
-  too, with no scatter-add.
+* convolution kernels are 4-D (C_out, C_in, k, k);
+* every conv lowers its input to row patches, each padded input row copied
+  k times, once per kernel column: per group, rows are ordered (padded
+  input row, channel, kernel column) and columns (output column, sample),
+  so each copy is a contiguous run of W_out*n values;
+* a dense conv runs MEC (Cho & Brand, arXiv:1706.06873): output row i
+  reads the window of row patches that starts at padded input row
+  i*stride, k input rows of C_in*k rows each, a plain strided view.  Its
+  GEMMs run im2col's multiply-adds, summed in (kernel row, channel,
+  kernel column) order, on a matrix about k times smaller;
+* a grouped conv runs one banded GEMM per group on the same matrix, so
+  its output comes in (c, h, w, n) layout with no transpose; its input
+  gradient, one GEMM with the kernel columns in its inner dimension,
+  gives d_u in that layout too, with no scatter-add.
 """
 
 from __future__ import annotations
@@ -67,7 +71,7 @@ def conv_output_size(size: int, k: int, stride: int, pad: int) -> int:
 def _output_dims(h: int, w: int, k: int, stride: int, pad: int) -> tuple[int, int]:
     """Checked (H_out, W_out) of a k x k window sliding over an h x w image."""
     if k < 1 or stride < 1 or pad < 0:
-        raise ShapeError(f"invalid im2col arguments: k={k}, stride={stride}, pad={pad}")
+        raise ShapeError(f"invalid conv arguments: k={k}, stride={stride}, pad={pad}")
     h_out = conv_output_size(h, k, stride, pad)
     w_out = conv_output_size(w, k, stride, pad)
     if h_out < 1 or w_out < 1:
@@ -78,90 +82,55 @@ def _output_dims(h: int, w: int, k: int, stride: int, pad: int) -> tuple[int, in
     return h_out, w_out
 
 
-def im2col(x, k: int, stride: int = 1, pad: int = 0) -> np.ndarray:
-    """Lower a (C, H, W, n) batch to the (C*k*k) x (H_out*W_out*n) patch matrix.
-
-    Zero padding.  Row r indexes (channel, kernel-row, kernel-col) in C order;
-    column c indexes (out-row, out-col, sample) in C order, so the sample
-    index is innermost and each shifted window is a contiguous run of
-    W_out*n values.
-    """
-    x = as_tensor4d(x, "input")
-    c, h, w, n = x.shape
+def _row_patch_dims(h: int, w: int, k: int, stride: int, pad: int):
+    """(H_used, H_out, W_out): the padded input rows a k x k window reaches,
+    and the checked output dims."""
     h_out, w_out = _output_dims(h, w, k, stride, pad)
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else x
-    sc, sh, sw, sn = xp.strides
+    return (h_out - 1) * stride + k, h_out, w_out
+
+
+def row_patch_bytes(u_shape, k: int, stride: int, pad: int, itemsize: int) -> int:
+    """Bytes per sample of row_patches' matrix for a (C, H, W, n) input."""
+    c, h, w, _ = u_shape
+    h_used, _, w_out = _row_patch_dims(h, w, k, stride, pad)
+    return c * k * h_used * w_out * itemsize
+
+
+def row_patches(u, k: int, stride: int = 1, pad: int = 0, groups: int = 1) -> np.ndarray:
+    """Lower a (G*B, H, W, n) batch to the (G, H_used*B*k, W_out*n) row-patch
+    matrix of its G channel groups, H_used = (H_out-1)*stride + k.
+
+    Zero padding.  Row r of group g indexes (padded input row hp, channel b,
+    kernel column j) in C order and column c indexes (out-col, sample); the
+    entry is the padded input at (g*B + b, hp, out-col*stride + j, sample).
+    Each input row is copied k times, once per kernel column, where im2col
+    would copy it k*k times.
+    """
+    u = as_tensor4d(u, "input")
+    c, h, w, n = u.shape
+    h_used, _, w_out = _row_patch_dims(h, w, k, stride, pad)
+    up = np.pad(u, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else u
+    sc, sh, sw, sn = up.strides
+    b = c // groups
     patches = np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(c, k, k, h_out, w_out, n),
-        strides=(sc, sh, sw, stride * sh, stride * sw, sn),
+        up,
+        shape=(groups, h_used, b, k, w_out, n),
+        strides=(b * sc, sh, sc, sw, stride * sw, sn),
         writeable=False,
     )
-    cols = np.ascontiguousarray(patches.reshape(c * k * k, h_out * w_out * n))
-    # A 1x1 window at stride 1 and pad 0 reshapes to a view of x itself.
-    return cols.copy() if np.may_share_memory(cols, x) else cols
+    return np.array(patches, order="C").reshape(groups, h_used * b * k, w_out * n)
 
 
-def col2im(cols, x_shape, k: int, stride: int = 1, pad: int = 0) -> np.ndarray:
-    """Adjoint of im2col: scatter-add patch columns onto a (C, H, W, n) batch.
-
-    <im2col(x), y> == <x, col2im(y)> holds exactly up to the roundoff of
-    cols' dtype, which is what conv backward relies on.
-    """
-    c, h, w, n = x_shape
-    cols = as_matrix(cols, "cols")
-    h_out, w_out = _output_dims(h, w, k, stride, pad)
-    if cols.shape != (c * k * k, h_out * w_out * n):
-        raise ShapeError(
-            f"cols shape {cols.shape} does not match target {x_shape} with "
-            f"kernel {k}, stride {stride}, pad {pad}"
-        )
-    patches = cols.reshape(c, k, k, h_out, w_out, n)
-    xp = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=cols.dtype)
-    for i in range(k):
-        for j in range(k):
-            xp[:, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += (
-                patches[:, i, j]
-            )
-    return xp[:, pad : pad + h, pad : pad + w]
-
-
-# Bound on an eval-mode im2col block.  evaluate() of the default arch at
-# batch 256 (float32, one BLAS thread) ran 4-19% faster with 16 MiB blocks
-# than with 8 or 32 MiB ones, with no page faults at any size: cache locality.
-_BLOCK_BYTES = 16 << 20
-
-
-def _conv_args(x, weight, stride: int, pad: int):
-    """Checked input and weight of a conv2d call, the weight cast to the
-    input's dtype, and its (H_out, W_out)."""
-    x = as_tensor4d(x, "input")
-    w = as_tensor4d(weight, "weight").astype(x.dtype, copy=False)
-    c_in, h, wd, _ = x.shape
-    if w.shape[1] != c_in:
-        raise ShapeError(
-            f"weight expects {w.shape[1]} input channels, input has {c_in} "
-            f"(weight {w.shape}, input {x.shape})"
-        )
-    return x, w, _output_dims(h, wd, w.shape[2], stride, pad)
-
-
-def conv2d(x, weight, stride: int = 1, pad: int = 0):
-    """conv2d of a (C_in, H, W, n) batch as GEMM of im2col with a
-    (C_out, C_in, k, k) weight.
-
-    Returns (output, cols): the GEMM result as the (C_out, H_out, W_out, n)
-    output, and x's im2col patch matrix, which conv2d_weight_grad needs.
-    """
-    x, w, (h_out, w_out) = _conv_args(x, weight, stride, pad)
-    cols = im2col(x, w.shape[2], stride, pad)
-    out = matmul(w.reshape(w.shape[0], -1), cols)
-    return out.reshape(w.shape[0], h_out, w_out, x.shape[3]), cols
+# Bound on an eval-mode conv block's row patches.  Inference of the default
+# dense arch on 1,280 float32 samples at batch 256 (one BLAS thread) ran
+# within noise at 2, 4, 8 and 16 MiB blocks; 4 MiB keeps a block's patches
+# below a batch's activations.
+_BLOCK_BYTES = 4 << 20
 
 
 def in_sample_blocks(fn, x, sample_bytes: int) -> np.ndarray:
     """fn(x) computed over the fewest sample blocks of x whose temporaries,
-    at sample_bytes per sample, fit _BLOCK_BYTES (16 MiB), block sizes
+    at sample_bytes per sample, fit _BLOCK_BYTES (4 MiB), block sizes
     differing by at most one sample.
 
     fn maps a (..., n_block) batch to a (..., n_block) output.  One block's
@@ -184,88 +153,115 @@ def in_sample_blocks(fn, x, sample_bytes: int) -> np.ndarray:
     return out
 
 
+def _conv_args(x, weight, stride: int, pad: int):
+    """Checked input and weight of a conv2d call, the weight cast to the
+    input's dtype, and its (H_out, W_out)."""
+    x = as_tensor4d(x, "input")
+    w = as_tensor4d(weight, "weight").astype(x.dtype, copy=False)
+    c_in, h, wd, _ = x.shape
+    if w.shape[1] != c_in:
+        raise ShapeError(
+            f"weight expects {w.shape[1]} input channels, input has {c_in} "
+            f"(weight {w.shape}, input {x.shape})"
+        )
+    return x, w, _output_dims(h, wd, w.shape[2], stride, pad)
+
+
+def _windows(rows: np.ndarray, h_out: int, k: int, stride: int) -> np.ndarray:
+    """The (H_out, k*C*k, W_out*n) view of a (H_used*C*k, W_out*n) row-patch
+    matrix whose entry i is output row i's window, padded input rows
+    i*stride .. i*stride + k-1."""
+    band = rows.shape[0] // ((h_out - 1) * stride + k)
+    sr, sc = rows.strides
+    return np.lib.stride_tricks.as_strided(
+        rows, shape=(h_out, k * band, rows.shape[1]), strides=(stride * band * sr, sr, sc),
+        writeable=False)
+
+
+def conv2d(x, weight, stride: int = 1, pad: int = 0):
+    """conv2d of a (C_in, H, W, n) batch with a (C_out, C_in, k, k) weight, by
+    MEC: one batched GEMM of the weight, as a (C_out, k*C_in*k) matrix, with
+    each output row's window of x's row patches.
+
+    Returns (output, rows): the (C_out, H_out, W_out, n) output, and x's
+    (H_used*C_in*k, W_out*n) row-patch matrix, which conv2d_weight_grad needs.
+    """
+    x, w, (h_out, w_out) = _conv_args(x, weight, stride, pad)
+    c_out, k = w.shape[0], w.shape[2]
+    rows = row_patches(x, k, stride, pad)[0]
+    out = np.empty((c_out, h_out, w_out * x.shape[3]), dtype=x.dtype)
+    np.matmul(w.transpose(0, 2, 1, 3).reshape(c_out, -1), _windows(rows, h_out, k, stride),
+              out=out.transpose(1, 0, 2))
+    return out.reshape(c_out, h_out, w_out, x.shape[3]), rows
+
+
 def conv2d_forward(x, weight, stride: int = 1, pad: int = 0) -> np.ndarray:
-    """The output of conv2d alone; the im2col matrix is built in bounded
+    """The output of conv2d alone; the row patches are made in bounded
     blocks (in_sample_blocks) and never kept.  Every output element is the
     same dot product as in conv2d."""
-    x, w, (h_out, w_out) = _conv_args(x, weight, stride, pad)
-    sample_bytes = w[0].size * h_out * w_out * x.itemsize
+    x, w, _ = _conv_args(x, weight, stride, pad)
+    sample_bytes = row_patch_bytes(x.shape, w.shape[2], stride, pad, x.itemsize)
     return in_sample_blocks(lambda xb: conv2d(xb, w, stride, pad)[0], x, sample_bytes)
 
 
-def conv2d_weight_grad(grad, cols, weight_shape) -> np.ndarray:
+def conv2d_weight_grad(grad, rows, weight_shape) -> np.ndarray:
     """d_weight of conv2d, shaped weight_shape, given the output gradient
-    and the forward's cols; computed in cols' dtype when grad has it."""
-    g_mat = grad.reshape(weight_shape[0], -1)
-    # cols @ g_mat.T has the same dot products, and OpenBLAS runs it faster.
-    return matmul(cols, g_mat.T).T.reshape(weight_shape)
+    and the forward's rows; computed in rows' dtype when grad has it.  Each
+    output row's gradient times its window, summed over output rows."""
+    c_out, c_in, k, _ = weight_shape
+    h_out = grad.shape[1]
+    stride = (rows.shape[0] // (c_in * k) - k) // max(h_out - 1, 1)
+    g = grad.reshape(c_out, h_out, -1).transpose(1, 2, 0)
+    # windows @ g.T has the same dot products as g @ windows.T, and OpenBLAS
+    # runs it faster.
+    d_w = np.matmul(_windows(rows, h_out, k, stride), g).sum(axis=0)
+    return d_w.T.reshape(c_out, k, c_in, k).transpose(0, 2, 1, 3)
 
 
 def conv2d_input_grad(grad, weight, x_shape, stride: int = 1, pad: int = 0) -> np.ndarray:
     """d_x of conv2d, shaped x_shape, given the output gradient; computed in
-    grad's dtype.  It needs no cols, so a caller can free them first."""
+    grad's dtype.  It needs no rows, so a caller can free them first.
+
+    Kernel row a's GEMM gives every window's gradient at its padded input
+    row a, added into the row patches' gradient at rows a, a + stride, ...;
+    the row patches' adjoint then adds kernel column j's copies back at
+    input columns j, j + stride, ...  Input rows and columns that no window
+    reaches get 0."""
+    c, h, w, n = x_shape
     c_out, k = weight.shape[0], weight.shape[2]
-    g_mat = grad.reshape(c_out, -1)
-    d_cols = matmul(weight.reshape(c_out, -1).astype(g_mat.dtype, copy=False).T, g_mat)
-    return col2im(d_cols, x_shape, k, stride, pad)
-
-
-def _row_patch_dims(h: int, w: int, k: int, stride: int, pad: int):
-    """(H_used, H_out, W_out): the padded input rows a k x k window reaches,
-    and the checked output dims."""
-    h_out, w_out = _output_dims(h, w, k, stride, pad)
-    return (h_out - 1) * stride + k, h_out, w_out
-
-
-def row_patch_bytes(u_shape, k: int, stride: int, pad: int, itemsize: int) -> int:
-    """Bytes per sample of row_patches' matrix for a (C, H, W, n) input."""
-    c, h, w, _ = u_shape
-    h_used, _, w_out = _row_patch_dims(h, w, k, stride, pad)
-    return c * k * h_used * w_out * itemsize
-
-
-def row_patches(u, k: int, stride: int = 1, pad: int = 0) -> np.ndarray:
-    """Lower a (C, H, W, n) batch to the (C*k*H_used) x (W_out*n) row-patch
-    matrix, H_used = (H_out-1)*stride + k.
-
-    Zero padding.  Row r indexes (channel, kernel-col j, padded input row
-    hp) in C order and column c indexes (out-col, sample); the entry is the
-    padded input at (channel, hp, out-col*stride + j, sample).  Each input
-    row is copied k times, once per kernel column, where im2col copies it
-    k*k times.
-    """
-    u = as_tensor4d(u, "input")
-    c, h, w, n = u.shape
-    h_used, _, w_out = _row_patch_dims(h, w, k, stride, pad)
-    up = np.pad(u, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else u
-    sc, sh, sw, sn = up.strides
-    patches = np.lib.stride_tricks.as_strided(
-        up,
-        shape=(c, k, h_used, w_out, n),
-        strides=(sc, sw, sh, stride * sw, sn),
-        writeable=False,
-    )
-    return np.array(patches, order="C").reshape(c * k * h_used, w_out * n)
+    h_used, h_out, w_out = _row_patch_dims(h, w, k, stride, pad)
+    # [a] is kernel row a as a (C_in*k, C_out) matrix
+    w_rows = np.asarray(weight).astype(grad.dtype).transpose(2, 1, 3, 0).reshape(k, c * k, c_out)
+    g = grad.reshape(c_out, h_out, -1).transpose(1, 0, 2)
+    d_rows = np.zeros((h_used, c * k, w_out * n), dtype=grad.dtype)
+    np.matmul(w_rows[0], g, out=d_rows[: stride * h_out : stride])
+    for a in range(1, k):
+        d_rows[a : a + stride * h_out : stride] += np.matmul(w_rows[a], g)
+    d_rows = d_rows.reshape(h_used, c, k, w_out, n)
+    d_xp = np.zeros((c, h + 2 * pad, w + 2 * pad, n), dtype=grad.dtype)
+    for j in range(k):
+        d_xp[:, :h_used, j : j + stride * w_out : stride] += d_rows[:, :, j].transpose(1, 0, 2, 3)
+    return d_xp[:, pad : pad + h, pad : pad + w]
 
 
 def _diagonals(band: np.ndarray, stride: int) -> np.ndarray:
-    """The kernel entries of a (G, O, H_out, B, k, H_used) banded array, as a
-    (G, O, H_out, B, k, k) view: [g, c, o, b, j, i] is
-    band[g, c, o, b, j, o*stride + i]."""
-    sg, sc, so, sb, sj, sh = band.strides
+    """The kernel entries of a (G, O, H_out, H_used, B, k) banded array, as a
+    (G, O, H_out, k, B, k) view: [g, c, o, i, b, j] is
+    band[g, c, o, o*stride + i, b, j]."""
+    sg, sc, so, sh, sb, sj = band.strides
     return np.lib.stride_tricks.as_strided(
-        band, shape=band.shape[:5] + (band.shape[4],),
-        strides=(sg, sc, so + stride * sh, sb, sj, sh))
+        band, shape=band.shape[:3] + (band.shape[5],) + band.shape[4:],
+        strides=(sg, sc, so + stride * sh, sh, sb, sj))
 
 
 def _banded(kernels: np.ndarray, h_out: int, h_used: int, stride: int) -> np.ndarray:
-    """The (G, O*H_out, B*k*H_used) left factors of grouped_conv: row
+    """The (G, O*H_out, H_used*B*k) left factors of grouped_conv: row
     (c, o) of group g holds kernels[g, c]'s rows on the diagonals that start
-    at column o*stride."""
+    at padded input row o*stride."""
     g, o, b, k, _ = kernels.shape
-    band = np.zeros((g, o, h_out, b, k, h_used), dtype=kernels.dtype)
-    _diagonals(band, stride)[...] = kernels.transpose(0, 1, 2, 4, 3)[:, :, None]
-    return band.reshape(g, o * h_out, b * k * h_used)
+    band = np.zeros((g, o, h_out, h_used, b, k), dtype=kernels.dtype)
+    _diagonals(band, stride)[...] = kernels.transpose(0, 1, 3, 2, 4)[:, :, None]
+    return band.reshape(g, o * h_out, h_used * b * k)
 
 
 def _grouped_args(u, kernels, stride: int, pad: int):
@@ -288,15 +284,15 @@ def grouped_conv(u, kernels, stride: int = 1, pad: int = 0):
     each convolved with its own kernel of kernels[g, c].  O = 1 is a conv
     with one output per group, G = 1 a dense conv.
 
-    Each group is one GEMM of a banded (O*H_out, B*k*H_used) matrix, which
+    Each group is one GEMM of a banded (O*H_out, H_used*B*k) matrix, which
     holds kernels[g]'s rows on shifted diagonals, with the group's rows of
     row_patches(u).  Returns (output, rows): the (G*O, H_out, W_out, n)
-    output and the (G, B*k*H_used, W_out*n) row-patch matrix that
+    output and the (G, H_used*B*k, W_out*n) row-patch matrix that
     grouped_conv_kernel_grad needs.
     """
     u, kern, (h_used, h_out, w_out) = _grouped_args(u, kernels, stride, pad)
     g, o, _, k, _ = kern.shape
-    rows = row_patches(u, k, stride, pad).reshape(g, -1, w_out * u.shape[3])
+    rows = row_patches(u, k, stride, pad, groups=g)
     out = np.matmul(_banded(kern, h_out, h_used, stride), rows)
     return out.reshape(g * o, h_out, w_out, u.shape[3]), rows
 
@@ -309,8 +305,8 @@ def grouped_conv_kernel_grad(grad, rows, kernel_shape, u_shape, stride: int = 1,
     g, o, b, k, _ = kernel_shape
     h_used, h_out, w_out = _row_patch_dims(h, w, k, stride, pad)
     g_mat = grad.reshape(g, o * h_out, w_out * n)
-    d_band = np.matmul(g_mat, rows.transpose(0, 2, 1)).reshape(g, o, h_out, b, k, h_used)
-    return _diagonals(d_band, stride).sum(axis=2).transpose(0, 1, 2, 4, 3)
+    d_band = np.matmul(g_mat, rows.transpose(0, 2, 1)).reshape(g, o, h_out, h_used, b, k)
+    return _diagonals(d_band, stride).sum(axis=2).transpose(0, 1, 3, 2, 4)
 
 
 def grouped_conv_input_grad(grad, kernels, u_shape, stride: int = 1,

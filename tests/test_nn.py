@@ -102,8 +102,8 @@ def test_conv_backward_after_training_forward_matches_finite_differences(
     for p in layer.params():
         p.zero_grad()
     with monkeypatch.context() as m:
-        # backward must use the training forward's cols, not re-lower x
-        m.setattr(tensor, "im2col", None)
+        # backward must use the training forward's rows, not re-lower x
+        m.setattr(tensor, "row_patches", None)
         dx = layer.backward(r)
     want_dx = finite_difference(lambda t: _loss_through(layer, t, r), x.copy())
     assert rel_err(dx, want_dx) < 1e-7
@@ -127,8 +127,8 @@ def test_eval_conv_forward_keeps_no_patch_matrix(monkeypatch):
     for layer, kernel in [(dense, dense.weight.value),
                           (generated, generator.generate(factors))]:
         x = rng.standard_normal((8, 10, 10, 12))
-        full_cols = tensor.im2col(x, 3, 1, 1).nbytes
-        monkeypatch.setattr(tensor, "_BLOCK_BYTES", full_cols // 3)
+        full_rows = tensor.row_patch_bytes(x.shape, 3, 1, 1, 8) * 12
+        monkeypatch.setattr(tensor, "_BLOCK_BYTES", full_rows // 3)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -136,8 +136,8 @@ def test_eval_conv_forward_keeps_no_patch_matrix(monkeypatch):
             after, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - before < full_cols
-        assert after - before - out.nbytes < full_cols // 3
+        assert peak - before < full_rows
+        assert after - before - out.nbytes < full_rows // 3
         assert rel_err(out, tensor.conv2d(x, kernel, 1, 1)[0]) < 1e-12
 
 
@@ -563,9 +563,10 @@ def test_backward_that_raises_part_way_drops_every_layer_state(monkeypatch):
 
 def test_backward_frees_a_conv_patch_matrix_before_it_makes_its_input_gradient():
     """On the default dense arch at batch 64 in float32, backward's traced
-    peak above what the training forward keeps stays below one layer-1 im2col
-    matrix (800 x 4096, 13.1 MB): each layer's state goes as its backward
-    consumes it, so layer 1's cols are gone before its d_cols are made."""
+    peak above what the training forward keeps stays below one layer-1
+    im2col-sized matrix (800 x 4096, 13.1 MB): each layer's state goes as its
+    backward consumes it, so layer 1's row patches are gone before their
+    gradient is made."""
     net = _default_net(generated=())
     x = _default_batch(np.float32, n=64)
     r = np.random.default_rng(39).standard_normal((64, 10))
@@ -579,7 +580,8 @@ def test_backward_frees_a_conv_patch_matrix_before_it_makes_its_input_gradient()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert kept > cols_bytes  # layer 1's cols are part of the forward's state
+    # layer 1's row patches are part of the forward's state
+    assert kept > tensor.row_patch_bytes((32, 12, 12, 64), 5, 1, 0, 4) * 64
     assert peak - kept < cols_bytes
 
 
@@ -716,7 +718,7 @@ def test_intra_active_generated_conv_trains_without_im2col(monkeypatch, dtype):
     want = dense.forward(x, train=True)
     r = rng.standard_normal(want.shape).astype(dtype)
     want_dx = dense.backward(r)
-    monkeypatch.setattr(tensor, "im2col", None)
+    monkeypatch.setattr(tensor, "conv2d", None)  # a generated layer never runs the dense conv
     out = layer.forward(x, train=True)
     d_x = layer.backward(r)
     assert rel_err(out, want) < 1e-5 and rel_err(d_x, want_dx) < 1e-5
@@ -748,7 +750,7 @@ def test_generated_conv_takes_the_path_with_fewer_multiply_adds(
         return grouped_conv(u, kernels, *args)
 
     monkeypatch.setattr(tensor, "grouped_conv", recording_grouped_conv)
-    monkeypatch.setattr(tensor, "im2col", None)
+    monkeypatch.setattr(tensor, "conv2d", None)
     out = layer.forward(x, train=True)
     assert kernel_shapes == [(3, 1, n_basis, 5, 5) if grouped else (1, 3, 16, 5, 5)]
     assert rel_err(out, want) < 1e-12
@@ -770,12 +772,12 @@ def test_layer1_of_the_default_arch_leaves_the_grouped_path_above_n_basis_6():
 
 @pytest.mark.parametrize("train", [True, False])
 @_PLAN_CLASSES
-def test_banded_cross_conv_matches_the_im2col_one(monkeypatch, plan_args, train):
+def test_banded_cross_conv_matches_the_dense_mec_one(monkeypatch, plan_args, train):
     rng = np.random.default_rng(29)
     factors = generator.init_random(generator.plan_layer(*plan_args), rng)
     x = rng.standard_normal((16, 9, 9, 4))
     r = rng.standard_normal((4, 4, 4, 4))
-    # the im2col reference: tensor.conv2d with the generated kernels
+    # the reference: the dense MEC conv, tensor.conv2d, with the generated kernels
     fwd = generator.forward(factors)
     dense = nn.Conv2d(16, 4, 5, stride=2, pad=1, rng=rng)
     dense.weight.value = fwd.weight
@@ -784,7 +786,7 @@ def test_banded_cross_conv_matches_the_im2col_one(monkeypatch, plan_args, train)
         want_dx = dense.backward(r)
         want_grads = generator.backward(factors, fwd, dense.weight.grad)
     monkeypatch.setattr(nn.GeneratedConv2d, "_grouped", lambda self, x_shape: False)
-    monkeypatch.setattr(tensor, "im2col", None)
+    monkeypatch.setattr(tensor, "conv2d", None)
     layer = nn.GeneratedConv2d(factors, stride=2, pad=1)
     assert rel_err(layer.forward(x, train=train), want) < 1e-12
     if train:

@@ -60,16 +60,16 @@ def test_conv2d_forward_blocks_match_oracle(monkeypatch, n, c, h, w, k, stride, 
     rng = np.random.default_rng(2000 + n)
     x = rng.standard_normal((n, c, h, w))
     wt = rng.standard_normal((4, c, k, k))
-    cols_per_sample = tensor.im2col(_chwn(x[:1]), k, stride, pad).nbytes
-    monkeypatch.setattr(tensor, "_BLOCK_BYTES", per_block * cols_per_sample)
+    rows_per_sample = tensor.row_patch_bytes((c, h, w, 1), k, stride, pad, 8)
+    monkeypatch.setattr(tensor, "_BLOCK_BYTES", per_block * rows_per_sample)
     blocks = []
-    im2col = tensor.im2col
+    row_patches = tensor.row_patches
 
-    def counting_im2col(xb, *args):
+    def counting_row_patches(xb, *args):
         blocks.append(xb.shape[3])
-        return im2col(xb, *args)
+        return row_patches(xb, *args)
 
-    monkeypatch.setattr(tensor, "im2col", counting_im2col)
+    monkeypatch.setattr(tensor, "row_patches", counting_row_patches)
     got = _nchw(tensor.conv2d_forward(_chwn(x), wt, stride=stride, pad=pad))
     assert len(blocks) == -(-n // per_block) >= 3
     assert sum(blocks) == n and max(blocks) <= per_block
@@ -79,13 +79,13 @@ def test_conv2d_forward_blocks_match_oracle(monkeypatch, n, c, h, w, k, stride, 
 
 
 def test_conv2d_forward_writes_blocks_into_one_output(monkeypatch):
-    # C_out = 16 > C_in*k*k = 9, so an output outweighs one block's patch
-    # matrix and GEMM result together: joining the block outputs after the
+    # C_out = 16 > C_in*k = 3, so an output outweighs one block's row
+    # patches and GEMM result together: joining the block outputs after the
     # fact would hold two outputs at once, well above the bound below.
     rng = np.random.default_rng(2100)
     x = rng.standard_normal((1, 12, 12, 16))
     wt = rng.standard_normal((16, 1, 3, 3))
-    monkeypatch.setattr(tensor, "_BLOCK_BYTES", tensor.im2col(x, 3, 1, 1).nbytes // 4)
+    monkeypatch.setattr(tensor, "_BLOCK_BYTES", tensor.row_patch_bytes(x.shape, 3, 1, 1, 8) * 4)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -96,67 +96,70 @@ def test_conv2d_forward_writes_blocks_into_one_output(monkeypatch):
     blocks = [tensor.conv2d(x[..., a : a + 4], wt, 1, 1)[0] for a in range(0, 16, 4)]
     assert out.flags.c_contiguous
     assert out.tobytes() == np.concatenate(blocks, axis=3).tobytes()
-    block_cols = tensor.im2col(x[..., :4], 3, 1, 1).nbytes
-    bound = out.nbytes + block_cols + blocks[0].nbytes + blocks[0].nbytes // 4
+    block_rows = tensor.row_patches(x[..., :4], 3, 1, 1).nbytes
+    bound = out.nbytes + block_rows + blocks[0].nbytes + blocks[0].nbytes // 4
     assert bound < 2 * out.nbytes
     assert peak - before < bound
 
 
-def test_im2col_row_and_column_order():
-    # 1 sample, 2 channels, 3x3 image, k=2: check one patch explicitly.
+def test_row_patches_row_and_column_order():
+    # 1 sample, 2 channels, 3x3 image, k=2: rows run (input row, channel,
+    # kernel col) in C order, and each holds that row's out-cols shifted by
+    # the kernel col.
     x = np.arange(18, dtype=np.float64).reshape(1, 2, 3, 3)
-    cols = tensor.im2col(_chwn(x), k=2)
-    assert cols.shape == (8, 4)
-    # column 0 is the top-left patch: channel 0 rows then channel 1 rows,
-    # each scanning (kh, kw) in C order.
-    assert cols[:, 0].tolist() == [0, 1, 3, 4, 9, 10, 12, 13]
-    # columns scan out-row major, out-col minor: column 1 shifts right by 1.
-    assert cols[:, 1].tolist() == [1, 2, 4, 5, 10, 11, 13, 14]
-    assert cols[:, 2].tolist() == [3, 4, 6, 7, 12, 13, 15, 16]
+    rows = tensor.row_patches(_chwn(x), k=2)
+    assert rows.shape == (1, 3 * 2 * 2, 2)
+    assert rows[0, :4].tolist() == [[0, 1], [1, 2], [9, 10], [10, 11]]
+    assert rows[0, 4:8].tolist() == [[3, 4], [4, 5], [12, 13], [13, 14]]
+    # output row 1's MEC window starts one input row, C_in*k = 4 rows, later
+    assert rows[0, 8:].tolist() == [[6, 7], [7, 8], [15, 16], [16, 17]]
 
 
-def test_im2col_columns_put_the_sample_innermost():
-    # 2 samples, 1 channel, 3x4 image, k=2: columns run (out-row, out-col,
-    # sample) in C order, so neighbouring columns are the two samples' same patch.
-    x = np.arange(24, dtype=np.float64).reshape(2, 1, 3, 4)
-    cols = tensor.im2col(_chwn(x), k=2)
-    assert cols.shape == (4, 2 * 3 * 2)
-    for i in range(2):
-        for j in range(3):
+def test_row_patches_columns_put_the_sample_innermost_and_groups_outermost():
+    # 2 samples, 4 channels in 2 groups, 3x4 image, k=2: columns run
+    # (out-col, sample) in C order, and group g holds channels 2g, 2g + 1.
+    x = np.arange(96, dtype=np.float64).reshape(2, 4, 3, 4)
+    rows = tensor.row_patches(_chwn(x), k=2, groups=2).reshape(2, 3, 2, 2, 3, 2)
+    for g in range(2):
+        for hp in range(3):
             for b in range(2):
-                patch = x[b, 0, i : i + 2, j : j + 2].reshape(-1)
-                assert cols[:, (i * 3 + j) * 2 + b].tolist() == patch.tolist()
+                for j in range(2):
+                    for wo in range(3):
+                        for s in range(2):
+                            want = x[s, 2 * g + b, hp, wo + j]
+                            assert rows[g, hp, b, j, wo, s] == want
 
 
-def _im2col_loops(x, k, stride):
-    """im2col at pad 0 of an (n, c, h, w) batch, one patch at a time."""
-    n, _, h, w = x.shape
-    h_out, w_out = (h - k) // stride + 1, (w - k) // stride + 1
-    return np.stack([x[b, :, i * stride : i * stride + k, j * stride : j * stride + k].reshape(-1)
-                     for i in range(h_out) for j in range(w_out) for b in range(n)], axis=1)
+def _row_patches_loops(x, k, stride):
+    """row_patches at pad 0 of an (n, c, h, w) batch, one entry at a time."""
+    n, c, h, w = x.shape
+    h_used = ((h - k) // stride) * stride + k
+    w_out = (w - k) // stride + 1
+    return np.array([[[x[b, ch, hp, wo * stride + j] for wo in range(w_out) for b in range(n)]
+                      for hp in range(h_used) for ch in range(c) for j in range(k)]])
 
 
 @pytest.mark.parametrize("k,stride", [(3, 1), (2, 2), (1, 1)])
-def test_im2col_at_pad_0_reads_strided_inputs_and_copies(k, stride):
-    # At pad 0 im2col strides over x itself: Sequential's transposed entry
-    # view and a sample slice are not contiguous, and a 1x1 window at
-    # stride 1 would otherwise hand back a view of x.
+def test_row_patches_at_pad_0_read_strided_inputs_and_copy(k, stride):
+    # At pad 0 row_patches strides over x itself: Sequential's transposed
+    # entry view and a sample slice are not contiguous, and a 1x1 window at
+    # stride 1 must still hand back a copy of x.
     rng = np.random.default_rng(60 + k)
     x = rng.standard_normal((6, 3, 7, 8))
     entry = _chwn(x)  # what Sequential.forward passes its first layer
     chwn = np.ascontiguousarray(entry)
     for view, batch in ((entry, x), (chwn[..., 2:5], x[2:5]), (chwn, x)):
         before = view.copy()
-        cols = tensor.im2col(view, k, stride, 0)
-        assert np.array_equal(cols, _im2col_loops(batch, k, stride))
-        assert cols.flags.c_contiguous and cols.flags.writeable
-        cols += 1.0
+        rows = tensor.row_patches(view, k, stride, 0)
+        assert np.array_equal(rows, _row_patches_loops(batch, k, stride))
+        assert rows.flags.c_contiguous and rows.flags.writeable
+        rows += 1.0
         assert np.array_equal(view, before)
 
 
 def test_generated_layer_sized_d_weight_matches_nested_loops():
     # The basis conv of a generated layer 1: C_in 32, B_c = 12 kernels of 5x5
-    # over 12x12 maps, where d_weight is the (cols @ g.T).T product.
+    # over 12x12 maps, where d_weight is the windows' (rows @ g.T).T products.
     rng = np.random.default_rng(61)
     x = rng.standard_normal((3, 32, 12, 12))
     wt = rng.standard_normal((12, 32, 5, 5))
@@ -170,12 +173,14 @@ def test_generated_layer_sized_d_weight_matches_nested_loops():
     assert rel_err(_nchw(d_x), want_x) < 1e-12
 
 
-def test_eval_conv_of_layer_1_at_batch_256_runs_in_4_blocks(monkeypatch):
-    # Layer 1's float32 patch matrix at evaluate's batch 256 is 52 MB; a
-    # 16 MiB bound splits it into 4 blocks of 64 samples (13 MB each).
+def test_eval_conv_of_layer_1_at_batch_256_runs_in_row_patch_sized_blocks(monkeypatch):
+    # Layer 1's float32 row patches at evaluate's batch 256 are 15.7 MB; the
+    # block bound splits them into the fewest blocks that fit it.
     rng = np.random.default_rng(62)
     x = rng.standard_normal((32, 12, 12, 256)).astype(np.float32)
     wt = rng.standard_normal((32, 32, 5, 5))
+    per_block = tensor._BLOCK_BYTES // tensor.row_patch_bytes(x.shape, 5, 1, 0, 4)
+    n_blocks = -(-256 // per_block)
     calls = []
     conv2d = tensor.conv2d
 
@@ -185,10 +190,12 @@ def test_eval_conv_of_layer_1_at_batch_256_runs_in_4_blocks(monkeypatch):
 
     monkeypatch.setattr(tensor, "conv2d", counting_conv2d)
     out = tensor.conv2d_forward(x, wt)
-    assert calls == [64, 64, 64, 64]
+    bounds = [256 * i // n_blocks for i in range(n_blocks + 1)]
+    assert calls == [b - a for a, b in zip(bounds, bounds[1:])]
+    assert max(calls) <= per_block
     assert out.dtype == np.float32 and out.shape == (32, 8, 8, 256)
     assert out.tobytes() == np.concatenate(
-        [conv2d(x[..., a : a + 64], wt)[0] for a in range(0, 256, 64)], axis=3).tobytes()
+        [conv2d(x[..., a:b], wt)[0] for a, b in zip(bounds, bounds[1:])], axis=3).tobytes()
 
 
 @pytest.mark.parametrize("stride", [1, 2])
@@ -209,7 +216,7 @@ def test_conv2d_backward_matches_nested_loops(stride, pad):
 @pytest.mark.parametrize("stride, pad", [(1, 0), (2, 1)])
 def test_float32_conv_runs_in_float32(monkeypatch, stride, pad):
     # A float32 input casts the float64 kernel once and keeps every result
-    # float32: the patch matrix, both conv outputs, d_weight and col2im's d_x.
+    # float32: the row patches, both conv outputs, d_weight and d_x.
     rng = np.random.default_rng(44 + stride)
     x = rng.standard_normal((5, 2, 7, 6))
     wt = rng.standard_normal((4, 2, 3, 3))
@@ -228,22 +235,49 @@ def test_float32_conv_runs_in_float32(monkeypatch, stride, pad):
     assert rel_err(_nchw(d_x), want_x) < 1e-6
 
 
-def test_im2col_col2im_adjoint_identity():
+def test_conv2d_gradients_are_adjoints():
+    # float64: <conv2d(x), g> == <x, d_x(g)> == <w, d_w(g)>, the input and
+    # weight gradients being adjoints of the bilinear conv
     rng = np.random.default_rng(29)
-    x_shape = (2, 3, 9, 8)
-    for k, stride, pad in [(3, 1, 0), (3, 2, 1), (5, 1, 2), (2, 2, 0)]:
-        x = rng.standard_normal(x_shape)
-        cols = tensor.im2col(_chwn(x), k, stride, pad)
-        y = rng.standard_normal(cols.shape)
-        lhs = float(np.sum(cols * y))
-        rhs = float(np.sum(x * _nchw(tensor.col2im(y, _chwn(x).shape, k, stride, pad))))
-        assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+    for stride in (1, 2, 3):
+        for pad in (0, 1, 2):
+            for k in range(1, 6):
+                x = rng.standard_normal((3, 9, 8, 2))
+                wt = rng.standard_normal((4, 3, k, k))
+                out, rows = tensor.conv2d(x, wt, stride, pad)
+                g = rng.standard_normal(out.shape)
+                dot = float(np.vdot(out, g))
+                d_x = tensor.conv2d_input_grad(g, wt, x.shape, stride, pad)
+                d_w = tensor.conv2d_weight_grad(g, rows, wt.shape)
+                scale = np.abs(out * g).sum()
+                assert abs(dot - np.vdot(x, d_x)) <= 1e-12 * scale, (stride, pad, k)
+                assert abs(dot - np.vdot(wt, d_w)) <= 1e-12 * scale, (stride, pad, k)
 
 
-def test_im2col_rejects_empty_output():
-    x = np.zeros((1, 1, 3, 3))
+def test_conv2d_input_grad_peaks_below_an_im2col_sized_matrix():
+    """Layer 1's shape at batch 64, float32: d_x takes one GEMM per kernel
+    row, so its traced peak stays below the (800 x 4096, 13.1 MB) matrix
+    that one GEMM over whole windows would form."""
+    rng = np.random.default_rng(63)
+    wt = rng.standard_normal((32, 32, 5, 5))
+    g = rng.standard_normal((32, 8, 8, 64)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        d_x = tensor.conv2d_input_grad(g, wt, (32, 12, 12, 64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d_x.dtype == np.float32 and d_x.shape == (32, 12, 12, 64)
+    assert peak - before < 32 * 5 * 5 * 8 * 8 * 64 * 4
+
+
+def test_row_patches_and_conv2d_reject_empty_output():
+    x = np.zeros((1, 3, 3, 1))
     with pytest.raises(ShapeError):
-        tensor.im2col(x, k=5, stride=1, pad=0)
+        tensor.row_patches(x, k=5, stride=1, pad=0)
+    with pytest.raises(ShapeError, match="non-positive output dims"):
+        tensor.conv2d(x, np.zeros((2, 1, 5, 5)))
 
 
 def test_svd_reconstructs_and_matches_lapack():
@@ -377,13 +411,13 @@ def test_grouped_conv_input_grad_matches_nested_loops_where_windows_miss_rows(st
 def test_row_patches_copy_each_input_row_k_times():
     x = np.arange(2 * 4 * 5 * 3, dtype=np.float64).reshape(2, 4, 5, 3)
     rows = tensor.row_patches(x, 2)
-    assert rows.shape == (2 * 2 * 4, 4 * 3)
+    assert rows.shape == (1, 4 * 2 * 2, 4 * 3)
     assert rows.nbytes == tensor.row_patch_bytes(x.shape, 2, 1, 0, 8) * 3
-    # row (channel, kernel col j, input row) holds out-cols j.. j+3 of that row
-    for c in range(2):
-        for j in range(2):
-            for h in range(4):
-                assert np.array_equal(rows[(c * 2 + j) * 4 + h], x[c, h, j : j + 4].ravel())
+    # row (input row, channel, kernel col j) holds out-cols j.. j+3 of that row
+    for h in range(4):
+        for c in range(2):
+            for j in range(2):
+                assert np.array_equal(rows[0, (h * 2 + c) * 2 + j], x[c, h, j : j + 4].ravel())
     assert not np.may_share_memory(tensor.row_patches(x[:, :, :1], 1), x)
 
 

@@ -7,10 +7,10 @@ forward it makes only the arrays it returns or its backward needs.
 
 One contract covers every layer: a training (``train=True``) forward keeps
 the backward state, and backward is defined only after one.  A training
-conv caches its im2col matrix (a generated conv, its row-patch matrix), a
-training batch norm its centred input, and ReLU its own output, each
-under ``_cache``.  Backward consumes
-that state: a conv drops its patch matrix once it has the weight gradient,
+conv, dense or generated, caches its input's row-patch matrix
+(``tensor.row_patches``), a training batch norm its centred input, and
+ReLU its own output, each under ``_cache``.  Backward consumes
+that state: a conv drops its row patches once it has the weight gradient,
 before it makes the input gradient's matrix of the same size, batch norm
 forms its input gradient in its centred-input buffer, and
 ``Sequential`` drops each layer's ``_cache`` as soon as the layer's
@@ -27,8 +27,8 @@ the mixer as a 1x1 conv, runs n_cross*C_in*k*k + C_out*n_cross nonzero
 multiply-adds per output pixel against C_out*C_in*k*k for a dense conv.
 It is one banded GEMM of n_cross*H_out rows on the input's row patches
 (``tensor.grouped_conv`` with one group), which multiplies H_used/k times
-the nonzero work, H_used = (H_out-1)*stride + k, on a patch matrix k
-times smaller than im2col's.  With its intra level active it may instead
+the nonzero work, H_used = (H_out-1)*stride + k, on the row-patch matrix
+a dense conv's MEC windows read.  With its intra level active it may instead
 run its grouped path: a 1x1 conv with the coeff factors into
 n_cross*n_basis channels, a grouped k x k conv with the basis kernels, one
 banded GEMM per group, and the mixer, at
@@ -103,9 +103,11 @@ class Conv2d(Layer):
     """Dense convolution without bias (batch norm follows it everywhere
     here), with a He-initialized weight tensor.
 
-    A training forward caches the input's shape and its im2col matrix for
-    backward.  An inference forward lowers in bounded blocks
-    (``tensor.conv2d_forward``) and caches nothing.
+    It runs MEC (``tensor.conv2d``): one batched GEMM over the output
+    rows' windows of the input's row patches, im2col's multiply-adds on a
+    matrix about k times smaller.  A training forward caches the input's
+    shape and its row patches for backward.  An inference forward lowers
+    in bounded blocks (``tensor.conv2d_forward``) and caches nothing.
     """
 
     def __init__(self, c_in: int, c_out: int, k: int, stride: int = 1,
@@ -177,8 +179,8 @@ class GeneratedConv2d(Layer):
         needs the intra level, and per sample the 1x1 coeff conv plus the
         banded grouped conv must run fewer multiply-adds than the cross conv
         has nonzero ones, n_cross*C_in*k*k per output pixel (the mixer's are
-        the same on both paths), and cache a row-patch matrix no larger than
-        x's im2col one."""
+        the same on both paths), and cache a row-patch matrix of no more than
+        C_in*k*k*H_out*W_out values per sample."""
         p = self.factors.plan
         if not p.intra_active:
             return False

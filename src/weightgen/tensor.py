@@ -122,9 +122,9 @@ def row_patches(u, k: int, stride: int = 1, pad: int = 0, groups: int = 1) -> np
 
 
 # Bound on an eval-mode conv block's row patches.  Inference of the default
-# dense arch on 1,280 float32 samples at batch 256 (one BLAS thread) ran
-# within noise at 2, 4, 8 and 16 MiB blocks; 4 MiB keeps a block's patches
-# below a batch's activations.
+# dense arch on 1,280 float32 samples at batch 256 (MEC, one BLAS thread, a
+# 2-vCPU Xeon) ran within noise at 2, 4, 8 and 16 MiB blocks.  At 4 MiB an
+# inference batch peaks below half of what a training forward of it keeps.
 _BLOCK_BYTES = 4 << 20
 
 

@@ -173,9 +173,9 @@ def test_generated_layer_sized_d_weight_matches_nested_loops():
     assert rel_err(_nchw(d_x), want_x) < 1e-12
 
 
-def test_eval_conv_of_layer_1_at_batch_256_runs_in_row_patch_sized_blocks(monkeypatch):
-    # Layer 1's float32 row patches at evaluate's batch 256 are 15.7 MB; the
-    # block bound splits them into the fewest blocks that fit it.
+def test_eval_conv_of_layer_1_at_batch_256_runs_in_4_blocks(monkeypatch):
+    # Layer 1's float32 row patches at evaluate's batch 256 are 15.7 MB; a
+    # 4 MiB bound splits them into 4 blocks of 64 samples (3.9 MB each).
     rng = np.random.default_rng(62)
     x = rng.standard_normal((32, 12, 12, 256)).astype(np.float32)
     wt = rng.standard_normal((32, 32, 5, 5))
@@ -191,7 +191,7 @@ def test_eval_conv_of_layer_1_at_batch_256_runs_in_row_patch_sized_blocks(monkey
     monkeypatch.setattr(tensor, "conv2d", counting_conv2d)
     out = tensor.conv2d_forward(x, wt)
     bounds = [256 * i // n_blocks for i in range(n_blocks + 1)]
-    assert calls == [b - a for a, b in zip(bounds, bounds[1:])]
+    assert calls == [b - a for a, b in zip(bounds, bounds[1:])] == [64, 64, 64, 64]
     assert max(calls) <= per_block
     assert out.dtype == np.float32 and out.shape == (32, 8, 8, 256)
     assert out.tobytes() == np.concatenate(

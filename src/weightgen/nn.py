@@ -15,7 +15,9 @@ before it makes the input gradient's matrix of the same size, batch norm
 forms its input gradient in its centred-input buffer, and
 ``Sequential`` drops each layer's ``_cache`` as soon as the layer's
 backward returns.  So backward runs once per training forward, and a model
-holds no activations after a training step.  An inference
+holds no activations after a training step.  A network's backward yields
+parameter gradients only: ``Sequential`` asks its first layer for no input
+gradient, so no gradient of the network input is ever formed.  An inference
 (``train=False``) forward keeps nothing: a conv lowers in bounded blocks,
 batch norm is one scale and shift per channel, and ``Sequential`` drops
 each layer's ``_cache`` as soon as the layer returns, so inference holds no
@@ -85,14 +87,18 @@ class Layer:
     """A training forward keeps what backward reads, as large as an
     activation, under ``_cache``; backward is defined only after a training
     forward and consumes that state, and ``Sequential`` drops ``_cache``
-    after each layer's backward and after an inference forward."""
+    after each layer's backward and after an inference forward.  Backward
+    with ``input_grad=False``, as ``Sequential`` runs its first layer, forms
+    the same parameter gradients and no input gradient."""
 
     _cache = None
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         raise NotImplementedError
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """Accumulate the parameter gradients and return the input's, or
+        None, skipping the input gradient's work, when input_grad is False."""
         raise NotImplementedError
 
     def params(self) -> list[Param]:
@@ -126,11 +132,13 @@ class Conv2d(Layer):
         self._cache = (x.shape, rows)
         return out
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
         x_shape, rows = self._cache
         self._cache = None
         self.weight.grad += tensor.conv2d_weight_grad(grad, rows, self.weight.value.shape)
         del rows  # freed before d_x's row-patch gradient of the same size is made
+        if not input_grad:
+            return None
         return tensor.conv2d_input_grad(grad, self.weight.value, x_shape, self.stride, self.pad)
 
     def params(self):
@@ -255,7 +263,7 @@ class GeneratedConv2d(Layer):
                        z if self._gen.q_mixer is not None else None)
         return self._mix(z)
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
         conv, z = self._cache
         self._cache = None
         mixer = self._gen.q_mixer
@@ -269,20 +277,25 @@ class GeneratedConv2d(Layer):
         d_kernels = tensor.grouped_conv_kernel_grad(
             grad, rows, kernels.shape, u_shape, self.stride, self.pad)
         del rows  # freed before d_u's row-patch matrix is made
-        d_u = tensor.grouped_conv_input_grad(grad, kernels, u_shape, self.stride, self.pad)
         if coeff is None:
             d_basis, d_coeff = generator.intra_backward(
                 self._gen, d_kernels.reshape(self._gen.w_cross.shape))
             if d_basis is not None:
                 self._params["basis"].grad += d_basis
             self._params["coeff"].grad += d_coeff
-            return d_u
+            if not input_grad:
+                return None
+            return tensor.grouped_conv_input_grad(grad, kernels, u_shape, self.stride, self.pad)
+        # on the grouped path d_u is the coeff gradient's input
+        d_u = tensor.grouped_conv_input_grad(grad, kernels, u_shape, self.stride, self.pad)
         a, x = coeff
         p = self.factors.plan
         d_u = d_u.reshape(a.shape[0], -1)
         d_a = d_u @ x.reshape(self.c_in, -1).T
         self._params["basis"].grad += d_kernels.reshape(p.n_cross, p.n_basis, p.kk)
         self._params["coeff"].grad += d_a.reshape(p.n_cross, p.n_basis, p.c_in).transpose(0, 2, 1)
+        if not input_grad:
+            return None
         return (a.T @ d_u).reshape(x.shape)
 
     def params(self):
@@ -333,7 +346,7 @@ class BatchNorm2d(Layer):
             self._cache = None
         return out.reshape(x.shape)
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
         xc, inv_std = self._cache
         self._cache = None
         g = grad.reshape(xc.shape)
@@ -341,6 +354,8 @@ class BatchNorm2d(Layer):
         g_xhat = np.einsum("ij,ij->i", g, xc) * inv_std
         self.beta.grad += g_sum
         self.gamma.grad += g_xhat
+        if not input_grad:
+            return None
         m = g.shape[1]  # the batch statistics depend on x too
         d_x = xc  # formed in xc's buffer, which nothing else holds
         d_x *= (-g_xhat * inv_std / m)[:, None]
@@ -358,8 +373,11 @@ class ReLU(Layer):
         self._cache = np.maximum(tensor.as_float(x), 0.0)
         return self._cache
 
-    def backward(self, grad):
-        return grad * (self._cache > 0)
+    def backward(self, grad, input_grad=True):
+        if not input_grad:
+            return None
+        # the mask in grad's dtype: a bool operand would be cast per element
+        return grad * (self._cache > 0).astype(grad.dtype)
 
 
 class AdaptiveAvgPool2d(Layer):
@@ -386,7 +404,9 @@ class AdaptiveAvgPool2d(Layer):
         self._cache = (x.shape, avg)
         return np.matmul(avg, x.reshape(c, h * w, n)).reshape(c, self.out, self.out, n)
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
+        if not input_grad:
+            return None
         x_shape, avg = self._cache
         grad = grad.reshape(x_shape[0], -1, x_shape[3])
         return np.matmul(avg.T, grad).reshape(x_shape)
@@ -400,8 +420,8 @@ class Flatten(Layer):
         self._shape = x.shape
         return x.reshape(-1, x.shape[-1]).T
 
-    def backward(self, grad):
-        return grad.T.reshape(self._shape)
+    def backward(self, grad, input_grad=True):
+        return grad.T.reshape(self._shape) if input_grad else None
 
 
 class Linear(Layer):
@@ -423,9 +443,11 @@ class Linear(Layer):
         w, b = (p.value.astype(x.dtype, copy=False) for p in (self.weight, self.bias))
         return x @ w.T + b
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
         self.weight.grad += grad.T @ self._cache
         self.bias.grad += grad.sum(axis=0)
+        if not input_grad:
+            return None
         return grad @ self.weight.value.astype(grad.dtype, copy=False)
 
     def params(self):
@@ -447,15 +469,18 @@ class ActQuant(Layer):
         x = tensor.as_float(x)
         return fake_quantize(x, self.bits).astype(x.dtype, copy=False)
 
-    def backward(self, grad):
-        return grad
+    def backward(self, grad, input_grad=True):
+        return grad if input_grad else None
 
 
 class Sequential(Layer):
     """Layers in a chain.  Takes an (n, C, H, W) batch and transposes it to
-    (C, H, W, n) once on entry; backward transposes d_x back on exit.  A
-    float32 batch runs in float32, any other in float64; backward casts the
-    incoming gradient (kd_loss's is float64) to the forward's dtype.
+    (C, H, W, n) once on entry.  Backward accumulates every parameter's
+    gradient and returns None: it runs the first layer with
+    ``input_grad=False``, so the network input's gradient, which training
+    never reads, is not formed.  A float32 batch runs in float32, any other
+    in float64; backward casts the incoming gradient (kd_loss's is float64)
+    to the forward's dtype.
 
     Backward is defined only after a training forward that returned, and
     runs once per such forward: it drops each layer's ``_cache`` as soon as
@@ -487,7 +512,7 @@ class Sequential(Layer):
         self._trained = train
         return x
 
-    def backward(self, grad):
+    def backward(self, grad) -> None:
         if not self._trained:
             raise WeightgenError(
                 "backward needs a training forward first: the last forward was an "
@@ -496,13 +521,14 @@ class Sequential(Layer):
         self._trained = False
         try:
             grad = np.asarray(grad, dtype=self._dtype)
-            for layer in reversed(self.layers):
+            for layer in reversed(self.layers[1:]):
                 grad = layer.backward(grad)
                 layer._cache = None
+            # nothing reads the network input's gradient
+            self.layers[0].backward(grad, input_grad=False)
         finally:  # a backward that raised leaves no state of its own or below it
             for layer in self.layers:
                 layer._cache = None
-        return grad.transpose(3, 0, 1, 2)
 
     def params(self):
         return [p for _, p in self.named_params()]

@@ -270,6 +270,22 @@ def test_relu_and_flatten_roundtrip():
     assert np.array_equal(flat.backward(y), x)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_backward_equals_a_bool_mask_multiply_byte_for_byte(dtype):
+    rng = np.random.default_rng(19)
+    x = rng.standard_normal((3, 5, 5, 4)).astype(dtype)
+    x[0, 0] = 0.0  # zero activations, whose gradient keeps the sign of -0.0
+    grad = rng.standard_normal(x.shape).astype(dtype)
+    grad[0, 0] = -np.abs(grad[0, 0])
+    relu = nn.ReLU()
+    y = relu.forward(x, train=True)
+    got = relu.backward(grad)
+    want = grad * (y > 0)
+    assert got.dtype == want.dtype == dtype
+    assert got.tobytes() == want.tobytes()
+    assert np.signbit(got[0, 0]).all()
+
+
 def test_adaptive_avgpool_windows_4_to_3():
     # 4 -> 3 uses overlapping windows rows (0,1), (1,2), (2,3).
     x = np.arange(16, dtype=np.float64).reshape(1, 4, 4, 1)
@@ -377,11 +393,7 @@ def test_sequential_end_to_end_gradients():
 
     net.forward(x, train=True)
     net.zero_grad()
-    dx = net.backward(r)
-    want_dx = finite_difference(
-        lambda t: float(np.sum(net.forward(t, train=True) * r)), x.copy()
-    )
-    assert rel_err(dx, want_dx) < 1e-6
+    assert net.backward(r) is None  # parameter gradients only
 
     for name, p in net.named_params():
         def loss_p(v, p=p):
@@ -512,9 +524,11 @@ def test_backward_after_a_forward_that_raised_part_way_is_a_typed_error():
         net.forward(rng.standard_normal((4, 2, 9, 9)), train=True)
     with pytest.raises(WeightgenError, match="backward needs a training forward"):
         net.backward(np.ones((4, 3)))
-    x = rng.standard_normal((4, 2, 8, 8))
-    net.forward(x, train=True)
-    assert net.backward(np.ones((4, 3))).shape == x.shape
+    net.forward(rng.standard_normal((4, 2, 8, 8)), train=True)
+    net.zero_grad()
+    net.backward(np.ones((4, 3)))
+    for name, p in net.named_params():
+        assert np.all(np.isfinite(p.grad)) and np.any(p.grad), name
 
 
 def test_backward_releases_each_layer_state_and_runs_once_per_training_forward(
@@ -524,8 +538,9 @@ def test_backward_releases_each_layer_state_and_runs_once_per_training_forward(
     x, r = rng.random((4, 1, 28, 28)), rng.standard_normal((4, 10))
     net.forward(x, train=True)
     assert all(layer._cache is not None for layer in net.conv_layers())
-    d_x = net.backward(r)
-    assert d_x.shape == x.shape
+    net.zero_grad()
+    net.backward(r)
+    grads = [p.grad.tobytes() for p in net.params()]
     assert [type(l).__name__ for l in net.layers if l._cache is not None] == []
     with pytest.raises(WeightgenError, match="backward needs a training forward"):
         net.backward(r)
@@ -538,7 +553,9 @@ def test_backward_releases_each_layer_state_and_runs_once_per_training_forward(
     with pytest.raises(WeightgenError, match="backward needs a training forward"):
         net.backward(r)
     net.forward(x, train=True)
-    assert net.backward(r).tobytes() == d_x.tobytes()
+    net.zero_grad()
+    net.backward(r)
+    assert [p.grad.tobytes() for p in net.params()] == grads
 
 
 def test_backward_that_raises_part_way_drops_every_layer_state(monkeypatch):
@@ -564,13 +581,13 @@ def test_backward_that_raises_part_way_drops_every_layer_state(monkeypatch):
 def test_backward_frees_a_conv_patch_matrix_before_it_makes_its_input_gradient():
     """On the default dense arch at batch 64 in float32, backward's traced
     peak above what the training forward keeps stays below one layer-1
-    im2col-sized matrix (800 x 4096, 13.1 MB): each layer's state goes as its
-    backward consumes it, so layer 1's row patches are gone before their
-    gradient is made."""
+    row-patch matrix (3.9 MB): each layer's state goes as its backward
+    consumes it, so layer 1's row patches are gone before their gradient, a
+    matrix of the same size, is made."""
     net = _default_net(generated=())
     x = _default_batch(np.float32, n=64)
     r = np.random.default_rng(39).standard_normal((64, 10))
-    cols_bytes = 32 * 5 * 5 * 8 * 8 * 64 * 4
+    rows_bytes = tensor.row_patch_bytes((32, 12, 12, 64), 5, 1, 0, 4) * 64
     tracemalloc.start()
     try:
         net.forward(x, train=True)
@@ -581,8 +598,40 @@ def test_backward_frees_a_conv_patch_matrix_before_it_makes_its_input_gradient()
     finally:
         tracemalloc.stop()
     # layer 1's row patches are part of the forward's state
-    assert kept > tensor.row_patch_bytes((32, 12, 12, 64), 5, 1, 0, 4) * 64
-    assert peak - kept < cols_bytes
+    assert kept > rows_bytes
+    assert peak - kept < rows_bytes
+
+
+def _full_backward_grads(net, x, r):
+    """Parameter gradients from every layer's full backward, run by hand."""
+    net.zero_grad()
+    net.forward(x, train=True)
+    grad = np.asarray(r, dtype=x.dtype)
+    for layer in reversed(net.layers):
+        grad = layer.backward(grad)
+    assert grad.shape == x.transpose(1, 2, 3, 0).shape
+    return [p.grad.tobytes() for p in net.params()]
+
+
+def test_network_backward_forms_no_network_input_gradient(monkeypatch):
+    x = _default_batch(np.float32)
+    r = np.random.default_rng(41).standard_normal((8, 10))
+    want = _full_backward_grads(_default_net(generated=()), x, r)
+    x_shapes = []
+    input_grad = tensor.conv2d_input_grad
+
+    def recording_input_grad(grad, weight, x_shape, *args):
+        x_shapes.append(x_shape)
+        return input_grad(grad, weight, x_shape, *args)
+
+    monkeypatch.setattr(tensor, "conv2d_input_grad", recording_input_grad)
+    net = _default_net(generated=())
+    net.zero_grad()
+    net.forward(x, train=True)
+    net.backward(r)
+    # layers 2 and 1 form their input gradients, layer 0 none
+    assert x_shapes == [(32, 8, 8, 8), (32, 12, 12, 8)]
+    assert [p.grad.tobytes() for p in net.params()] == want
 
 
 # ---------------------------------------------------------------------------
@@ -607,19 +656,21 @@ def test_float32_batch_stays_float32_while_state_stays_float64(train):
         for method in ("forward", "backward"):
             def record(*args, orig=getattr(layer, method), name=f"{i}.{method}", **kw):
                 out = orig(*args, **kw)
-                seen.append((name, out.dtype))
+                seen.append((name, None if out is None else out.dtype))
                 return out
             setattr(layer, method, record)
     opt = RAdam(net.params(), lr=1e-3)
     logits = net.forward(_default_batch(np.float32), train=train)
     if train:  # backward is defined only after a training forward
         net.zero_grad()
-        d_x = net.backward(np.ones(logits.shape))  # a float64 gradient, as kd_loss gives
-        assert d_x.dtype == np.float32
+        net.backward(np.ones(logits.shape))  # a float64 gradient, as kd_loss gives
         opt.step()
         assert opt._m.dtype == opt._v.dtype == np.float64
     assert len(seen) == (2 if train else 1) * len(net.layers)
-    assert [name for name, dt in seen if dt != np.float32] == []
+    dtypes = dict(seen)
+    if train:  # the first layer's backward forms no input gradient
+        assert dtypes.pop("0.backward") is None
+    assert [name for name, dt in dtypes.items() if dt != np.float32] == []
     for name, p in net.named_params():
         assert p.value.dtype == p.grad.dtype == np.float64, name
     for layer in net.layers:
@@ -658,7 +709,15 @@ def test_other_input_dtypes_run_the_float64_path(dtype):
         want = want_net.forward(x.astype(np.float64), train=train)
         assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
         if train:  # backward is defined only after a training forward
-            assert got_net.backward(np.ones(got.shape)).dtype == np.float64
+            seen = []  # the input gradients' dtypes, from layers 1..n
+            for layer in got_net.layers[1:]:
+                def record(grad, orig=layer.backward):
+                    out = orig(grad)
+                    seen.append(out.dtype)
+                    return out
+                layer.backward = record
+            got_net.backward(np.ones(got.shape))
+            assert seen == [np.float64] * (len(got_net.layers) - 1)
 
 
 # C_in=16 and k=5 make the grouped path the cheaper one for the intra-active
@@ -666,6 +725,27 @@ def test_other_input_dtypes_run_the_float64_path(dtype):
 _PLAN_CLASSES = pytest.mark.parametrize(
     "plan_args", [(4, 16, 5, 2, 3), (4, 16, 5, 16, 3), (4, 16, 5, 2, 4), (4, 16, 5, 16, 4)],
     ids=["both", "intra-skipped", "cross-skipped", "both-skipped"])
+
+
+@_PLAN_CLASSES
+def test_generated_first_layer_skips_its_input_gradient_bitwise(plan_args):
+    # a generated layer 0, on the grouped path when its intra level is active
+    x = np.random.default_rng(42).standard_normal((4, 16, 9, 9))
+    r = np.random.default_rng(43).standard_normal((4, 3))
+
+    def net():
+        c_out, c_in, k, n_basis, n_cross = plan_args
+        return nn.build_network(f"C{c_out}K{k}S2P1-AvgPool2-FC3", c_in, 9,
+                                np.random.default_rng(44), generated=(0,),
+                                n_basis=n_basis, n_cross=n_cross)
+
+    layer = net().layers[0]
+    assert layer._grouped((16, 9, 9, 4)) == layer.factors.plan.intra_active
+    got = net()
+    got.zero_grad()
+    got.forward(x, train=True)
+    got.backward(r)
+    assert [p.grad.tobytes() for p in got.params()] == _full_backward_grads(net(), x, r)
 
 
 @pytest.mark.parametrize("train", [True, False])

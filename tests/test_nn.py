@@ -525,7 +525,6 @@ def test_backward_after_a_forward_that_raised_part_way_is_a_typed_error():
     with pytest.raises(WeightgenError, match="backward needs a training forward"):
         net.backward(np.ones((4, 3)))
     net.forward(rng.standard_normal((4, 2, 8, 8)), train=True)
-    net.zero_grad()
     net.backward(np.ones((4, 3)))
     for name, p in net.named_params():
         assert np.all(np.isfinite(p.grad)) and np.any(p.grad), name
@@ -538,7 +537,6 @@ def test_backward_releases_each_layer_state_and_runs_once_per_training_forward(
     x, r = rng.random((4, 1, 28, 28)), rng.standard_normal((4, 10))
     net.forward(x, train=True)
     assert all(layer._cache is not None for layer in net.conv_layers())
-    net.zero_grad()
     net.backward(r)
     grads = [p.grad.tobytes() for p in net.params()]
     assert [type(l).__name__ for l in net.layers if l._cache is not None] == []
@@ -604,7 +602,6 @@ def test_backward_frees_a_conv_patch_matrix_before_it_makes_its_input_gradient()
 
 def _full_backward_grads(net, x, r):
     """Parameter gradients from every layer's full backward, run by hand."""
-    net.zero_grad()
     net.forward(x, train=True)
     grad = np.asarray(r, dtype=x.dtype)
     for layer in reversed(net.layers):
@@ -626,7 +623,6 @@ def test_network_backward_forms_no_network_input_gradient(monkeypatch):
 
     monkeypatch.setattr(tensor, "conv2d_input_grad", recording_input_grad)
     net = _default_net(generated=())
-    net.zero_grad()
     net.forward(x, train=True)
     net.backward(r)
     # layers 2 and 1 form their input gradients, layer 0 none
@@ -742,7 +738,6 @@ def test_generated_first_layer_skips_its_input_gradient_bitwise(plan_args):
     layer = net().layers[0]
     assert layer._grouped((16, 9, 9, 4)) == layer.factors.plan.intra_active
     got = net()
-    got.zero_grad()
     got.forward(x, train=True)
     got.backward(r)
     assert [p.grad.tobytes() for p in got.params()] == _full_backward_grads(net(), x, r)

@@ -72,7 +72,8 @@ SETTINGS = (
     Setting("limit_test", "--limit-test", _FIT, "use only the first N test samples", "int"),
     Setting("verbose", "--verbose", _FIT, "print one line per epoch", "bool"),
     Setting("layer", "--layer", ("init",), "conv layer index (default 0)", "int"),
-    Setting("q_weight", "--q-weight", ("init", "cost"), "dense weight bitwidth (default 16)", "int"),
+    Setting("q_weight", "--q-weight", ("init", "cost"),
+            f"dense weight bitwidth (default {generator.DENSE_BITS})", "int"),
     Setting("bi_list", "--bi-list", ("explore",), "comma list of B_i values",
             "tuple[int, ...]"),
     Setting("bc_list", "--bc-list", ("explore",), "comma list of B_c values",
@@ -227,6 +228,16 @@ def _require_out(merged: dict) -> str:
     return out
 
 
+def _write_report(merged: dict, command: str, name: str, doc) -> None:
+    """Write doc as the JSON artifact name, with config.json, if the settings
+    name an output directory; cost and analyze only print without one."""
+    out = merged.get("out")
+    if out:
+        with _artifact_set(out, merged, command) as artifact:
+            dataio.write_json(artifact(name), doc)
+        print(f"artifacts in {out}")
+
+
 def _load_datasets(merged: dict):
     root = dataio.resolve_data_root(merged.get("data"))
     train_ds = dataio.load_fashion_split(root, "train")
@@ -270,7 +281,7 @@ def cmd_train(ns: argparse.Namespace) -> int:
 
 
 def cmd_init(ns: argparse.Namespace) -> int:
-    merged = {"layer": 0, "q_weight": 16, **_resolve(ns)}
+    merged = {"layer": 0, "q_weight": generator.DENSE_BITS, **_resolve(ns)}
     cfg = _build(training.TrainConfig, merged)
     out = _require_out(merged)
     model = _load_teacher(merged)
@@ -350,7 +361,7 @@ def cmd_explore(ns: argparse.Namespace) -> int:
 
 
 def cmd_cost(ns: argparse.Namespace) -> int:
-    merged = {**_COST_LAYER, "q_weight": 16, **_resolve(ns)}
+    merged = {**_COST_LAYER, "q_weight": generator.DENSE_BITS, **_resolve(ns)}
     dev = _build(costmodel.DeviceParams, merged)
     plan = generator.plan_layer(**{key: merged[key] for key in _COST_LAYER})
     report = costmodel.speedup_report([plan], q_weight=merged["q_weight"], dev=dev)
@@ -364,11 +375,7 @@ def cmd_cost(ns: argparse.Namespace) -> int:
     print(f"  DAC energy reduction:     {layer.dac_reduction * 100:.1f}%")
     if layer.net_loss:
         print("  warning: generation latency exceeds the load time it saves")
-    out = merged.get("out")
-    if out:
-        with _artifact_set(out, merged, "cost") as artifact:
-            dataio.write_json(artifact("cost.json"), dataclasses.asdict(report))
-        print(f"artifacts in {out}")
+    _write_report(merged, "cost", "cost.json", dataclasses.asdict(report))
     return 0
 
 
@@ -385,11 +392,7 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
                       else f"{intra['mean']:.4f} +/- {intra['std']:.4f}")
         print(f"layer {row['layer']}: {row['c_out']}x{row['c_in']}x{row['k']}x{row['k']} "
               f"cross={row['cross']:.4f} intra={intra_text}")
-    out = merged.get("out")
-    if out:
-        with _artifact_set(out, merged, "analyze") as artifact:
-            dataio.write_json(artifact("correlations.json"), rows)
-        print(f"artifacts in {out}")
+    _write_report(merged, "analyze", "correlations.json", rows)
     return 0
 
 

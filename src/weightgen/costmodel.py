@@ -60,7 +60,7 @@ def generation_latency(n_basis: int, n_cross: int,
     return dev.dac_latency + 2.0 * (dev.mod_latency + dev.oe_latency) + propagation
 
 
-def weight_load_latency(plan: generator.GenPlan, q_weight: int = 16,
+def weight_load_latency(plan: generator.GenPlan, q_weight: int = generator.DENSE_BITS,
                         dev: DeviceParams = DeviceParams()):
     """SRAM streaming time for one layer's weights.
 
@@ -103,7 +103,7 @@ class CostReport:
     total_load_saved: float
 
 
-def speedup_report(plans: list[generator.GenPlan], q_weight: int = 16,
+def speedup_report(plans: list[generator.GenPlan], q_weight: int = generator.DENSE_BITS,
                    dev: DeviceParams = DeviceParams()) -> CostReport:
     """Per-layer and total generation cost versus weight-load saving.
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import struct
 import tempfile
@@ -76,47 +77,31 @@ def _read_exact(fh, n: int, path: str, what: str) -> bytes:
     return fh.read(n)
 
 
-def _load_images(path: str) -> np.ndarray:
+def _read_idx(path: str, magic: int, what: str, dims: int) -> np.ndarray:
+    """The uint8 payload of the IDX file at path, shaped by the dims sizes
+    (count first) its header gives after the magic; the magic, the sizes and
+    the payload's length are checked."""
     with open(path, "rb") as fh:
-        magic, count, rows, cols = struct.unpack(
-            ">iiii", _read_exact(fh, 16, path, "image header")
-        )
-        if magic != IMAGE_MAGIC:
+        header = struct.unpack(f">{dims + 1}i",
+                               _read_exact(fh, 4 * (dims + 1), path, f"{what} header"))
+        if header[0] != magic:
             raise IdxMagicError(
-                f"{path}: image magic must be {IMAGE_MAGIC} big-endian, got {magic}"
+                f"{path}: {what} magic must be {magic} big-endian, got {header[0]}"
             )
-        if count < 0 or rows <= 0 or cols <= 0:
-            raise IdxTruncatedError(
-                f"{path}: nonsensical dimensions ({count}, {rows}, {cols})"
-            )
-        payload = _read_exact(fh, count * rows * cols, path, "pixel data")
-        trailing = fh.read(1)
-        if trailing:
-            raise IdxTruncatedError(f"{path}: trailing bytes after pixel data")
-    pixels = np.frombuffer(payload, dtype=np.uint8)
-    return pixels.reshape(count, 1, rows, cols).astype(np.float32) / np.float32(255)
-
-
-def _load_labels(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic, count = struct.unpack(">ii", _read_exact(fh, 8, path, "label header"))
-        if magic != LABEL_MAGIC:
-            raise IdxMagicError(
-                f"{path}: label magic must be {LABEL_MAGIC} big-endian, got {magic}"
-            )
-        if count < 0:
-            raise IdxTruncatedError(f"{path}: negative label count {count}")
-        payload = _read_exact(fh, count, path, "label data")
-        trailing = fh.read(1)
-        if trailing:
-            raise IdxTruncatedError(f"{path}: trailing bytes after label data")
-    return np.frombuffer(payload, dtype=np.uint8).astype(np.int64)
+        shape = header[1:]
+        if shape[0] < 0 or min(shape[1:], default=1) <= 0:
+            raise IdxTruncatedError(f"{path}: nonsensical {what} dimensions {shape}")
+        payload = _read_exact(fh, math.prod(shape), path, f"{what} data")
+        if fh.read(1):
+            raise IdxTruncatedError(f"{path}: trailing bytes after {what} data")
+    return np.frombuffer(payload, dtype=np.uint8).reshape(shape)
 
 
 def load_idx(images_path: str, labels_path: str, split: str = "") -> LabeledDataset:
     """Parse an IDX image/label file pair into a normalized dataset."""
-    images = _load_images(images_path)
-    labels = _load_labels(labels_path)
+    pixels = _read_idx(images_path, IMAGE_MAGIC, "image", 3)[:, None]
+    images = pixels.astype(np.float32) / np.float32(255)
+    labels = _read_idx(labels_path, LABEL_MAGIC, "label", 1).astype(np.int64)
     if images.shape[0] != labels.shape[0]:
         raise IdxCountMismatchError(
             f"{images_path} holds {images.shape[0]} images but "

@@ -23,7 +23,10 @@ from .errors import ConfigError, DegenerateFactorError, ShapeError, WeightgenErr
 # Fraction of the singular values counted as the "top" mass.
 TOP_FRACTION = 0.3
 
-GRID_COLUMNS = ("B_i", "B_c", "q_b", "q_u", "q_v", "r", "r_m", "acc")
+# grid.csv's columns, in order, each with the ExplorationPoint field it holds.
+_GRID_FIELDS = {"B_i": "n_basis", "B_c": "n_cross", "q_b": "q_basis", "q_u": "q_coeff",
+                "q_v": "q_mixer", "r": "r", "r_m": "r_m", "acc": "accuracy"}
+GRID_COLUMNS = tuple(_GRID_FIELDS)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -242,24 +245,12 @@ def pareto_front(points: list[ExplorationPoint]) -> list[ExplorationPoint]:
 
 def write_grid_csv(points: list[ExplorationPoint], path: str) -> None:
     """Contour-ready grid with one row per explored setting."""
-    rows = []
-    for p in points:
-        rows.append(
-            {
-                "B_i": p.n_basis,
-                "B_c": p.n_cross,
-                "q_b": p.q_basis,
-                "q_u": p.q_coeff,
-                "q_v": p.q_mixer,
-                "r": repr(p.r),
-                "r_m": repr(p.r_m),
-                "acc": repr(p.accuracy),
-            }
-        )
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=GRID_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(GRID_COLUMNS)
+    for p in points:
+        values = (getattr(p, name) for name in _GRID_FIELDS.values())
+        writer.writerow([repr(v) if isinstance(v, float) else v for v in values])
     dataio.atomic_write(path, buf.getvalue().encode())
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .dataio import atomic_write
 from .errors import FactorFileError, WeightgenError
-from .generator import FACTOR_NAMES, TwoLevelFactors, plan_layer
+from .generator import FACTOR_NAMES, GenPlan, TwoLevelFactors, plan_layer
 
 MAGIC = b"ISGW"
 VERSION = 1
@@ -38,13 +38,17 @@ _HEADER = struct.Struct("<4sBBBBBB5I")
 KIND_RAW = 0
 
 
+def _level_flags(plan: GenPlan) -> int:
+    """The header's level-flag byte: bit0 intra active, bit1 cross active."""
+    return (1 if plan.intra_active else 0) | (2 if plan.cross_active else 0)
+
+
 def factors_to_bytes(factors: TwoLevelFactors) -> bytes:
     factors.validate()
     p = factors.plan
-    flags = (1 if p.intra_active else 0) | (2 if p.cross_active else 0)
     parts = [
         _HEADER.pack(
-            MAGIC, VERSION, KIND_RAW, flags, p.q_basis, p.q_coeff, p.q_mixer,
+            MAGIC, VERSION, KIND_RAW, _level_flags(p), p.q_basis, p.q_coeff, p.q_mixer,
             p.c_out, p.c_in, p.k, p.n_basis, p.n_cross,
         )
     ]
@@ -70,7 +74,7 @@ def factors_from_bytes(data: bytes) -> TwoLevelFactors:
         plan = plan_layer(c_out, c_in, k, n_basis, n_cross, q_basis, q_coeff, q_mixer)
     except WeightgenError as exc:
         raise FactorFileError(f"invalid header fields: {exc}") from exc
-    want_flags = (1 if plan.intra_active else 0) | (2 if plan.cross_active else 0)
+    want_flags = _level_flags(plan)
     if flags != want_flags:
         raise FactorFileError(
             f"level flags {flags:#x} contradict the stored dimensions "

@@ -50,6 +50,8 @@ from .quantize import (
 )
 
 FACTOR_NAMES = ("basis", "coeff", "mixer")
+# Bits per weight of the dense layer that memory_ratio (r_m) compares against.
+DENSE_BITS = 16
 
 
 @dataclass(frozen=True)
@@ -295,7 +297,7 @@ def memory_bits(plan: GenPlan) -> int:
                for name, shape in plan.stored_shapes().items())
 
 
-def memory_ratio(plan: GenPlan, dense_bits: int = 16) -> float:
+def memory_ratio(plan: GenPlan, dense_bits: int = DENSE_BITS) -> float:
     """Stored bits over a dense layer at dense_bits per weight."""
     check_count("dense_bits", dense_bits)
     if not plan.intra_active and not plan.cross_active:

@@ -35,9 +35,11 @@ run its grouped path: a 1x1 conv with the coeff factors into
 n_cross*n_basis channels, a grouped k x k conv with the basis kernels, one
 banded GEMM per group, and the mixer, at
 n_cross*n_basis*(C_in*HW/(H_out*W_out) + k*H_used) + C_out*n_cross
-multiply-adds.  Each forward takes the grouped path when it runs fewer
-multiply-adds and caches no larger a matrix, which holds for small n_basis
-only: on layer 1 of the default arch up to n_basis = 6.
+multiply-adds.  Each forward takes the grouped path when its coeff and basis
+convs run fewer multiply-adds than the cross conv's nonzero ones and its row
+patches are no larger than an im2col matrix (not the cross path's own row
+patches), which holds for small n_basis only: on layer 1 of the default arch
+up to n_basis = 6.
 
 Activations between layers are (C, H, W, n), as a conv's GEMM makes them.
 Only ``Sequential``, on entry and exit, and ``Flatten``, which gives the

@@ -68,8 +68,9 @@ def conv_output_size(size: int, k: int, stride: int, pad: int) -> int:
     return (size + 2 * pad - k) // stride + 1
 
 
-def _output_dims(h: int, w: int, k: int, stride: int, pad: int) -> tuple[int, int]:
-    """Checked (H_out, W_out) of a k x k window sliding over an h x w image."""
+def _row_patch_dims(h: int, w: int, k: int, stride: int, pad: int):
+    """(H_used, H_out, W_out): the padded input rows a k x k window sliding
+    over an h x w image reaches, and the checked output dims."""
     if k < 1 or stride < 1 or pad < 0:
         raise ShapeError(f"invalid conv arguments: k={k}, stride={stride}, pad={pad}")
     h_out = conv_output_size(h, k, stride, pad)
@@ -79,13 +80,6 @@ def _output_dims(h: int, w: int, k: int, stride: int, pad: int) -> tuple[int, in
             f"non-positive output dims {h_out}x{w_out} for input {h}x{w}, "
             f"kernel {k}, stride {stride}, pad {pad}"
         )
-    return h_out, w_out
-
-
-def _row_patch_dims(h: int, w: int, k: int, stride: int, pad: int):
-    """(H_used, H_out, W_out): the padded input rows a k x k window reaches,
-    and the checked output dims."""
-    h_out, w_out = _output_dims(h, w, k, stride, pad)
     return (h_out - 1) * stride + k, h_out, w_out
 
 
@@ -164,7 +158,7 @@ def _conv_args(x, weight, stride: int, pad: int):
             f"weight expects {w.shape[1]} input channels, input has {c_in} "
             f"(weight {w.shape}, input {x.shape})"
         )
-    return x, w, _output_dims(h, wd, w.shape[2], stride, pad)
+    return x, w, _row_patch_dims(h, wd, w.shape[2], stride, pad)[1:]
 
 
 def _windows(rows: np.ndarray, h_out: int, k: int, stride: int) -> np.ndarray:

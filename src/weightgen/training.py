@@ -37,7 +37,8 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import dataio, generator, nn, tensor
-from .errors import ConfigError, DivergenceError, NonFiniteError, ShapeError
+from .errors import (ConfigError, DegenerateFactorError, DivergenceError, NonFiniteError,
+                     ShapeError)
 from .optim import RAdam
 from .quantize import check_bits
 
@@ -110,7 +111,7 @@ def _normalized_gram_penalty(u: np.ndarray):
     wrt U.  Shared by the coeff and mixer terms."""
     n = np.einsum("...ij,...ij->...j", u, u)
     if np.any(n == 0.0):
-        raise DivergenceError("zero column encountered in orthogonality penalty")
+        raise DegenerateFactorError("zero column encountered in orthogonality penalty")
     inv = 1.0 / n
     ut = u * inv[..., None, :]
     e = np.swapaxes(ut, -1, -2) @ ut - np.eye(u.shape[-1])
@@ -540,17 +541,23 @@ def write_metrics(path, rows: list[dict]) -> None:
     dataio.atomic_write(path, buf.getvalue().encode())
 
 
+def _checkpoint_entries(model: nn.Sequential):
+    """(key, array) of each entry a checkpoint of model holds, in the order it
+    is written: every parameter as p/{name}, then every batch-norm layer i's
+    b/{i}.running_mean and b/{i}.running_var."""
+    for name, p in model.named_params():
+        yield f"p/{name}", p.value
+    for i, layer in enumerate(model.layers):
+        if isinstance(layer, nn.BatchNorm2d):
+            yield f"b/{i}.running_mean", layer.running_mean
+            yield f"b/{i}.running_var", layer.running_var
+
+
 def save_checkpoint(path, model: nn.Sequential, cfg: TrainConfig,
                     epoch: int) -> None:
     """Versioned npz checkpoint: params (a generated layer's factors among
     them) and BN buffers."""
-    arrays = {}
-    for name, p in model.named_params():
-        arrays[f"p/{name}"] = p.value
-    for i, layer in enumerate(model.layers):
-        if isinstance(layer, nn.BatchNorm2d):
-            arrays[f"b/{i}.running_mean"] = layer.running_mean
-            arrays[f"b/{i}.running_var"] = layer.running_var
+    arrays = dict(_checkpoint_entries(model))
     meta = {
         "version": CHECKPOINT_VERSION,
         "epoch": epoch,
@@ -628,12 +635,8 @@ def load_checkpoint(path):
             raise ConfigError(f"checkpoint {path} is not a readable archive: {exc}") from exc
     cfg, epoch = _read_meta(_entry(arrays, "meta"))
     model = build_model(cfg)
-    for name, p in model.named_params():
-        _restore(arrays, f"p/{name}", p.value)
-    for i, layer in enumerate(model.layers):
-        if isinstance(layer, nn.BatchNorm2d):
-            _restore(arrays, f"b/{i}.running_mean", layer.running_mean)
-            _restore(arrays, f"b/{i}.running_var", layer.running_var)
-            if (layer.running_var < 0).any():
-                raise ConfigError(f"checkpoint entry b/{i}.running_var has a negative variance")
+    for key, target in _checkpoint_entries(model):
+        _restore(arrays, key, target)
+        if key.endswith(".running_var") and (target < 0).any():
+            raise ConfigError(f"checkpoint entry {key} has a negative variance")
     return model, cfg, epoch

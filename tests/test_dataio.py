@@ -1,5 +1,6 @@
 import ast
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -95,6 +96,18 @@ def test_truncated_header(tmp_path):
     img, lbl = _write_pair(tmp_path, np.zeros((1, 4, 4)), [0])
     open(img, "wb").write(b"\x00\x00\x08\x03")
     with pytest.raises(IdxTruncatedError):
+        dataio.load_idx(img, lbl)
+
+
+def test_nonsensical_header_dimensions_rejected(tmp_path):
+    img, lbl = _write_pair(tmp_path, np.zeros((1, 4, 4)), [0])
+    good_img, good_lbl = open(img, "rb").read(), open(lbl, "rb").read()
+    open(lbl, "wb").write(struct.pack(">ii", 2049, -1) + good_lbl[8:])
+    with pytest.raises(IdxTruncatedError, match=re.escape(lbl)):
+        dataio.load_idx(img, lbl)
+    open(lbl, "wb").write(good_lbl)
+    open(img, "wb").write(struct.pack(">iiii", 2051, 1, 0, 4) + good_img[16:])
+    with pytest.raises(IdxTruncatedError, match=re.escape(img)):
         dataio.load_idx(img, lbl)
 
 

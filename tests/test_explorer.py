@@ -361,6 +361,18 @@ def test_grid_csv_columns_and_values(tmp_path):
     payload = json.loads(open(json_path).read())
     assert payload["points"][0]["accuracy"] == grid.points[0].accuracy
     assert payload["pareto_front"]
+    # the exact bytes: integer columns as written, floats as repr, "\n" line ends
+    fixed = [explorer.ExplorationPoint(n_basis=2, n_cross=12, q_basis=4, q_coeff=6,
+                                       q_mixer=8, r=0.1 + 0.2, r_m=1 / 3, accuracy=0.75,
+                                       runtime=9.5, heuristic_preferred=False),
+             explorer.ExplorationPoint(n_basis=25, n_cross=8, q_basis=8, q_coeff=8,
+                                       q_mixer=8, r=1e-05, r_m=2.0, accuracy=0.0,
+                                       runtime=0.1, heuristic_preferred=True)]
+    explorer.write_grid_csv(fixed, path)
+    with open(path, "rb") as fh:
+        assert fh.read() == (b"B_i,B_c,q_b,q_u,q_v,r,r_m,acc\n"
+                             b"2,12,4,6,8,0.30000000000000004,0.3333333333333333,0.75\n"
+                             b"25,8,8,8,8,1e-05,2.0,0.0\n")
 
 
 def test_grid_requires_generated_layers_and_nonempty_lists():

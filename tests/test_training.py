@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from weightgen import generator, nn, training
-from weightgen.errors import (ConfigError, DivergenceError, NonFiniteError, QuantRangeError,
-                             ShapeError, WeightgenError)
+from weightgen.errors import (ConfigError, DegenerateFactorError, DivergenceError,
+                             NonFiniteError, QuantRangeError, ShapeError, WeightgenError)
 
 from oracles import finite_difference, l2_project_frozen, rel_err
 
@@ -123,6 +123,13 @@ def test_ortho_reg_zero_at_orthonormal_factors():
     assert np.abs(grads.basis).max() < 1e-12
     assert np.abs(grads.coeff).max() < 1e-12
     assert np.abs(grads.mixer).max() < 1e-12
+
+
+def test_ortho_reg_zero_coeff_column_is_a_degenerate_factor():
+    f = _orthonormal_factors(generator.plan_layer(8, 6, 3, 2, 4))
+    f.coeff[1, :, 0] = 0.0
+    with pytest.raises(DegenerateFactorError, match="zero column"):
+        training.ortho_reg(f)
 
 
 def test_ortho_reg_scaled_identity_basis_value():
@@ -503,6 +510,23 @@ def test_train_config_field_types():
         (name,) = bad
         with pytest.raises(ConfigError, match=f"config field {name!r}"):
             training.TrainConfig(**bad)
+
+
+def test_checkpoint_entry_names_and_order(tmp_path):
+    # the default arch with layers 1 and 2 generated
+    cfg = training.TrainConfig(generated=(1, 2))
+    path = tmp_path / "ckpt.npz"
+    training.save_checkpoint(path, training.build_model(cfg), cfg, epoch=1)
+    with np.load(path) as z:
+        assert z.files == [
+            "p/0.weight", "p/1.gamma", "p/1.beta",
+            "p/3.basis", "p/3.coeff", "p/3.mixer", "p/4.gamma", "p/4.beta",
+            "p/6.basis", "p/6.coeff", "p/6.mixer", "p/7.gamma", "p/7.beta",
+            "p/11.weight", "p/11.bias",
+            "b/1.running_mean", "b/1.running_var", "b/4.running_mean", "b/4.running_var",
+            "b/7.running_mean", "b/7.running_var", "meta",
+        ]
+        assert {z[k].dtype for k in z.files if k != "meta"} == {np.dtype(np.float64)}
 
 
 @pytest.mark.parametrize("key", ["meta", "b/1.running_var", "p/0.coeff"])

@@ -66,7 +66,7 @@ def _private_definitions(tree):
     """Every ``_name`` function, class or method in tree, dunders excepted."""
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_") \
-                and not node.name.endswith("__"):
+                and not (node.name.startswith("__") and node.name.endswith("__")):
             yield node
 
 

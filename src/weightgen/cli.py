@@ -64,7 +64,8 @@ SETTINGS = (
     Setting("beta", "--beta", _FIT, "distillation mixing weight"),
     Setting("temperature", "--temperature", _FIT, "distillation temperature"),
     Setting("generated", "--generated", _FIT, "comma list of conv layer indices to factorize"),
-    Setting("init", "--init", _FIT, "stage-1 fit of the generated layers"),
+    Setting("init", "--init", _FIT,
+            f"stage-1 fit of the generated layers: {', '.join(training.INIT_METHODS)}"),
     Setting("init_iters", "--init-iters", _TEACHER, "l2 projection steps"),
     Setting("act_bits", "--act-bits", _FIT, "activation bitwidth (default unquantized)"),
     Setting("teacher", "--teacher", _TEACHER, "dense checkpoint to distill from or fit", "str"),
@@ -424,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
                                help=s.help)
             else:
                 p.add_argument(s.flag, dest=s.key, type=_FLAG_TYPES.get(annotation),
-                               choices=training.INIT_METHODS if s.key == "init" else None,
                                help=s.help)
     return parser
 

@@ -9,7 +9,7 @@ bytes, so load -> save -> load is bitwise stable.
 
 Every file the package writes goes through ``atomic_write``, so a file
 appears under its final name only when complete; ``write_json`` is the one
-writer of the package's JSON artifacts.
+writer of the package's JSON artifacts and ``write_csv`` of its CSV ones.
 """
 
 from __future__ import annotations
@@ -115,8 +115,14 @@ def save_idx(ds: LabeledDataset, images_path: str, labels_path: str) -> None:
 
     Pixel floats are rescaled by 255 and rounded to the nearest integer,
     which restores the original uint8 bytes exactly for any dataset that
-    came out of load_idx.
+    came out of load_idx.  A non-finite pixel raises a NonFiniteError and
+    one outside [0, 1] a ConfigError, before either file is written.
     """
+    if not np.isfinite(ds.images).all():
+        raise NonFiniteError(f"cannot write {images_path}: images contain non-finite pixels")
+    if ds.images.size and not 0 <= ds.images.min() <= ds.images.max() <= 1:
+        raise ConfigError(f"cannot write {images_path}: pixels must lie in [0, 1], got range "
+                          f"[{ds.images.min()}, {ds.images.max()}]")
     n, _, rows, cols = ds.images.shape
     pixels = np.rint(ds.images * 255.0).astype(np.uint8)
     header = struct.pack(">iiii", IMAGE_MAGIC, n, rows, cols)
@@ -140,6 +146,15 @@ def atomic_write(path, data: bytes) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_csv(path, columns, rows) -> None:
+    """Write rows of numbers under a header of columns as CSV, atomically,
+    each line ending in "\n"; a float is written as repr(float(v)), any
+    other value as str(v)."""
+    lines = [columns, *([repr(float(v)) if isinstance(v, float) else str(v) for v in row]
+                        for row in rows)]
+    atomic_write(path, "".join(",".join(line) + "\n" for line in lines).encode())
 
 
 def _first_non_finite(doc, key: str = ""):

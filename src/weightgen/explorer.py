@@ -8,9 +8,7 @@ and Pareto-front extraction over (memory ratio, accuracy).
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-import io
 import itertools
 import math
 import time
@@ -245,13 +243,8 @@ def pareto_front(points: list[ExplorationPoint]) -> list[ExplorationPoint]:
 
 def write_grid_csv(points: list[ExplorationPoint], path: str) -> None:
     """Contour-ready grid with one row per explored setting."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(GRID_COLUMNS)
-    for p in points:
-        values = (getattr(p, name) for name in _GRID_FIELDS.values())
-        writer.writerow([repr(v) if isinstance(v, float) else v for v in values])
-    dataio.atomic_write(path, buf.getvalue().encode())
+    dataio.write_csv(path, GRID_COLUMNS,
+                     ([getattr(p, name) for name in _GRID_FIELDS.values()] for p in points))
 
 
 def write_grid_json(result: GridResult, path: str, front: list[ExplorationPoint]) -> None:

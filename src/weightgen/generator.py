@@ -20,7 +20,7 @@ there: C_in for the intra level, C_out for the cross level.
 ``forward`` quantizes the factors; the basis kernels ``GenForward.w_cross``
 = coeff @ basis and the dense kernels ``GenForward.weight`` are formed only
 when read.  Stage 1 fits the unquantized factors through the same two
-products, formed in place each step, and ``backward_into``.  A generated
+products, formed in place each step, and ``backward``.  A generated
 conv layer never reads ``weight``.  When it runs fewer multiply-adds that
 way it applies the quantized factors level by level, the coeff as a 1x1
 conv, the basis as a grouped k x k conv and the mixer as a 1x1 conv, and
@@ -233,48 +233,36 @@ class FactorGrads:
     mixer: np.ndarray | None
 
 
-def intra_backward(
-    fwd: GenForward, d_w_cross: np.ndarray, out: dict | None = None
-) -> tuple[np.ndarray | None, np.ndarray]:
+def intra_backward(fwd: GenForward,
+                   d_w_cross: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
     """(d_basis, d_coeff) from a gradient on the (n_cross, c_in, k*k) basis
-    kernels, written into out["basis"] and out["coeff"] where out has them;
-    d_basis is None when the intra level is skipped."""
-    out = out or {}
+    kernels; d_basis is None when the intra level is skipped."""
     if not fwd.plan.intra_active:
-        if "coeff" in out:
-            out["coeff"][...] = d_w_cross
-        return None, out.get("coeff", d_w_cross)
-    return (np.matmul(np.swapaxes(fwd.q_coeff, 1, 2), d_w_cross, out=out.get("basis")),
-            np.matmul(d_w_cross, np.swapaxes(fwd.q_basis, 1, 2), out=out.get("coeff")))
-
-
-def backward_into(fwd: GenForward, g_flat: np.ndarray, out: dict) -> FactorGrads:
-    """The factor gradients of a loss gradient g_flat on the (c_out,
-    c_in*k*k) kernels, each written into out's array of the factor's name
-    where out has one.  Plain chain rule through the two matrix products;
-    the fake quantizers pass gradients straight through unchanged.  There is
-    no clip mask: each quantizer's scale is its tensor's maximum magnitude,
-    so no entry lies outside the grid."""
-    p = fwd.plan
-    d_mixer = None
-    if p.cross_active:
-        d_mixer = np.matmul(g_flat, fwd.w_cross.reshape(p.n_cross, -1).T, out=out.get("mixer"))
-        g_flat = np.matmul(fwd.q_mixer.T, g_flat)
-    d_basis, d_coeff = intra_backward(fwd, g_flat.reshape(p.n_cross, p.c_in, p.kk), out)
-    return FactorGrads(basis=d_basis, coeff=d_coeff, mixer=d_mixer)
+        return None, d_w_cross
+    return (np.matmul(np.swapaxes(fwd.q_coeff, 1, 2), d_w_cross),
+            np.matmul(d_w_cross, np.swapaxes(fwd.q_basis, 1, 2)))
 
 
 def backward(
     factors: TwoLevelFactors, fwd: GenForward, d_weight: np.ndarray
 ) -> FactorGrads:
-    """Backpropagate a loss gradient on the generated kernels to the factors
-    (``backward_into`` with new arrays)."""
+    """Backpropagate a loss gradient on the generated kernels to the factors.
+    Plain chain rule through the two matrix products; the fake quantizers
+    pass gradients straight through unchanged.  There is no clip mask: each
+    quantizer's scale is its tensor's maximum magnitude, so no entry lies
+    outside the grid."""
     p = factors.plan
     d_weight = np.asarray(d_weight, dtype=np.float64)
     want = (p.c_out, p.c_in, p.k, p.k)
     if d_weight.shape != want:
         raise ShapeError(f"d_weight shape {d_weight.shape}, expected {want}")
-    return backward_into(fwd, d_weight.reshape(p.c_out, -1), {})
+    g_flat = d_weight.reshape(p.c_out, -1)
+    d_mixer = None
+    if p.cross_active:
+        d_mixer = np.matmul(g_flat, fwd.w_cross.reshape(p.n_cross, -1).T)
+        g_flat = np.matmul(fwd.q_mixer.T, g_flat)
+    d_basis, d_coeff = intra_backward(fwd, g_flat.reshape(p.n_cross, p.c_in, p.kk))
+    return FactorGrads(basis=d_basis, coeff=d_coeff, mixer=d_mixer)
 
 
 def dense_param_count(plan: GenPlan) -> int:

@@ -559,26 +559,6 @@ _POOL_RE = re.compile(r"^AvgPool(\d+)$")
 _FC_RE = re.compile(r"^FC(\d+)$")
 
 
-def parse_arch(arch: str) -> list[tuple]:
-    """Parse an architecture string into (kind, args) tokens."""
-    tokens = []
-    for piece in arch.split("-"):
-        if m := _CONV_RE.match(piece):
-            c_out, k, stride = int(m.group(1)), int(m.group(2)), int(m.group(3))
-            pad = int(m.group(4)) if m.group(4) else 0
-            token = ("conv", (c_out, k, stride, pad))
-        elif m := _POOL_RE.match(piece):
-            token = ("avgpool", (int(m.group(1)),))
-        elif m := _FC_RE.match(piece):
-            token = ("fc", (int(m.group(1)),))
-        else:
-            raise ConfigError(f"unrecognized architecture token {piece!r} in {arch!r}")
-        if 0 in token[1][:3]:  # a conv's padding alone may be zero
-            raise ConfigError(f"architecture token {piece!r} in {arch!r} has a zero size")
-        tokens.append(token)
-    return tokens
-
-
 def plan_network(arch: str, in_channels: int, in_size: int, generated: tuple[int, ...],
                  n_basis: int, n_cross: int, q_basis: int, q_coeff: int,
                  q_mixer: int) -> list[tuple]:
@@ -591,11 +571,17 @@ def plan_network(arch: str, in_channels: int, in_size: int, generated: tuple[int
     c, size = in_channels, in_size
     conv_idx = 0
     flat_dim = None
-    for piece, (kind, args) in zip(arch.split("-"), parse_arch(arch)):
-        if kind != "fc" and flat_dim is not None:
+    for piece in arch.split("-"):
+        conv, pool, fc = (r.match(piece) for r in (_CONV_RE, _POOL_RE, _FC_RE))
+        if not (conv or pool or fc):
+            raise ConfigError(f"unrecognized architecture token {piece!r} in {arch!r}")
+        sizes = [int(g) for g in (conv or pool or fc).groups(default="0")]
+        if 0 in sizes[:3]:  # a conv's padding alone may be zero
+            raise ConfigError(f"architecture token {piece!r} in {arch!r} has a zero size")
+        if not fc and flat_dim is not None:
             raise ConfigError(f"architecture token {piece!r} in {arch!r} follows an FC token")
-        if kind == "conv":
-            c_out, k, stride, pad = args
+        if conv:
+            c_out, k, stride, pad = sizes
             out_size = tensor.conv_output_size(size, k, stride, pad)
             if out_size < 1:
                 raise ConfigError(
@@ -609,21 +595,21 @@ def plan_network(arch: str, in_channels: int, in_size: int, generated: tuple[int
             tokens.append(("conv", (c, c_out, k, stride, pad, plan)))
             c, size = c_out, out_size
             conv_idx += 1
-        elif kind == "avgpool":
-            if args[0] > size:
+        elif pool:
+            if sizes[0] > size:
                 raise ConfigError(f"architecture token {piece!r} in {arch!r} cannot pool "
-                                  f"a {size}x{size} map up to {args[0]}x{args[0]}")
-            (size,) = args
-            tokens.append((kind, args))
-        elif kind == "fc":
+                                  f"a {size}x{size} map up to {sizes[0]}x{sizes[0]}")
+            (size,) = sizes
+            tokens.append(("avgpool", (size,)))
+        else:
             if flat_dim is None:
                 tokens.append(("flatten", ()))
                 flat_dim = c * size * size
-            tokens.append(("fc", (flat_dim, args[0])))
-            flat_dim = args[0]
+            tokens.append(("fc", (flat_dim, sizes[0])))
+            flat_dim = sizes[0]
     if flat_dim is None:
         raise ConfigError(f"architecture {arch!r} ends in {piece!r}, not in an FC token")
-    bad = [g for g in generated if g >= conv_idx]
+    bad = [g for g in generated if not 0 <= g < conv_idx]
     if bad:
         raise ConfigError(
             f"generated conv indices {bad} out of range: arch has {conv_idx} convs"

@@ -28,7 +28,6 @@ from a fresh PCG64 generator seeded with (seed, e).
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
@@ -224,7 +223,6 @@ def l2_project_init(target: np.ndarray, plan: generator.GenPlan, iters: int = 30
     fwd = generator.GenForward(plan, factors.basis, factors.coeff, factors.mixer)
     w_cross, d = fwd.w_cross, np.empty(unit_target.size)
     d_flat, target_flat = d.reshape(plan.c_out, -1), unit_target.reshape(plan.c_out, -1)
-    grads = {p.name: p.grad for p in params}
     # a non-finite factor surfaces as the typed errors below, not as a
     # RuntimeWarning from the products it poisons first
     with np.errstate(over="ignore", invalid="ignore"):
@@ -236,7 +234,9 @@ def l2_project_init(target: np.ndarray, plan: generator.GenPlan, iters: int = 30
                 factors.validate()  # names a non-finite factor, which makes the loss so
                 raise DivergenceError("projection loss became non-finite", iteration=it)
             d *= 2.0
-            generator.backward_into(fwd, d_flat, grads)
+            grads = generator.backward(factors, fwd, d.reshape(unit_target.shape))
+            for p in params:
+                p.grad = getattr(grads, p.name)
             opt.step()
             if it >= tail_start:
                 opt.lr *= decay
@@ -465,12 +465,15 @@ def train(
     grid_search, compute them once.
     """
     want = (cfg.in_channels, cfg.in_size, cfg.in_size)
-    for name, x in (("train_x", train_x), ("test_x", test_x)):
+    for name, x, y in (("train", train_x, train_y), ("test", test_x, test_y)):
         if x.shape[1:] != want:
-            raise ShapeError(f"{name} samples have shape {x.shape[1:]}, but in_channels="
+            raise ShapeError(f"{name}_x samples have shape {x.shape[1:]}, but in_channels="
                              f"{cfg.in_channels} and in_size={cfg.in_size} need {want}")
         if x.shape[0] == 0:
-            raise ShapeError(f"{name} has no samples")
+            raise ShapeError(f"{name}_x has no samples")
+        if np.shape(y) != x.shape[:1]:
+            raise ShapeError(f"{name}_y shape {np.shape(y)} does not match {name}_x shape "
+                             f"{x.shape}: need one label per sample")
     n = train_x.shape[0]
     if teacher_logits is not None and teacher_logits.shape[:1] != (n,):
         raise ShapeError(
@@ -533,12 +536,7 @@ def train(
 
 def write_metrics(path, rows: list[dict]) -> None:
     """Write the per-epoch metric log as CSV, atomically."""
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=METRIC_COLUMNS)
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: row[k] for k in METRIC_COLUMNS})
-    dataio.atomic_write(path, buf.getvalue().encode())
+    dataio.write_csv(path, METRIC_COLUMNS, ([row[k] for k in METRIC_COLUMNS] for row in rows))
 
 
 def _checkpoint_entries(model: nn.Sequential):

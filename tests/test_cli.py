@@ -8,7 +8,7 @@ import struct
 import numpy as np
 import pytest
 
-from weightgen import cli, costmodel, dataio, factorfile, training
+from weightgen import cli, costmodel, dataio, explorer, factorfile, training
 from weightgen.errors import ShapeError
 
 
@@ -181,6 +181,14 @@ def test_mistyped_run_or_device_value_is_named(tmp_path, capsys, command, field,
     assert captured.out == ""
 
 
+def test_init_flag_is_checked_by_the_config_range(tmp_path, capsys):
+    out = os.path.join(tmp_path, "o")
+    assert cli.main(["train", "--init", "bogus", "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert "config field 'init' must be one of ('l2', 'svd', 'random')" in captured.err
+    assert captured.out == "" and not os.path.exists(out)
+
+
 @pytest.mark.parametrize("command", ["cost", "analyze", "init"])
 @pytest.mark.parametrize("field,value", [("epochs", "x"), ("init", 5), ("dac_latency", "x")])
 def test_config_keys_a_command_does_not_use_are_type_checked(tmp_path, capsys, command,
@@ -282,6 +290,15 @@ def test_docs_and_flags_cover_every_config_key():
                 assert annotation == "bool", (command, action.dest)
             else:
                 assert annotation in flag_types[action.type], (command, action.dest)
+
+
+def test_docs_csv_headers_are_the_written_columns():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "formats.md")
+    text = open(path).read()
+    for section, columns in (("## Training metrics CSV", training.METRIC_COLUMNS),
+                             ("## Exploration grid CSV", explorer.GRID_COLUMNS)):
+        header = text.split(section)[1].split("```\n")[1]
+        assert header == ",".join(columns) + "\n", section
 
 
 def test_docs_list_exactly_the_config_keys():

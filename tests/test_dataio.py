@@ -167,6 +167,31 @@ def test_interrupted_save_leaves_no_file(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("pixel,error,match", [
+    (float("nan"), NonFiniteError, "non-finite pixels"),
+    (float("inf"), NonFiniteError, "non-finite pixels"),
+    (1.5, ConfigError, r"pixels must lie in \[0, 1\], got range \[0.0, 1.5\]"),
+    (-0.2, ConfigError, r"pixels must lie in \[0, 1\], got range \[-0.2, 1.0\]"),
+], ids=["nan", "inf", "above_1", "below_0"])
+def test_save_idx_rejects_pixels_it_cannot_write(tmp_path, pixel, error, match):
+    images = np.zeros((2, 1, 3, 3))
+    images[0, 0, 0, 0] = 1.0  # both ends of the range are writable
+    images[1, 0, 2, 1] = pixel
+    ds = dataio.LabeledDataset(images=images, labels=np.array([1, 2]))
+    img, lbl = os.path.join(tmp_path, "images"), os.path.join(tmp_path, "labels")
+    with pytest.raises(error, match=match):
+        dataio.save_idx(ds, img, lbl)
+    assert os.listdir(tmp_path) == []
+
+
+def test_write_csv_bytes(tmp_path):
+    path = os.path.join(tmp_path, "t.csv")
+    dataio.write_csv(path, ("a", "b", "c"),
+                     [(1, 0.1 + 0.2, np.float64(2.0)), (np.int64(-3), 1e-05, True)])
+    with open(path, "rb") as fh:
+        assert fh.read() == b"a,b,c\n1,0.30000000000000004,2.0\n-3,1e-05,True\n"
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_write_json_refuses_what_json_cannot_hold(tmp_path, bad):
     path = os.path.join(tmp_path, "doc.json")

@@ -302,6 +302,16 @@ def test_grid_skips_infeasible_settings_with_reason():
     assert skip.reason  # a human-readable explanation is recorded
 
 
+def test_grid_skips_every_setting_when_a_generated_index_is_negative():
+    cfg, train_x, train_y, test_x, test_y = _tiny_setup()
+    cfg = dataclasses.replace(cfg, generated=(-1,))
+    grid = explorer.grid_search(cfg, train_x, train_y, test_x, test_y, [1, 2], [3])
+    assert grid.points == ()
+    assert [(s.n_basis, s.reason) for s in grid.skipped] == [
+        (n_basis, "ConfigError: generated conv indices [-1] out of range: arch has 1 convs")
+        for n_basis in (1, 2)]
+
+
 @pytest.mark.parametrize("arch,generated,bi_list", [
     ("C6K3S2-AvgPool2-FC2", (0,), [0, 1]),   # infeasible plan at B_i=0
     ("C6K3S2-AvgPool0-FC2", (0,), [1]),      # pool to 0x0

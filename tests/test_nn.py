@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -470,20 +471,31 @@ def test_build_network_reference_arch_shapes():
     assert fc.weight.value.shape == (10, 288)
 
 
-def test_parse_arch_and_build_errors():
+def _plan(arch):
+    return nn.plan_network(arch, 1, 28, (), 2, 12, 4, 4, 4)
+
+
+def test_plan_network_arch_token_and_build_errors():
     with pytest.raises(ConfigError):
-        nn.parse_arch("C32K5S2-Banana7")
+        _plan("C32K5S2-Banana7")
     with pytest.raises(ConfigError):
-        nn.parse_arch("")
+        _plan("")
     for arch, token in [("C0K5S2-FC10", "C0K5S2"), ("C32K0S1-FC10", "C32K0S1"),
                         ("C32K5S0-FC10", "C32K5S0"), ("C32K5S2-FC0", "FC0")]:
         with pytest.raises(ConfigError, match=f"'{token}'"):
-            nn.parse_arch(arch)
+            _plan(arch)
     rng = np.random.default_rng(11)
     with pytest.raises(ConfigError):
         nn.build_network("C4K3S1-FC2", 1, 8, rng, generated=(5,))
     with pytest.raises(ConfigError):
         nn.build_network("C4K9S1-FC2", 1, 4, rng)
+
+
+def test_plan_network_rejects_negative_generated_indices():
+    for generated, bad in [((-1,), "[-1]"), ((0, -2), "[-2]"), ((-1, 3), "[-1, 3]")]:
+        with pytest.raises(ConfigError, match=re.escape(
+                f"generated conv indices {bad} out of range: arch has 2 convs")):
+            nn.plan_network("C4K3S1-C4K3S1-FC2", 1, 8, generated, 2, 2, 4, 4, 4)
 
 
 def test_plan_network_gives_the_built_plans_and_errors():

@@ -22,8 +22,6 @@ UNCALLED = {
     "quantize.dequantize": "the reference fake_quantize is compared against bit for bit",
     "factorfile.load_factors": "kept until .isgw either becomes the deployment format or goes",
     "quantize.distinct_value_bound": "acceptance criterion 5's formula",
-    "generator.backward": "acceptance criterion 3's _check_generate_chain and "
-                          "tests/oracles.py::l2_project_frozen check the factor gradients with it",
 }
 
 

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import re
 import tracemalloc
 import warnings
 
@@ -480,6 +481,12 @@ def test_metrics_csv_round_trip(tmp_path):
     text = path.read_text().strip().splitlines()
     assert text[0] == "epoch,lr,loss_kd,loss_ort,train_acc,test_acc"
     assert len(text) == 3
+    # the exact bytes: the epoch as an integer, floats as repr, "\n" line ends
+    rows[1]["loss_kd"] = np.float64(0.1) + np.float64(0.2)
+    training.write_metrics(path, rows)
+    assert path.read_bytes() == (b"epoch,lr,loss_kd,loss_ort,train_acc,test_acc\n"
+                                 b"0,0.002,1.5,0.3,0.5,0.49\n"
+                                 b"1,0.00196,0.30000000000000004,0.2,0.7,0.68\n")
 
 
 def test_checkpoint_round_trip_restores_forward_exactly(tmp_path):
@@ -620,6 +627,28 @@ def test_teacher_logits_need_one_row_per_sample():
                                epochs=1, batch_size=32)
     with pytest.raises(ShapeError, match=r"\(63, 2\).*\(64, 2, 8, 8\)"):
         training.train(cfg, x, y, x, y, teacher_logits=np.zeros((63, 2)))
+
+
+def test_train_checks_both_label_arrays_before_training(monkeypatch):
+    x, y = synthetic_blobs(64, seed=24)
+    tx, ty = synthetic_blobs(16, seed=25)
+    cfg = training.TrainConfig(arch="C4K3S1-AvgPool2-FC2", in_channels=2, in_size=8,
+                               epochs=1, batch_size=32)
+    monkeypatch.setattr(training, "build_model", None)  # nothing may be built or trained
+    for labels, test_labels, name, shape in [(y[:63], ty, "train_y", (63,)),
+                                             (np.concatenate([y, y[:1]]), ty, "train_y", (65,)),
+                                             (y, ty[:15], "test_y", (15,)),
+                                             (y, ty[:, None], "test_y", (16, 1))]:
+        with pytest.raises(ShapeError, match=re.escape(f"{name} shape {shape} does not match")):
+            training.train(cfg, x, labels, tx, test_labels)
+
+
+def test_train_rejects_a_negative_generated_index():
+    x, y = synthetic_blobs(64, seed=24)
+    cfg = training.TrainConfig(arch="C4K3S1-AvgPool2-FC2", in_channels=2, in_size=8,
+                               epochs=1, batch_size=32, generated=(-1,))
+    with pytest.raises(ConfigError, match=re.escape("generated conv indices [-1] out of range")):
+        training.train(cfg, x, y, x, y)
 
 
 def test_evaluate_and_predict_check_their_inputs():
